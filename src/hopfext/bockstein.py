@@ -30,6 +30,7 @@ from .coefficients import LocalRational
 from .flinalg import rank_gf5, solve_mod
 from .transfer import (
     R_DEG,
+    check_precision,
     diagonal_valuations,
     small_basis,
     transferred_matrix,
@@ -167,8 +168,7 @@ def _five_adic_page_dim(fspec: FiltrationSpec, r: int, s: int, t: int,
         return 0
     here = _valuations(spec, s, t, hi, k_power)
     below = _valuations(spec, s - 1, t, hi, k_power) if s else ()
-    if any(v > k_power - 2 for v in here + below):
-        raise AssertionError("torsion precision exhausted; raise K")
+    check_precision(here + below, k_power)
     free = dim - len(here) - len(below)
     return free + sum(1 for v in here if v >= r) + sum(1 for v in below if v >= r)
 

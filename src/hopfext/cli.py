@@ -14,10 +14,10 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import __version__
-from .algebroid import AlgebroidSpec, AxiomViolation, check_axioms, quotient
+from .algebroid import AlgebroidSpec, AxiomViolation, check_axioms
 
 SCHEMA_PREFIX = "hopfext"
 
@@ -30,7 +30,6 @@ class RunConfig:
     t_max: int = 400
     k_power: int = 4
     out: Optional[str] = None
-    formats: Tuple[str, ...] = ("json",)
     overlay: Optional[str] = None
     source: Optional[str] = None
     tower: int = 1
@@ -41,6 +40,10 @@ class RunConfig:
             raise ValueError("window bounds must be positive")
         if self.ideal is not None and not 0 <= self.ideal <= 4:
             raise ValueError("ideal level must be in 0..4")
+        if not 0 <= self.tower <= 4:
+            raise ValueError("tower index must be in 0..4")
+        if self.k_power < 2:
+            raise ValueError("5-adic precision K must be at least 2")
 
 
 def _emit(config: RunConfig, payload: Dict) -> None:
@@ -184,8 +187,7 @@ def cmd_bockstein(config: RunConfig) -> int:
 # --- chart ------------------------------------------------------------------
 
 def cmd_chart(config: RunConfig) -> int:
-    from .report import (ChartSpec, Dot, emit_svg, parse_overlay,
-                         render_text, with_overlay)
+    from .report import ChartSpec, Dot, emit_svg, parse_overlay, with_overlay
     if not config.source:
         raise ValueError("chart requires --source")
     with open(config.source, "r", encoding="utf-8") as fh:
@@ -226,405 +228,23 @@ def cmd_chart(config: RunConfig) -> int:
 
 # --- verify -----------------------------------------------------------------
 
-@dataclass
-class Check:
-    tag: str
-    description: str
-    run: Callable[[], bool]
-
-
-def _verify_checks(config: RunConfig) -> List[Check]:
-    from .bockstein import FiltrationSpec, infinity_page, page_dimensions, \
-        verify_differential
-    from .cobar import (cohomology, class_equal_up_to_unit, differential,
-                        is_coboundary, parse_cobar, product, triple_massey)
-    from .gradedpoly import parse_polynomial
-    from .invariants import (A_RING, _mod5, _mod5_rows, _products_of_degree,
-                             discriminant, hilbert_h0, invariant_basis,
-                             new_generators, table1_records)
-    from .flinalg import rank_mod
-    from .transfer import ext_dim, integral_structure
-    from .v1algebra import presented_dim
-    from .wordcx import dual_h_dim, reduced_word_h_dim
-    import numpy as np
-
-    RED = AlgebroidSpec("reduced")
-    FULL = AlgebroidSpec("full")
-    I = {k: quotient(RED, k) for k in range(5)}
-    B = "[r^4|r] + 2*[r^3|r^2] + 2*[r^2|r^3] + [r|r^4]"
-    X1 = "a1*[r^4] + a2*[r^3] + a3*[r^2] + a4*[r]"
-    X1R = "a2*[r^3] + a3*[r^2] + a4*[r]"
-    X1R2 = "a3*[r^2] + a4*[r]"
-    X2 = "a4^2*[r] + 2*a3*a4*[r^2] + 3*a3^2*[r^3]"
-    X3 = "a4^3*[r] + 3*a3*a4^2*[r^2] - a3^2*a4*[r^3] - 3*a3^3*[r^4]"
-
-    def cb(spec, s, text):
-        return parse_cobar(spec, s, text)
-
-    def times(spec, poly, text, s):
-        return product(cb(spec, 0, poly), cb(spec, s, text))
-
-    def axioms_ok(variant):
-        try:
-            check_axioms(AlgebroidSpec(variant), 200)
-            return True
-        except AxiomViolation:
-            return False
-
-    def eta_formula(gen, text):
-        from .algebroid import eta_R, parse_gamma
-        g = eta_R(FULL, parse_polynomial(FULL.base_ring, gen))
-        return g == parse_gamma(FULL, text)
-
-    def exterior_pattern():
-        hits = {(0, 0)}
-        for k in range(0, 11):
-            hits.add((2 * k, 40 * k))
-            hits.add((2 * k + 1, 40 * k + 8))
-        for s in range(0, 9):
-            for t in range(0, 401, 8):
-                want = 1 if (s, t) in hits else 0
-                if dual_h_dim(s, t) != want:
-                    return False
-        # the direct word-complex ranks agree where they are cheap
-        for n in range(0, 14):
-            for s in range(0, n + 2):
-                if dual_h_dim(s, 8 * n) != reduced_word_h_dim(n, s):
-                    return False
-        return True
-
-    def identity(spec, s, src, dst_builder):
-        return differential(cb(spec, s, src)) == dst_builder()
-
-    def v1_hilbert():
-        for s in range(0, 7):
-            for t in range(0, 401, 8):
-                if presented_dim(s, t, completed=True) != \
-                        ext_dim(I[1], s, t, hi=7):
-                    return False
-        return True
-
-    def full_reduced(window_t=240, window_s=4):
-        for k in range(0, 5):
-            fs = quotient(FULL, k)
-            for s in range(0, window_s + 1):
-                for t in range(8, window_t + 1, 8):
-                    if ext_dim(I[k], s, t, hi=window_s + 1) != \
-                            ext_dim(fs, s, t, hi=window_s + 1):
-                        return False
-        return True
-
-    def table1_ok():
-        return len(table1_records()) == 23
-
-    def ranks_ok():
-        def parts(n):
-            c = 0
-            for x5 in range(n // 5 + 1):
-                for x4 in range((n - 5 * x5) // 4 + 1):
-                    rest = n - 5 * x5 - 4 * x4
-                    c += sum(1 for x3 in range(rest // 3 + 1)
-                             if (rest - 3 * x3) % 2 == 0)
-            return c
-        return all(r == parts(t // 8) for t, r in hilbert_h0(176))
-
-    def census_ok():
-        # every count the description names, plus the witness that the
-        # named generators span
-        want = {t: 1 for t in range(16, 113, 8)}
-        want[120] = 2
-        want[160] = 1
-        if any(new_generators(t)[0] != n for t, n in want.items()):
-            return False
-        recs = table1_records()
-        reg5 = tuple(sorted(((r.degree, _mod5(r.polynomial)) for r in recs),
-                            key=lambda x: x[0]))
-        for t in range(8, 177, 8):
-            basis = invariant_basis(t)
-            if not basis:
-                continue
-            polys = _products_of_degree(
-                tuple((d, p) for d, p in reg5 if d < t), t) + \
-                [p for d, p in reg5 if d == t]
-            if rank_mod(_mod5_rows(polys, t), 5) != len(basis):
-                return False
-        return True
-
-    def disc_mod_i3():
-        disc = discriminant()
-        from .coefficients import LocalRational
-        units = {m: c for m, c in disc.terms.items()
-                 if not (m[0] or m[1] or m[2]) and c.valuation() == 0}
-        return set(units) == {(0, 0, 0, 5, 0)} and \
-            units[(0, 0, 0, 5, 0)] == LocalRational(1)
-
-    def disc_mod_i1():
-        disc = discriminant()
-        want = parse_polynomial(
-            A_RING, "a4^5 - 2*a3^4*a4^2 - a2*a3^2*a4^3 + 2*a2^2*a4^4"
-            " + a2^3*a3^2*a4^2 + a2^4*a4^3")
-        got = {}
-        for m, c in disc.terms.items():
-            if m[0] or m[4]:
-                continue
-            v = c.num * pow(c.den, -1, 5) % 5
-            if v:
-                got[m] = v
-        for u in (1, 2, 3, 4):
-            if got == {m: (u * c.num) % 5 for m, c in want.terms.items()
-                       if (u * c.num) % 5}:
-                return True
-        return False
-
-    def disc_table():
-        from .coefficients import LocalRational
-        disc = discriminant()
-        d_row = [r for r in table1_records() if r.name == "D"][0].polynomial
-        lead_m, lead_c = disc.sorted_terms()[0]
-        lam = d_row.terms[lead_m] / lead_c
-        return lam.valuation() == 0 and disc.scale(lam) == d_row
-
-    def integral_window():
-        expected = {}
-        for j in (0, 1):
-            for (s, dt) in ((1, 8), (2, 40), (3, 48), (4, 80)):
-                expected[(s, 160 * j + dt)] = (0, (1,))
-        for s in range(1, 5):
-            for t in range(8, 241, 8):
-                got = integral_structure(RED, s, t, hi=5, k_power=4)
-                want = expected.get((s, t), (0, ()))
-                if (got[0], tuple(got[1])) != want:
-                    return False
-        # s = 0 free ranks match the invariant-ring Hilbert function; the
-        # direct ambient kernel confirms those dimensions through t = 176
-        # (h0-rational-ranks), and the closed count extends the window
-        def parts(n):
-            c = 0
-            for x5 in range(n // 5 + 1):
-                for x4 in range((n - 5 * x5) // 4 + 1):
-                    rest = n - 5 * x5 - 4 * x4
-                    c += sum(1 for x3 in range(rest // 3 + 1)
-                             if (rest - 3 * x3) % 2 == 0)
-            return c
-        for t in range(0, 241, 8):
-            free, tors = integral_structure(RED, 0, t, hi=5, k_power=4)
-            if tors or free != parts(t // 8):
-                return False
-        return True
-
-    def kills(poly_text, class_text, s):
-        z = times(RED, poly_text, class_text, s)
-        return is_coboundary(z) is not None
-
-    def a_squared():
-        a = cb(RED, 1, "[r]")
-        return is_coboundary(product(a, a)) is not None
-
-    def delta_faithful():
-        disc = discriminant()
-        d5 = _mod5(disc)
-        for t in (16, 48, 96):
-            basis = [_mod5(p) for p in invariant_basis(t)]
-            prods = [p * d5 for p in basis]
-            if rank_mod(_mod5_rows(prods, t + 160), 5) != len(basis):
-                return False
-        # mod I1 the discriminant reduces to a quintic in a4; a nonzero
-        # product there certifies a nonzero integral product
-        dbar = cb(I[1], 0, "a4^5 - 2*a3^4*a4^2 - a2*a3^2*a4^3 + 2*a2^2*a4^4"
-                  " + a2^3*a3^2*a4^2 + a2^4*a4^3")
-        if not differential(dbar).is_zero():
-            return False
-        for s, text in ((1, "[r]"), (2, B)):
-            z = product(dbar, cb(I[1], s, text))
-            if is_coboundary(z) is not None:
-                return False
-        return True
-
-    def massey(spec, u, v, w, target):
-        rep, _ = triple_massey(u, v, w)
-        diff = rep - target
-        if is_coboundary(diff) is not None:
-            return True
-        for unit in (2, 3, 4):
-            if is_coboundary(rep - target.scale(unit)) is not None:
-                return True
-        return False
-
-    def x1x2_extension():
-        spec = I[2]
-        prod = product(cb(spec, 1, X1R2), cb(spec, 1, X2))
-        tgt = times(spec, "a3^3", B, 2)
-        return class_equal_up_to_unit(prod, tgt)
-
-    checks = [
-        Check("axioms-full", "structure maps satisfy all identities, full"
-              " presentation, t <= 200", lambda: axioms_ok("full")),
-        Check("axioms-reduced", "structure maps satisfy all identities,"
-              " reduced presentation, t <= 200", lambda: axioms_ok("reduced")),
-        Check("right-unit-a1", "eta_R(a1) = a1 + 5r",
-              lambda: eta_formula("a1", "a1 + 5*r")),
-        Check("right-unit-a4",
-              "eta_R(a4) = a4 + 2*a3*r + 3*a2*r^2 + 4*a1*r^3 + 5*r^4",
-              lambda: eta_formula(
-                  "a4", "a4 + 2*a3*r + 3*a2*r^2 + 4*a1*r^3 + 5*r^4")),
-        Check("top-quotient-ring", "mod-I4 cohomology is a polynomial class"
-              " on (2,40) times an exterior class on (1,8), s <= 8,"
-              " t <= 400", exterior_pattern),
-        Check("cochain-d-a3", "d(a3) = 3*a2*[r] mod I1",
-              lambda: identity(I[1], 0, "a3",
-                               lambda: times(I[1], "3*a2", "[r]", 1))),
-        Check("cochain-d-a3cubed", "d(a3^3 + 3*a2*a3*a4) = -a2^2*x1 mod I1",
-              lambda: identity(I[1], 0, "a3^3 + 3*a2*a3*a4",
-                               lambda: times(I[1], "-a2^2", X1R, 1))),
-        Check("cochain-d-x2-correction",
-              "d(x2 + 2*a2*a4*[r^3] + 3*a2*a3*[r^4]) = -a2^2*b mod I1",
-              lambda: identity(I[1], 1,
-                               X2 + " + 2*a2*a4*[r^3] + 3*a2*a3*[r^4]",
-                               lambda: times(I[1], "-a2^2", B, 2))),
-        Check("cochain-d-a2x1-correction",
-              "d(a2*x1 - a1*a2*[r^4] + a1*a3*[r^3] + 2*a1*a4*[r^2])"
-              " = a1^2*b mod 5",
-              lambda: identity(I[0], 1,
-                               "a2*a4*[r] + a2*a3*[r^2] + a2^2*[r^3]"
-                               " - a1*a2*[r^4] + a1*a3*[r^3] + 2*a1*a4*[r^2]",
-                               lambda: times(I[0], "a1^2", B, 2))),
-        Check("cochain-hidden-extension",
-              "2*a*[a3^2] - a2*x1 = d(a3*a4) mod I1",
-              lambda: (product(cb(I[1], 0, "a3^2 + 2*a2*a4"),
-                               cb(I[1], 1, "[r]")).scale(2)
-                       - times(I[1], "a2", X1R, 1))
-              == differential(cb(I[1], 0, "a3*a4"))),
-        Check("cochain-x1-bounds-5b", "d(x1) = unit * 5*b integrally",
-              lambda: any(differential(cb(RED, 1, X1))
-                          == cb(RED, 2, B).scale(5 * u)
-                          for u in (1, 2, 3, 4, -1, -2))),
-        Check("cocycle-x1-i2", "x1 is a 1-cocycle mod I2",
-              lambda: differential(cb(I[2], 1, X1R2)).is_zero()),
-        Check("cocycle-x2-x3-i2", "x2 and x3 are 1-cocycles mod I2",
-              lambda: differential(cb(I[2], 1, X2)).is_zero()
-              and differential(cb(I[2], 1, X3)).is_zero()),
-        Check("cocycle-x1-i1", "x1 is a 1-cocycle mod I1",
-              lambda: differential(cb(I[1], 1, X1R)).is_zero()),
-        Check("cocycle-b-everywhere", "b is a 2-cocycle in every quotient",
-              lambda: all(differential(cb(I[k], 2, B)).is_zero()
-                          for k in range(5))),
-        Check("bockstein-d4-x4", "d4(x4) = a3^4*b in the a3 tower",
-              lambda: verify_differential(cb(I[2], 1, "a4^4*[r]"),
-                                          times(I[2], "a3^4", B, 2),
-                                          FiltrationSpec(3), 4)),
-        Check("bockstein-d1-a3", "d1(a3) = a2*a in the a2 tower",
-              lambda: verify_differential(cb(I[1], 0, "a3"),
-                                          cb(I[1], 1, "a2*[r]"),
-                                          FiltrationSpec(2), 1)),
-        Check("bockstein-d1-x3", "d1(x3) = a2*a3^2*b in the a2 tower",
-              lambda: verify_differential(cb(I[1], 1, X3),
-                                          times(I[1], "a2*a3^2", B, 2),
-                                          FiltrationSpec(2), 1)),
-        Check("bockstein-d2-a3cubed", "d2(a3^3) = -a2^2*x1 in the a2 tower",
-              lambda: verify_differential(cb(I[1], 0, "a3^3"),
-                                          times(I[1], "a2^2", X1R, 1),
-                                          FiltrationSpec(2), 2)),
-        Check("bockstein-d2-x2", "d2(x2) = -a2^2*b in the a2 tower",
-              lambda: verify_differential(cb(I[1], 1, X2),
-                                          times(I[1], "a2^2", B, 2),
-                                          FiltrationSpec(2), 2)),
-        Check("bockstein-d1-a2", "d1(a2) = -a1*a in the a1 tower",
-              lambda: verify_differential(cb(I[0], 0, "a2"),
-                                          cb(I[0], 1, "a1*[r]"),
-                                          FiltrationSpec(1), 1)),
-        Check("bockstein-d1-a3sq", "d1([a3^2]) = 3*a1*x1 in the a1 tower",
-              lambda: verify_differential(cb(I[0], 0, "a3^2 + 2*a2*a4"),
-                                          times(I[0], "a1", X1, 1),
-                                          FiltrationSpec(1), 1)),
-        Check("bockstein-d2-a2x1", "d2(a2*x1) = a1^2*b in the a1 tower",
-              lambda: verify_differential(times(I[0], "a2", X1, 1),
-                                          times(I[0], "a1^2", B, 2),
-                                          FiltrationSpec(1), 2)),
-        Check("bockstein-d1-a1", "d1(a1) = 5r in the 5-adic tower",
-              lambda: verify_differential(cb(RED, 0, "a1"),
-                                          cb(I[0], 1, "[r]"),
-                                          FiltrationSpec(0), 1)),
-        Check("bockstein-d1-x1", "d1(x1) = unit * 5b in the 5-adic tower",
-              lambda: verify_differential(cb(RED, 1, X1), cb(I[0], 2, B),
-                                          FiltrationSpec(0), 1)),
-        Check("bockstein-collapse",
-              "towers collapse at the stated pages (E1/E5/E3/E3/E2),"
-              " s <= 3, t <= 120",
-              lambda: all(
-                  {(e.s, e.t, e.u): e.dim
-                   for e in page_dimensions(fs, page, 3, 120)} ==
-                  {(e.s, e.t, e.u): e.dim
-                   for e in infinity_page(fs, 3, 120)}
-                  for fs, page in ((FiltrationSpec(4), 1),
-                                   (FiltrationSpec(3), 5),
-                                   (FiltrationSpec(2), 3),
-                                   (FiltrationSpec(1), 3),
-                                   (FiltrationSpec(0), 2)))),
-        Check("v1-algebra-hilbert",
-              "mod-I1 cohomology matches the presented algebra on"
-              " 7 generators (relation list completed by x1*y, x1*z,"
-              " a2*b*y), s <= 6, t <= 400", v1_hilbert),
-        Check("massey-x1-a-a", "<x1, a, a> contains a2*b mod I1",
-              lambda: massey(I[1], cb(I[1], 1, X1R), cb(I[1], 1, "[r]"),
-                             cb(I[1], 1, "[r]"),
-                             times(I[1], "a2", B, 2))),
-        Check("massey-x1-a-a3", "<x1, a, a3> contains x2 mod I2",
-              lambda: massey(I[2], cb(I[2], 1, X1R2), cb(I[2], 1, "[r]"),
-                             cb(I[2], 0, "a3"), cb(I[2], 1, X2))),
-        Check("hidden-x1x2", "x1*x2 = unit * a3^3*b mod I2",
-              x1x2_extension),
-        Check("full-reduced-agree",
-              "full and reduced presentations give equal dimensions,"
-              " s <= 4, t <= 240, every quotient level", full_reduced),
-        Check("table1-integral", "all 23 table expressions are 5-integral,"
-              " invariant, of the declared degree", table1_ok),
-        Check("h0-rational-ranks", "invariant ranks match the rational"
-              " polynomial ring on c2..c5, t <= 176", ranks_ok),
-        Check("h0-generator-census", "generator census: one fresh class per"
-              " even degree through 112, two at 120, one at 160; the named"
-              " generators span every graded piece", census_ok),
-        Check("disc-mod-i3", "discriminant = a4^5 modulo (5, a1, a2, a3)",
-              disc_mod_i3),
-        Check("disc-mod-i1", "discriminant = unit * quintic a4-expression"
-              " modulo (5, a1) in the reduced presentation", disc_mod_i1),
-        Check("disc-table-match", "resultant discriminant equals the table"
-              " entry up to a 5-unit", disc_table),
-        Check("integral-structure",
-              "integral cohomology matches H0[a,b]/(a^2, m*(a,b)),"
-              " s <= 4, t <= 240, torsion exponent 1", integral_window),
-        Check("a-squared-zero", "a^2 is an integral coboundary", a_squared),
-        Check("five-c2-c3-kill-a", "5, c2, c3 each annihilate the a class",
-              lambda: kills("5", "[r]", 1) and kills("-2*a1^2 + 5*a2", "[r]", 1)
-              and kills("4*a1^3 - 15*a1*a2 + 25*a3", "[r]", 1)),
-        Check("five-c2-c3-kill-b", "5, c2, c3 each annihilate the b class",
-              lambda: kills("5", B, 2) and kills("-2*a1^2 + 5*a2", B, 2)
-              and kills("4*a1^3 - 15*a1*a2 + 25*a3", B, 2)),
-        Check("delta-faithful", "multiplication by the discriminant is"
-              " injective on computed groups", delta_faithful),
-    ]
-    return checks
-
-
 def cmd_verify(config: RunConfig) -> int:
     import time
+    from . import claims
     results = []
     first_failure = None
-    for check in _verify_checks(config):
+    for claim in claims.CLAIMS:
         started = time.monotonic()
+        record = {"tag": claim.tag, "description": claim.description,
+                  "pass": True}
         try:
-            ok = bool(check.run())
+            claim.check()
         except Exception as exc:  # noqa: BLE001 - verification must not abort
-            ok = False
-            results.append({"tag": check.tag, "description": check.description,
-                            "pass": False, "error": str(exc)})
+            record.update({"pass": False, "error": str(exc)})
             if first_failure is None:
-                first_failure = check.tag
-            continue
-        results.append({"tag": check.tag, "description": check.description,
-                        "pass": ok})
-        if not ok and first_failure is None:
-            first_failure = check.tag
-        sys.stderr.write(f"{check.tag}: {'ok' if ok else 'FAIL'}"
+                first_failure = claim.tag
+        results.append(record)
+        sys.stderr.write(f"{claim.tag}: {'ok' if record['pass'] else 'FAIL'}"
                          f" ({time.monotonic() - started:.1f}s)\n")
     payload = {"schema": f"{SCHEMA_PREFIX}/verify/1",
                "checks": results,

@@ -262,14 +262,6 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)})"
 
 
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def content_valuation(p: Polynomial) -> int:
-    return p.content_valuation()
-
-
 @lru_cache(maxsize=None)
 def _graded_basis_cached(degrees: Tuple[int, ...], t: int) -> Tuple[Monomial, ...]:
     out: List[Monomial] = []

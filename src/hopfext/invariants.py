@@ -401,36 +401,37 @@ def _census_upto(t: int) -> Tuple[Tuple[int, Tuple[Polynomial, ...]], ...]:
     All ranks are computed in the ambient F5 polynomial ring; this agrees
     with ranks in the invariants mod 5 because the basis is saturated, so
     its mod-5 reduction stays independent in the ambient ring.
+
+    Each degree is computed once: the census through t extends the cached
+    census through t - 8 by degree t alone.
     """
-    registry: List[Tuple[int, Polynomial]] = []
-    mod5_registry: List[Tuple[int, Polynomial]] = []
-    results = []
-    for deg in range(R_DEG, t + 1, R_DEG):
-        basis = invariant_basis(deg)
-        if not basis:
-            results.append((deg, ()))
-            continue
-        products = _products_of_degree(tuple(mod5_registry), deg)
-        stacked = list(_mod5_rows(products, deg)) if products else []
-        rank = rank_mod(np.array(stacked, dtype=np.int64), 5) if stacked else 0
-        new_reps: List[Polynomial] = []
-        if rank < len(basis):
-            eye = _mod5_rows([_mod5(b) for b in basis], deg)
-            for cand_row, cand in zip(eye, basis):
-                trial = np.array(stacked + [cand_row], dtype=np.int64)
-                if rank_mod(trial, 5) > rank:
-                    stacked.append(cand_row)
-                    rank += 1
-                    new_reps.append(cand)
-                if rank == len(basis):
-                    break
-        if rank != len(basis):
-            raise AssertionError("generators fail to span a graded piece")
-        for p in new_reps:
-            registry.append((deg, p))
-            mod5_registry.append((deg, _mod5(p)))
-        results.append((deg, tuple(new_reps)))
-    return tuple(results)
+    if t % R_DEG:
+        return _census_upto(t - t % R_DEG)
+    if t < R_DEG:
+        return ()
+    earlier = _census_upto(t - R_DEG)
+    basis = invariant_basis(t)
+    if not basis:
+        return earlier + ((t, ()),)
+    mod5_registry = tuple((deg, _mod5(p)) for deg, reps in earlier
+                          for p in reps)
+    products = _products_of_degree(mod5_registry, t)
+    stacked = list(_mod5_rows(products, t)) if products else []
+    rank = rank_mod(np.array(stacked, dtype=np.int64), 5) if stacked else 0
+    new_reps: List[Polynomial] = []
+    if rank < len(basis):
+        eye = _mod5_rows([_mod5(b) for b in basis], t)
+        for cand_row, cand in zip(eye, basis):
+            trial = np.array(stacked + [cand_row], dtype=np.int64)
+            if rank_mod(trial, 5) > rank:
+                stacked.append(cand_row)
+                rank += 1
+                new_reps.append(cand)
+            if rank == len(basis):
+                break
+    if rank != len(basis):
+        raise AssertionError("generators fail to span a graded piece")
+    return earlier + ((t, tuple(new_reps)),)
 
 
 def _products_of_degree(registry: Tuple[Tuple[int, Polynomial], ...],

@@ -74,15 +74,6 @@ class ChartSpec:
         return sum(d.multiplicity for d in self.dots if (d.s, d.t) == (s, t))
 
 
-def _group_cells(groups) -> Dict[Tuple[int, int], int]:
-    cells: Dict[Tuple[int, int], int] = {}
-    for g in groups:
-        dim = g.dimension if isinstance(g.dimension, int) else g.dimension
-        key = (g.s, g.t)
-        cells[key] = cells.get(key, 0) + dim
-    return cells
-
-
 def _class_is_nonzero(x: CobarElement) -> bool:
     if x.is_zero():
         return False

@@ -446,12 +446,24 @@ def _v5_int(x: int, k_power: int) -> int:
     return v
 
 
+class PrecisionExhausted(ValueError):
+    """Working mod 5^K can no longer tell torsion from free rank."""
+
+
+def check_precision(valuations: Sequence[int], k_power: int) -> None:
+    """Valuations read mod 5^K are trusted only while K >= 2 and every one
+    stays at most K-2; otherwise raise PrecisionExhausted."""
+    if k_power < 2 or any(v > k_power - 2 for v in valuations):
+        raise PrecisionExhausted(
+            f"torsion precision exhausted at K = {k_power}; raise K")
+
+
 def integral_structure(spec: AlgebroidSpec, s: int, t: int, hi: int,
                        k_power: int) -> Tuple[int, Tuple[int, ...]]:
     """(free rank, torsion exponents) of H^{s,t} over Z_(5).
 
     Works mod 5^K on the transferred complex; valid while every observed
-    elementary divisor valuation stays at most K-2 (asserted)."""
+    elementary divisor valuation stays at most K-2 (check_precision)."""
     if spec.quotient_level is not None:
         raise ValueError("integral structure needs the unquotiented spec")
     mod = 5 ** k_power
@@ -463,8 +475,7 @@ def integral_structure(spec: AlgebroidSpec, s: int, t: int, hi: int,
     here = transferred_matrix(spec, s, t, hi, mod)
     v_below = diagonal_valuations(below, k_power)
     v_here = diagonal_valuations(here, k_power)
-    if any(v > k_power - 2 for v in v_below + v_here):
-        raise AssertionError("torsion precision exhausted; raise K")
+    check_precision(v_below + v_here, k_power)
     free = dim - len(v_below) - len(v_here)
     torsion = tuple(sorted(v for v in v_below if v > 0))
     return free, torsion

@@ -74,11 +74,6 @@ def reduced_words(n: int, s: int) -> Tuple[Word, ...]:
 
 
 @lru_cache(maxsize=None)
-def full_words(n: int, s: int) -> Tuple[Word, ...]:
-    return tuple(compositions(n, s, None))
-
-
-@lru_cache(maxsize=None)
 def block_words(W: int, s: int) -> Tuple[Word, ...]:
     """Extended-alphabet words of weight W whose last letter carries z."""
     if s < 1 or W < 5 + (s - 1):

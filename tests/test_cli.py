@@ -3,6 +3,8 @@ import json
 import pytest
 
 import hopfext.invariants as inv
+from hopfext import claims
+from hopfext.claims import CLAIMS
 from hopfext.cli import RunConfig, build_parser, config_from_args, main, run
 
 
@@ -18,6 +20,15 @@ def test_usage_errors():
         RunConfig(command="ext", ideal=9)
     with pytest.raises(ValueError):
         RunConfig(command="ext", s_max=0)
+    with pytest.raises(ValueError):
+        RunConfig(command="bockstein", tower=5)
+    with pytest.raises(ValueError):
+        RunConfig(command="ext", k_power=1)
+    # an unknown tower, a precision too low to see torsion, and a window
+    # whose torsion exhausts the precision
+    assert main(["bockstein", "--k", "5"]) == 2
+    assert main(["ext", "--kpower", "1", "--smax", "1", "--tmax", "8"]) == 2
+    assert main(["ext", "--kpower", "2", "--smax", "1", "--tmax", "8"]) == 2
 
 
 def test_axioms_small_window(tmp_path):
@@ -156,7 +167,36 @@ def test_verify_suite_passes(tmp_path):
     payload = json.loads(_load(tmp_path, "verify.json"))
     assert payload["schema"] == "hopfext/verify/1"
     assert payload["failed"] == 0
-    assert payload["passed"] >= 25
+    assert payload["passed"] == len(CLAIMS)
     assert "first_failure" not in payload
     tags = [c["tag"] for c in payload["checks"]]
+    assert tags == [c.tag for c in CLAIMS]
     assert len(tags) == len(set(tags))
+
+
+def test_verify_reports_failing_and_raising_claims(tmp_path, monkeypatch,
+                                                   capsys):
+    def fails():
+        raise claims.ClaimFailed("wrong at (1, 8)")
+
+    def crashes():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(claims, "CLAIMS", [
+        claims.Claim("holds", "a claim that holds", lambda: None),
+        claims.Claim("fails", "a claim that fails", fails),
+        claims.Claim("raises", "a check that raises", crashes),
+    ])
+    cfg = RunConfig(command="verify", out=str(tmp_path))
+    assert run(cfg) == 1
+    payload = json.loads(_load(tmp_path, "verify.json"))
+    assert payload["first_failure"] == "fails"
+    assert (payload["passed"], payload["failed"]) == (1, 2)
+    records = {c["tag"]: c for c in payload["checks"]}
+    assert "error" not in records["holds"]
+    assert records["fails"]["error"] == "wrong at (1, 8)"
+    assert records["raises"]["error"] == "boom"
+    assert not records["fails"]["pass"] and not records["raises"]["pass"]
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["holds:", "ok"], ["fails:", "FAIL"], ["raises:", "FAIL"]]
