@@ -241,11 +241,17 @@ def cmd_verify(config: RunConfig) -> int:
             claim.check()
         except Exception as exc:  # noqa: BLE001 - verification must not abort
             record.update({"pass": False, "error": str(exc)})
+            # a check that raises something other than ClaimFailed has a bug
+            if not isinstance(exc, claims.ClaimFailed):
+                record["exception"] = type(exc).__name__
             if first_failure is None:
                 first_failure = claim.tag
         results.append(record)
-        sys.stderr.write(f"{claim.tag}: {'ok' if record['pass'] else 'FAIL'}"
-                         f" ({time.monotonic() - started:.1f}s)\n")
+        line = (f"{claim.tag}: {'ok' if record['pass'] else 'FAIL'}"
+                f" ({time.monotonic() - started:.1f}s)")
+        if "exception" in record:
+            line += " " + record["exception"]
+        sys.stderr.write(line + "\n")
     payload = {"schema": f"{SCHEMA_PREFIX}/verify/1",
                "checks": results,
                "passed": sum(1 for r in results if r["pass"]),

@@ -14,7 +14,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,13 +24,11 @@ from .gradedpoly import (
     InhomogeneousInput,
     Monomial,
     Polynomial,
-    RingSpec,
     format_polynomial,
     graded_piece_basis,
     parse_polynomial,
 )
 from .algebroid import (
-    P,
     R_DEGREE,
     AlgebroidSpec,
     GammaElement,

@@ -22,7 +22,6 @@ from .coefficients import IntMatrix, LocalRational, kernel_saturated
 from .flinalg import rank_mod
 from .gradedpoly import (
     MODE_F5,
-    MODE_LOCAL,
     MODE_Q,
     Monomial,
     Polynomial,
@@ -70,6 +69,9 @@ def _eta_minus_id_matrix(t: int) -> Tuple[IntMatrix, Tuple[Monomial, ...]]:
     entries: Dict[Tuple[int, int], int] = {}
     for j, mono in enumerate(cols):
         g = eta_R_monomial(SPEC, mono)
+        if g.terms.get(0) != Polynomial(A_RING, {mono: 1}):
+            raise InvarianceFailure(f"the r^0 term of eta_R({mono}) is not"
+                                    " the monomial itself")
         for k, poly in g.terms.items():
             if k == 0:
                 continue
@@ -93,6 +95,13 @@ def invariant_basis(t: int) -> Tuple[Polynomial, ...]:
         return (Polynomial.constant(A_RING, 1),)
     mat, cols = _eta_minus_id_matrix(t)
     vecs = kernel_saturated(mat)
+    # the r^0 part of eta_R is the identity (checked column by column in
+    # _eta_minus_id_matrix), so eta_R fixes v exactly when mat * v = 0
+    kernel = IntMatrix(len(cols), len(vecs),
+                       {(i, j): c for j, v in enumerate(vecs)
+                        for i, c in enumerate(v)})
+    if mat.matmul(kernel).entries:
+        raise InvarianceFailure("kernel vector moves under the right unit")
     polys = []
     for v in vecs:
         p = Polynomial(A_RING, {m: c for m, c in zip(cols, v) if c})
@@ -101,9 +110,6 @@ def invariant_basis(t: int) -> Tuple[Polynomial, ...]:
             p = -p
         polys.append(p)
     polys.sort(key=lambda p: tuple(-e for e in p.sorted_terms()[0][0]))
-    for p in polys:
-        if not is_invariant(p):
-            raise InvarianceFailure("kernel vector moves under the right unit")
     return tuple(polys)
 
 

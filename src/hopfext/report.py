@@ -13,7 +13,7 @@ text documents.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cobar import CobarElement, is_coboundary, product

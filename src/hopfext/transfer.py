@@ -16,7 +16,7 @@ tail retractions.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 

@@ -22,7 +22,6 @@ presented_dim's `completed` flag).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -66,18 +65,20 @@ def _bidegree(m: Mono) -> Tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _monomials(s: int, t: int) -> Tuple[Mono, ...]:
+def _monomials(s: int, t: int, i: int = 0) -> Tuple[Mono, ...]:
+    """Exponent vectors of bidegree (s, t), in lexicographic order.
+
+    With i > 0, the exponents of generators i.. alone.  Each piece is
+    built from the pieces of generators i+1.., one per exponent of
+    generator i in ascending order, so it comes out sorted."""
     if s < 0 or t < 0:
         return ()
-    ranges = []
-    for gs, gt in zip(GEN_S, GEN_T):
-        cap = t // gt
-        if gs:
-            cap = min(cap, s // gs)
-        ranges.append(range(cap + 1))
-    out = [m for m in iproduct(*ranges) if _bidegree(m) == (s, t)]
-    out.sort()
-    return tuple(out)
+    if i == len(GEN_T):
+        return ((),) if s == t == 0 else ()
+    gs, gt = GEN_S[i], GEN_T[i]
+    cap = min(t // gt, s // gs) if gs else t // gt
+    return tuple((e,) + rest for e in range(cap + 1)
+                 for rest in _monomials(s - e * gs, t - e * gt, i + 1))
 
 
 @lru_cache(maxsize=None)

@@ -196,7 +196,11 @@ def test_verify_reports_failing_and_raising_claims(tmp_path, monkeypatch,
     assert "error" not in records["holds"]
     assert records["fails"]["error"] == "wrong at (1, 8)"
     assert records["raises"]["error"] == "boom"
+    assert records["raises"]["exception"] == "RuntimeError"
+    assert "exception" not in records["fails"]
     assert not records["fails"]["pass"] and not records["raises"]["pass"]
     lines = capsys.readouterr().err.splitlines()
     assert [line.split()[:2] for line in lines] == [
         ["holds:", "ok"], ["fails:", "FAIL"], ["raises:", "FAIL"]]
+    assert lines[2].endswith(" RuntimeError")
+    assert lines[1].endswith("s)")

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from hopfext.coefficients import LocalRational
 from hopfext.flinalg import rank_mod
 from hopfext.gradedpoly import parse_polynomial
+import hopfext.invariants as inv
 from hopfext.invariants import (
     A_RING,
     IntegralityFailure,
+    InvarianceFailure,
     R_DEG,
     TABLE1,
     TABLE1_NAMES,
@@ -63,6 +65,21 @@ def test_basis_saturated_and_invariant():
         assert all(is_invariant(p) for p in basis)
         rows = _mod5_rows([_mod5(p) for p in basis], t)
         assert rank_mod(rows, 5) == len(basis)
+
+
+def test_kernel_certificate_catches_a_moved_vector(monkeypatch):
+    # invariant_basis certifies kernel_saturated's vectors by mat * V = 0
+    t = 32
+    assert invariant_basis.__wrapped__(t) == invariant_basis(t)
+    real = inv.kernel_saturated
+
+    def perturbed(mat):
+        vecs = real(mat)
+        return [(vecs[0][0] + 1,) + tuple(vecs[0][1:])] + vecs[1:]
+
+    monkeypatch.setattr(inv, "kernel_saturated", perturbed)
+    with pytest.raises(InvarianceFailure):
+        invariant_basis.__wrapped__(t)
 
 
 def test_c_classes():

@@ -1,6 +1,18 @@
+import hashlib
+import json
+from itertools import product
+
 from hopfext.algebroid import AlgebroidSpec, quotient
 from hopfext.transfer import ext_dim
-from hopfext.v1algebra import COMPLETION, RELATIONS, presented_dim
+from hopfext.v1algebra import (
+    COMPLETION,
+    GEN_S,
+    GEN_T,
+    RELATIONS,
+    _bidegree,
+    _monomials,
+    presented_dim,
+)
 
 I1 = quotient(AlgebroidSpec("reduced"), 1)
 
@@ -36,3 +48,33 @@ def test_completed_model_matches_cobar_sample():
         for t in range(0, 161, 8):
             assert presented_dim(s, t, completed=True) == \
                 ext_dim(I1, s, t, hi=6), (s, t)
+
+
+def _monomials_by_filter(s, t):
+    """Reference: filter the full box of exponent ranges by bidegree."""
+    if s < 0 or t < 0:
+        return ()
+    ranges = []
+    for gs, gt in zip(GEN_S, GEN_T):
+        cap = t // gt
+        if gs:
+            cap = min(cap, s // gs)
+        ranges.append(range(cap + 1))
+    return tuple(sorted(m for m in product(*ranges) if _bidegree(m) == (s, t)))
+
+
+def test_monomials_match_the_filtered_box():
+    for s in range(0, 5):
+        for t in range(0, 241, 8):
+            assert _monomials(s, t) == _monomials_by_filter(s, t), (s, t)
+    # every generator has t divisible by 8, so nothing lives off that grid
+    for s, t in ((-1, 0), (0, -8), (-2, 40), (3, -1), (0, 4), (2, 60)):
+        assert _monomials(s, t) == (), (s, t)
+
+
+def test_completed_hilbert_window_digest():
+    # serialized as the v1-hilbert benchmark workload prints it
+    cells = [[s, t, presented_dim(s, t, completed=True)]
+             for s in range(7) for t in range(0, 401, 8)]
+    digest = hashlib.sha256(json.dumps(cells).encode()).hexdigest()
+    assert digest.startswith("436ac589eb6c")
