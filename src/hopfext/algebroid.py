@@ -181,11 +181,13 @@ class GammaElement:
     def __mul__(self, other: "GammaElement") -> "GammaElement":
         if self.spec != other.spec:
             raise ValueError("spec mismatch")
-        acc = GammaElement.zero(self.spec)
+        out: Dict[int, Polynomial] = {}
         for e1, p1 in self.terms.items():
             for e2, p2 in other.terms.items():
-                acc = acc + GammaElement(self.spec, {e1 + e2: p1 * p2})
-        return reduce_gamma(acc)
+                q = p1 * p2
+                acc = out.get(e1 + e2)
+                out[e1 + e2] = q if acc is None else acc + q
+        return reduce_gamma(GammaElement(self.spec, out))
 
     def __pow__(self, k: int) -> "GammaElement":
         out = GammaElement.from_base(self.spec, Polynomial.constant(self.spec.base_ring, 1))
@@ -288,22 +290,15 @@ def _eta_r_generator(spec: AlgebroidSpec, i: int) -> GammaElement:
 
 
 @lru_cache(maxsize=None)
-def _eta_r_generator_power(spec: AlgebroidSpec, i: int, e: int) -> GammaElement:
-    if e == 0:
-        return GammaElement.from_base(spec, Polynomial.constant(spec.base_ring, 1))
-    if e == 1:
-        return _eta_r_generator(spec, i)
-    half = e // 2
-    return _eta_r_generator_power(spec, i, half) * _eta_r_generator_power(spec, i, e - half)
-
-
-@lru_cache(maxsize=None)
 def eta_R_monomial(spec: AlgebroidSpec, mono: Monomial) -> GammaElement:
-    out = GammaElement.from_base(spec, Polynomial.constant(spec.base_ring, 1))
-    for i, e in enumerate(mono):
-        if e:
-            out = out * _eta_r_generator_power(spec, i + 1, e)
-    return out
+    """Image of a monomial: the memoised image of mono with one factor of
+    its last generator removed, times that generator's image, so monomials
+    share their partial products."""
+    for i in range(len(mono) - 1, -1, -1):
+        if mono[i]:
+            rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            return eta_R_monomial(spec, rest) * _eta_r_generator(spec, i + 1)
+    return GammaElement.from_base(spec, Polynomial.constant(spec.base_ring, 1))
 
 
 def eta_R(spec: AlgebroidSpec, x: Polynomial) -> GammaElement:

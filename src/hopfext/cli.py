@@ -18,6 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebroid import AlgebroidSpec, AxiomViolation, check_axioms
+from .flinalg import K_MAX
 
 SCHEMA_PREFIX = "hopfext"
 
@@ -42,8 +43,8 @@ class RunConfig:
             raise ValueError("ideal level must be in 0..4")
         if not 0 <= self.tower <= 4:
             raise ValueError("tower index must be in 0..4")
-        if self.k_power < 2:
-            raise ValueError("5-adic precision K must be at least 2")
+        if not 2 <= self.k_power <= K_MAX:
+            raise ValueError(f"5-adic precision K must be in 2..{K_MAX}")
 
 
 def _emit(config: RunConfig, payload: Dict) -> None:

@@ -15,6 +15,13 @@ import numpy as np
 
 _INV5 = (0, 1, 3, 2, 4)
 
+# Largest 5-adic precision K the int64/float64 kernels keep exact.  One
+# product of entries is below 5^(2K), and transfer._delta sums many before
+# it reduces: at K = 9 about 2.4e6 sums of 5^18 stay below 2^63, and
+# matmul_mod's float64 bound inner * (5^K - 1)^2 < 2^53 holds for inner
+# dimensions up to 2,361.  (At K = 14 one product overflows int64.)
+K_MAX = 9
+
 
 def _inv_unit(x: int, mod: int) -> int:
     return pow(int(x) % mod, -1, mod)
@@ -73,7 +80,7 @@ def nullspace_mod(a: np.ndarray, mod: int) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     r, pivots = rref_mod(a, mod)
-    free = [j for j in range(n) if j not in set(pivots)]
+    free = sorted(set(range(n)) - set(pivots))
     basis = np.zeros((n, len(free)), dtype=np.int64)
     for k, f in enumerate(free):
         basis[f, k] = 1
@@ -206,7 +213,7 @@ def nullspace_gf5(a: np.ndarray, block: int = 128) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     r, piv = rref_gf5(a, block)
-    free = [j for j in range(n) if j not in set(piv)]
+    free = sorted(set(range(n)) - set(piv))
     basis = np.zeros((n, len(free)), dtype=np.int64)
     for idx, f in enumerate(free):
         basis[f, idx] = 1

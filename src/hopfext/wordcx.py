@@ -7,6 +7,8 @@ the total r-weight of the bar word and is block-diagonal over it, so each
 weight gives a finite complex of words; this module builds those
 complexes, contracts them onto their (small) cohomology, and exposes the
 projection / inclusion / homotopy triple that the transfer layer perturbs.
+Each level costs two eliminations: one echelon of the differential and
+one, of kernel-dimension size, of the boundaries (see _contract).
 
 Two alphabets appear.  The bounded alphabet has one letter of each weight
 1..4 (bar slots r..r^4), used for the reduced presentation.  The extended
@@ -27,16 +29,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .cobar import compositions
-from .flinalg import (
-    inv_gf5,
-    inv_mod,
-    matmul_mod,
-    nullspace_gf5,
-    nullspace_mod,
-    rank_gf5,
-    rref_gf5,
-    rref_mod,
-)
+from .flinalg import nullspace_gf5, rank_gf5, rref_gf5, rref_mod
 
 Word = Tuple[int, ...]
 
@@ -129,57 +122,60 @@ class CellContraction:
         return self.iota[s].shape[1] if s in self.iota else 0
 
 
+def _retract_level(ds: np.ndarray, bmat: np.ndarray, mod: int
+                   ) -> Tuple[List[int], List[int], np.ndarray, np.ndarray]:
+    """One level of the retraction: `ds` is d[s], `bmat` the boundaries of
+    the previous level's complement.  Returns the pivot columns P and free
+    columns F of the echelon of d[s], iota, and M^-1 for M = [bmat_F | H_F]."""
+    rref = rref_gf5 if mod == 5 else (lambda a: rref_mod(a, mod))
+    red, piv = rref(ds)
+    # d ker = 0 exactly when no stuck 5-divisible column leaves residue
+    if np.any(red[len(piv):]):
+        raise AssertionError("echelon kernel failed over the prime power")
+    free = sorted(set(range(ds.shape[1])) - set(piv))
+    nb = bmat.shape[1]
+    red2, piv2 = rref(np.concatenate(
+        [bmat[free], np.eye(len(free), dtype=np.int64)], axis=1))
+    if piv2[:nb] != list(range(nb)):
+        raise AssertionError("boundary columns are not independent")
+    hcols = [free[p - nb] for p in piv2[nb:]]
+    iota = np.zeros((ds.shape[1], len(hcols)), dtype=np.int64)
+    iota[hcols, range(len(hcols))] = 1
+    iota[piv] = (-red[:len(piv)][:, hcols]) % mod
+    return piv, free, iota, red2[:, nb:]
+
+
 def _contract(words_by_s: Dict[int, Tuple[Word, ...]], mod: int,
               lo: int, hi: int) -> CellContraction:
-    d = {}
-    for s in range(lo, hi + 1):
-        d[s] = word_matrix(words_by_s.get(s, ()), words_by_s.get(s + 1, ()), mod)
+    """Contract levels lo..hi with two eliminations per level.
+
+    With P and F the pivot and free columns of the echelon of d[s], the
+    echelon kernel basis is the identity on F, and the complement E of
+    ker d[s] is the unit vectors at P: the kernel vector of a free column
+    f is e_f minus pivot columns p < f, so e_f lies in span(ker, e_{<f}).
+    So the next level's boundaries are the columns d[s][:, P], and a
+    kernel element is fixed by its F coordinates.  The second
+    elimination, of [bmat_F | I_F], picks the harmonic columns H greedily
+    after the boundaries and returns M^-1 for M = [bmat_F | H_F].  The
+    inverse of the full basis [bmat | iota | E] is M^-1 on the F columns
+    and 0 on P in its top rows, so pi[s] is the H rows of M^-1 and h[s]
+    is its boundary rows, placed at the previous level's pivot rows."""
+    d = {s: word_matrix(words_by_s.get(s, ()), words_by_s.get(s + 1, ()), mod)
+         for s in range(lo, hi + 1)}
     iota: Dict[int, np.ndarray] = {}
     pi: Dict[int, np.ndarray] = {}
     h: Dict[int, np.ndarray] = {}
-    prev_dim = len(words_by_s.get(lo - 1, ()))
-    prev_e = np.zeros((prev_dim, 0), dtype=np.int64)
+    piv: List[int] = []
     bmat = np.zeros((len(words_by_s.get(lo, ())), 0), dtype=np.int64)
     for s in range(lo, hi + 1):
-        dim = len(words_by_s.get(s, ()))
-        if dim == 0:
-            iota[s] = np.zeros((0, 0), dtype=np.int64)
-            pi[s] = np.zeros((0, 0), dtype=np.int64)
-            h[s] = np.zeros((prev_e.shape[0], 0), dtype=np.int64)
-            prev_e = np.zeros((0, 0), dtype=np.int64)
-            bmat = np.zeros((len(words_by_s.get(s + 1, ())), 0), dtype=np.int64)
-            continue
-        if mod == 5:
-            ker = nullspace_gf5(d[s])
-        else:
-            ker = nullspace_mod(d[s], mod)
-            if np.any(matmul_mod(d[s], ker, mod)):
-                raise AssertionError("echelon kernel failed over the prime power")
-        nb = bmat.shape[1]
-        combo = np.concatenate([bmat, ker], axis=1)
-        red, piv = (rref_gf5(combo) if mod == 5 else rref_mod(combo, mod))
-        if piv[:nb] != list(range(nb)):
-            raise AssertionError("boundary columns are not independent")
-        hmat = ker[:, [p - nb for p in piv[nb:]]]
-        base = np.concatenate([bmat, hmat], axis=1)
-        aug = np.concatenate([base, np.eye(dim, dtype=np.int64)], axis=1)
-        _, piv2 = (rref_gf5(aug) if mod == 5 else rref_mod(aug, mod))
-        wb = base.shape[1]
-        if piv2[:wb] != list(range(wb)):
-            raise AssertionError("basis columns degenerate")
-        ecols = [p - wb for p in piv2[wb:]]
-        emat = np.zeros((dim, len(ecols)), dtype=np.int64)
-        for k, c in enumerate(ecols):
-            emat[c, k] = 1
-        t = np.concatenate([base, emat], axis=1)
-        tinv = inv_gf5(t) if mod == 5 else inv_mod(t, mod)
-        h[s] = matmul_mod(prev_e, tinv[:nb], mod) if nb else \
-            np.zeros((prev_e.shape[0], dim), dtype=np.int64)
-        pi[s] = tinv[nb:nb + hmat.shape[1]]
-        iota[s] = hmat
-        prev_e = emat
-        bmat = matmul_mod(d[s], emat, mod) if emat.size else \
-            np.zeros((len(words_by_s.get(s + 1, ())), 0), dtype=np.int64)
+        dim, prev_piv = d[s].shape[1], piv
+        piv, free, iota[s], minv = _retract_level(d[s], bmat, mod)
+        nb = len(prev_piv)
+        pi[s] = np.zeros((len(free) - nb, dim), dtype=np.int64)
+        pi[s][:, free] = minv[nb:]
+        h[s] = np.zeros((len(words_by_s.get(s - 1, ())), dim), dtype=np.int64)
+        h[s][np.ix_(prev_piv, free)] = minv[:nb]
+        bmat = d[s][:, piv]
     return CellContraction(mod, lo, hi, words_by_s, d, iota, pi, h)
 
 

@@ -6,6 +6,7 @@ import hopfext.invariants as inv
 from hopfext import claims
 from hopfext.claims import CLAIMS
 from hopfext.cli import RunConfig, build_parser, config_from_args, main, run
+from hopfext.flinalg import K_MAX
 
 
 def _load(tmp_path, name):
@@ -24,11 +25,28 @@ def test_usage_errors():
         RunConfig(command="bockstein", tower=5)
     with pytest.raises(ValueError):
         RunConfig(command="ext", k_power=1)
+    with pytest.raises(ValueError):
+        RunConfig(command="ext", k_power=K_MAX + 1)
     # an unknown tower, a precision too low to see torsion, and a window
     # whose torsion exhausts the precision
     assert main(["bockstein", "--k", "5"]) == 2
     assert main(["ext", "--kpower", "1", "--smax", "1", "--tmax", "8"]) == 2
     assert main(["ext", "--kpower", "2", "--smax", "1", "--tmax", "8"]) == 2
+    # beyond the exact int64 accumulation bound
+    assert main(["ext", "--kpower", str(K_MAX + 1), "--smax", "3",
+                 "--tmax", "120"]) == 2
+
+
+def test_kpower_ceiling_agrees_with_default(tmp_path):
+    # all torsion in this integral window is Z/5, so every precision from
+    # the default up to the ceiling gives the same JSON
+    texts = []
+    for k in (4, K_MAX):
+        out = tmp_path / str(k)
+        assert run(RunConfig(command="ext", s_max=3, t_max=120, k_power=k,
+                             out=str(out))) == 0
+        texts.append((out / "ext.json").read_text(encoding="utf-8"))
+    assert texts[0] == texts[1]
 
 
 def test_axioms_small_window(tmp_path):

@@ -3,8 +3,17 @@ import pytest
 
 from hopfext.algebroid import AlgebroidSpec, quotient
 from hopfext.cobar import cochain_basis, differential_matrix_mod
-from hopfext.flinalg import matmul_mod
+from hopfext.flinalg import (
+    inv_gf5,
+    inv_mod,
+    matmul_mod,
+    nullspace_gf5,
+    nullspace_mod,
+    rref_gf5,
+    rref_mod,
+)
 from hopfext.wordcx import (
+    _retract_level,
     block_contraction,
     block_words,
     letter_splits,
@@ -118,3 +127,96 @@ def test_block_words_and_split():
     blocks, tail = split_blocks((2, 7, 1, 5, 3, 1))
     assert blocks == ((2, 7), (1, 5))
     assert tail == (3, 1)
+
+
+def _contract_reference(words_by_s, mod, lo, hi):
+    """Four eliminations per level: nullspace of d[s], greedy harmonic
+    columns from [bmat | ker], greedy unit complement from [base | I], then
+    the inverse of the full basis.  The reference for wordcx._contract."""
+    d = {}
+    for s in range(lo, hi + 1):
+        d[s] = word_matrix(words_by_s.get(s, ()), words_by_s.get(s + 1, ()), mod)
+    iota, pi, h = {}, {}, {}
+    prev_dim = len(words_by_s.get(lo - 1, ()))
+    prev_e = np.zeros((prev_dim, 0), dtype=np.int64)
+    bmat = np.zeros((len(words_by_s.get(lo, ())), 0), dtype=np.int64)
+    for s in range(lo, hi + 1):
+        dim = len(words_by_s.get(s, ()))
+        if dim == 0:
+            iota[s] = np.zeros((0, 0), dtype=np.int64)
+            pi[s] = np.zeros((0, 0), dtype=np.int64)
+            h[s] = np.zeros((prev_e.shape[0], 0), dtype=np.int64)
+            prev_e = np.zeros((0, 0), dtype=np.int64)
+            bmat = np.zeros((len(words_by_s.get(s + 1, ())), 0), dtype=np.int64)
+            continue
+        if mod == 5:
+            ker = nullspace_gf5(d[s])
+        else:
+            ker = nullspace_mod(d[s], mod)
+            if np.any(matmul_mod(d[s], ker, mod)):
+                raise AssertionError("echelon kernel failed over the prime power")
+        nb = bmat.shape[1]
+        combo = np.concatenate([bmat, ker], axis=1)
+        red, piv = (rref_gf5(combo) if mod == 5 else rref_mod(combo, mod))
+        if piv[:nb] != list(range(nb)):
+            raise AssertionError("boundary columns are not independent")
+        hmat = ker[:, [p - nb for p in piv[nb:]]]
+        base = np.concatenate([bmat, hmat], axis=1)
+        aug = np.concatenate([base, np.eye(dim, dtype=np.int64)], axis=1)
+        _, piv2 = (rref_gf5(aug) if mod == 5 else rref_mod(aug, mod))
+        wb = base.shape[1]
+        if piv2[:wb] != list(range(wb)):
+            raise AssertionError("basis columns degenerate")
+        ecols = [p - wb for p in piv2[wb:]]
+        emat = np.zeros((dim, len(ecols)), dtype=np.int64)
+        for k, c in enumerate(ecols):
+            emat[c, k] = 1
+        t = np.concatenate([base, emat], axis=1)
+        tinv = inv_gf5(t) if mod == 5 else inv_mod(t, mod)
+        h[s] = matmul_mod(prev_e, tinv[:nb], mod) if nb else \
+            np.zeros((prev_e.shape[0], dim), dtype=np.int64)
+        pi[s] = tinv[nb:nb + hmat.shape[1]]
+        iota[s] = hmat
+        prev_e = emat
+        bmat = matmul_mod(d[s], emat, mod) if emat.size else \
+            np.zeros((len(words_by_s.get(s + 1, ())), 0), dtype=np.int64)
+    return d, iota, pi, h
+
+
+def _assert_matches_reference(c):
+    ref = _contract_reference(c.words, c.mod, c.lo, c.hi)
+    for name, want in zip(("d", "iota", "pi", "h"), ref):
+        got = getattr(c, name)
+        assert sorted(got) == sorted(want), name
+        for s in want:
+            assert got[s].dtype == want[s].dtype, (name, s)
+            assert np.array_equal(got[s], want[s]), (name, s)
+
+
+@pytest.mark.parametrize("mod", [5, 625])
+@pytest.mark.parametrize("hi", [3, 5, 7])
+def test_reduced_contraction_matches_reference(hi, mod):
+    # n = 4 * hi + 1 has its lowest level above hi: no levels at all
+    for n in list(range(0, 12)) + [4 * hi + 1]:
+        _assert_matches_reference(reduced_contraction(n, hi, mod))
+
+
+@pytest.mark.parametrize("mod", [5, 625])
+@pytest.mark.parametrize("hi", [3, 5])
+def test_block_contraction_matches_reference(hi, mod):
+    for W in range(1, 21):
+        _assert_matches_reference(block_contraction(W, hi, mod))
+
+
+def test_stuck_column_trips_the_prime_power_guard():
+    # over Z/25 the second column is 5-divisible and nonzero: the echelon
+    # skips it as free, but its kernel vector e_1 is not in ker d
+    ds = np.array([[1, 5], [0, 10]], dtype=np.int64)
+    with pytest.raises(AssertionError, match="prime power"):
+        _retract_level(ds, np.zeros((2, 0), dtype=np.int64), 25)
+    # the same matrix over F5 has the honest kernel e_1
+    piv, free, iota, minv = _retract_level(ds % 5, np.zeros((2, 0),
+                                           dtype=np.int64), 5)
+    assert (piv, free) == ([0], [1])
+    assert iota.tolist() == [[0], [1]]
+    assert minv.tolist() == [[1]]
