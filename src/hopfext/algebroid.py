@@ -260,8 +260,10 @@ def reduce_gamma(g: GammaElement) -> GammaElement:
     out: Dict[int, Polynomial] = {}
     for e, p in g.terms.items():
         for e2, q in _reduced_r_power(spec, e):
+            # below r^5 the normal form is the constant 1
+            pq = p if e < P else p * q
             acc = out.get(e2)
-            acc = p * q if acc is None else acc + p * q
+            acc = pq if acc is None else acc + pq
             if acc:
                 out[e2] = acc
             else:

@@ -27,11 +27,10 @@ from .cobar import (
     vector_to_element,
 )
 from .coefficients import LocalRational
-from .flinalg import rank_gf5, solve_mod
+from .flinalg import diagonal_valuations, rank_gf5, solve_mod
 from .transfer import (
     R_DEG,
-    check_precision,
-    diagonal_valuations,
+    certified_free_rank,
     small_basis,
     transferred_matrix,
 )
@@ -168,8 +167,7 @@ def _five_adic_page_dim(fspec: FiltrationSpec, r: int, s: int, t: int,
         return 0
     here = _valuations(spec, s, t, hi, k_power)
     below = _valuations(spec, s - 1, t, hi, k_power) if s else ()
-    check_precision(here + below, k_power)
-    free = dim - len(here) - len(below)
+    free = certified_free_rank(dim, here + below, s, t, k_power)
     return free + sum(1 for v in here if v >= r) + sum(1 for v in below if v >= r)
 
 

@@ -28,7 +28,7 @@ from .gradedpoly import parse_polynomial
 from .invariants import (A_RING, _mod5, _mod5_rows, _products_of_degree,
                          discriminant, hilbert_h0, invariant_basis,
                          new_generators, table1_records)
-from .transfer import ext_dim, integral_structure
+from .transfer import ext_dim, integral_structure, partitions_2345
 from .v1algebra import presented_dim
 from .wordcx import dual_h_dim, reduced_word_h_dim
 
@@ -72,18 +72,6 @@ def cb(spec, s, text):
 
 def times(spec, poly_text, text, s):
     return product(cb(spec, 0, poly_text), cb(spec, s, text))
-
-
-def partitions_2345(n: int) -> int:
-    """Partitions of n into parts 2, 3, 4, 5: the rank of the rational
-    polynomial ring on c2..c5 in degree 8n."""
-    count = 0
-    for x5 in range(n // 5 + 1):
-        for x4 in range((n - 5 * x5) // 4 + 1):
-            rest = n - 5 * x5 - 4 * x4
-            count += sum(1 for x3 in range(rest // 3 + 1)
-                         if (rest - 3 * x3) % 2 == 0)
-    return count
 
 
 # --- 1. structure maps ------------------------------------------------------

@@ -37,8 +37,8 @@ class RunConfig:
     page: int = 1
 
     def __post_init__(self):
-        if self.s_max <= 0 or self.t_max <= 0:
-            raise ValueError("window bounds must be positive")
+        if self.s_max < 0 or self.t_max <= 0:
+            raise ValueError("window needs s_max >= 0 and t_max > 0")
         if self.ideal is not None and not 0 <= self.ideal <= 4:
             raise ValueError("ideal level must be in 0..4")
         if not 0 <= self.tower <= 4:

@@ -1,10 +1,13 @@
-"""Dense linear algebra mod 5 and mod 5^K (numpy-backed, exact).
+"""Dense linear algebra mod 5^K (numpy-backed, exact); K = 1 is F5.
 
 Internal helper layer.  Matrices are int64 arrays with entries reduced mod
-the modulus; pivots are always 5-units so every division is exact.  The one
-performance-critical entry point is :func:`rank_gf5`, a blocked elimination
-whose trailing updates run as float32 GEMMs (entries stay below 2^24, so the
-float arithmetic is exact).
+the modulus.  Every elimination -- rref, rank, nullspace, inverse, solve
+and the elementary-divisor valuations -- runs on one scalar echelon,
+:func:`_echelon`, whose pivots are always 5-units so every division is
+exact.  Each step updates only the rows with an entry in the pivot column
+and only the trailing columns, which keeps it cheap on the sparse
+differentials the callers build.  The ``_gf5`` names are the F5 entry
+points of the general functions.
 """
 
 from __future__ import annotations
@@ -13,18 +16,61 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-_INV5 = (0, 1, 3, 2, 4)
-
 # Largest 5-adic precision K the int64/float64 kernels keep exact.  One
-# product of entries is below 5^(2K), and transfer._delta sums many before
-# it reduces: at K = 9 about 2.4e6 sums of 5^18 stay below 2^63, and
-# matmul_mod's float64 bound inner * (5^K - 1)^2 < 2^53 holds for inner
-# dimensions up to 2,361.  (At K = 14 one product overflows int64.)
+# product of entries is below 5^(2K), so each echelon update stays below
+# 2^63, and transfer._delta sums many before it reduces: at K = 9 about
+# 2.4e6 sums of 5^18 stay below 2^63, and matmul_mod's float64 bound
+# inner * (5^K - 1)^2 < 2^53 holds for inner dimensions up to 2,361.
+# (At K = 14 one product overflows int64.)
 K_MAX = 9
 
 
-def _inv_unit(x: int, mod: int) -> int:
-    return pow(int(x) % mod, -1, mod)
+def _echelon(a: np.ndarray, mod: int, full: bool) -> List[int]:
+    """Unit-pivot echelon of `a` in place; returns the pivot columns.
+
+    `a` is int64 with entries in [0, mod).  Each column takes as pivot the
+    first row at or below the current one holding a 5-unit; a column with
+    none is skipped.  The pivot row is scaled to 1 and cleared from the
+    rows below it, and also from the rows above when `full` (reduced row
+    echelon form).  Over 5^K a skipped column can keep 5-divisible entries
+    below the pivot row, so a step also updates every skipped column where
+    the pivot row is nonzero; the result equals eliminating whole rows."""
+    m, n = a.shape
+    pivots: List[int] = []
+    stuck: List[int] = []
+    r = 0
+    for j in range(n):
+        if r >= m:
+            break
+        col = a[r:, j]
+        nz = np.flatnonzero(col % 5)
+        if nz.size == 0:
+            if col.any():
+                stuck.append(j)
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        live = [c for c in stuck if a[r, c]]
+        inv = pow(int(a[r, j]), -1, mod)
+        if inv != 1:
+            a[r, j:] = a[r, j:] * inv % mod
+            if live:
+                a[r, live] = a[r, live] * inv % mod
+        if full:
+            rows = np.flatnonzero(a[:, j])
+            rows = rows[rows != r]
+        else:
+            rows = r + 1 + np.flatnonzero(a[r + 1:, j])
+        if rows.size:
+            f = a[rows, j][:, None]
+            a[rows, j:] = (a[rows, j:] - f * a[r, j:]) % mod
+            if live:
+                cells = np.ix_(rows, live)
+                a[cells] = (a[cells] - f * a[r, live]) % mod
+        pivots.append(j)
+        r += 1
+    return pivots
 
 
 def rref_mod(a: np.ndarray, mod: int) -> Tuple[np.ndarray, List[int]]:
@@ -35,36 +81,13 @@ def rref_mod(a: np.ndarray, mod: int) -> Tuple[np.ndarray, List[int]]:
     unit pivots throughout must check the leftover rows themselves).
     """
     a = np.asarray(a, dtype=np.int64) % mod
-    a = a.copy()
-    m, n = a.shape
-    pivots: List[int] = []
-    r = 0
-    for j in range(n):
-        if r >= m:
-            break
-        col = a[r:, j]
-        nz = np.nonzero(col % 5)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * _inv_unit(a[r, j], mod)) % mod
-        col = a[:, j].copy()
-        col[r] = 0
-        rows = np.nonzero(col)[0]
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % mod
-        pivots.append(j)
-        r += 1
-    return a, pivots
+    return a, _echelon(a, mod, full=True)
 
 
 def rank_mod(a: np.ndarray, mod: int = 5) -> int:
-    if a.size == 0:
-        return 0
-    _, pivots = rref_mod(a, mod)
-    return len(pivots)
+    """Number of unit pivots; the rank over F5 when mod is 5."""
+    a = np.asarray(a, dtype=np.int64) % mod
+    return len(_echelon(a, mod, full=False)) if a.size else 0
 
 
 def nullspace_mod(a: np.ndarray, mod: int) -> np.ndarray:
@@ -75,17 +98,14 @@ def nullspace_mod(a: np.ndarray, mod: int) -> np.ndarray:
     builder asserts that condition (it holds because those complexes carry no
     5-torsion).
     """
-    a = np.asarray(a, dtype=np.int64)
-    m, n = a.shape
+    n = np.shape(a)[1]
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     r, pivots = rref_mod(a, mod)
-    free = sorted(set(range(n)) - set(pivots))
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[f, k] = 1
-        for i, p in enumerate(pivots):
-            basis[p, k] = (-r[i, f]) % mod
+    free = np.setdiff1d(np.arange(n), pivots)
+    basis = np.zeros((n, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -r[:len(pivots)][:, free] % mod
     return basis
 
 
@@ -131,6 +151,26 @@ def solve_mod(a: np.ndarray, b: np.ndarray, mod: int) -> Optional[np.ndarray]:
     return x
 
 
+def diagonal_valuations(mat: np.ndarray, k_power: int) -> List[int]:
+    """5-adic valuations of the elementary divisors of a matrix over Z/5^K,
+    ascending; a divisor of 5^K or more reads as zero and is not listed.
+
+    The echelon mod 5^(K-v) has one unit pivot per divisor of valuation v.
+    The rows below its pivots vanish on the pivot columns and are
+    5-divisible on the others, so their quotient by 5, known mod
+    5^(K-v-1), carries the remaining divisors, each with one factor of 5
+    fewer (a local Smith form by repeated elimination)."""
+    a = np.asarray(mat, dtype=np.int64) % 5 ** k_power
+    vals: List[int] = []
+    for v in range(k_power):
+        if not a.any():
+            break
+        pivots = _echelon(a, 5 ** (k_power - v), full=False)
+        vals += [v] * len(pivots)
+        a = a[len(pivots):] // 5
+    return vals
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     """Exact a @ b mod `mod` through float64 BLAS.
 
@@ -143,147 +183,21 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     return ((a.astype(np.float64) @ b.astype(np.float64)) % mod).astype(np.int64)
 
 
-def rref_gf5(a: np.ndarray, block: int = 128) -> Tuple[np.ndarray, List[int]]:
-    """Blocked reduced row echelon form over F5 (full Gauss-Jordan).
-
-    Scalar elimination runs inside column panels; the trailing matrix is
-    updated with float32 GEMMs (entries < 5, inner dim <= block, so sums
-    stay below 2^24 and the float arithmetic is exact)."""
-    A = (np.asarray(a) % 5).astype(np.float32)
-    m, n = A.shape
-    if A.size == 0:
-        return A.astype(np.int64), []
-    pivots: List[int] = []
-    r = 0
-    j0 = 0
-    while j0 < n:
-        jb = min(block, n - j0)
-        panel = A[:, j0:j0 + jb].copy()
-        swaps: List[Tuple[int, int]] = []
-        pivcols: List[int] = []
-        q = r
-        for j in range(jb):
-            if q >= m:
-                break
-            col = panel[q:, j]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            i = q + int(nz[0])
-            if i != q:
-                panel[[q, i]] = panel[[i, q]]
-                swaps.append((q, i))
-            inv = _INV5[int(panel[q, j])]
-            if inv != 1:
-                panel[q] = (panel[q] * inv) % 5
-            colv = panel[:, j].copy()
-            colv[q] = 0.0
-            rows = np.nonzero(colv)[0]
-            if rows.size:
-                panel[rows] = (panel[rows] - np.outer(colv[rows], panel[q])) % 5
-            pivots.append(j0 + j)
-            pivcols.append(j)
-            q += 1
-        k = q - r
-        for (x, y) in swaps:
-            A[[x, y]] = A[[y, x]]
-        if k and j0 + jb < n:
-            # original (swapped, not yet eliminated) panel pivot columns are
-            # the multipliers for the trailing update
-            P = A[:, j0 + np.array(pivcols)]
-            inv_top = inv_mod(P[r:r + k].astype(np.int64), 5).astype(np.float32)
-            trail = A[:, j0 + jb:]
-            w = (inv_top @ trail[r:r + k]) % 5
-            trail[r:r + k] = w
-            sel = np.ones(m, dtype=bool)
-            sel[r:r + k] = False
-            Pb = P[sel]
-            if Pb.shape[0]:
-                trail[sel] = (trail[sel] - Pb @ w) % 5
-        A[:, j0:j0 + jb] = panel
-        r += k
-        j0 += jb
-    return A.astype(np.int64), pivots
+def rref_gf5(a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """F5 entry point of :func:`rref_mod`."""
+    return rref_mod(a, 5)
 
 
-def nullspace_gf5(a: np.ndarray, block: int = 128) -> np.ndarray:
-    """Columns spanning ker(a) over F5, via the blocked RREF."""
-    a = np.asarray(a)
-    m, n = a.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    r, piv = rref_gf5(a, block)
-    free = sorted(set(range(n)) - set(piv))
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    for idx, f in enumerate(free):
-        basis[f, idx] = 1
-    if piv and free:
-        basis[np.array(piv), :] = (-r[:len(piv)][:, free]) % 5
-    return basis
+def rank_gf5(a: np.ndarray) -> int:
+    """F5 entry point of :func:`rank_mod`."""
+    return rank_mod(a, 5)
 
 
-def inv_gf5(a: np.ndarray, block: int = 128) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64) % 5
-    n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    r, piv = rref_gf5(aug, block)
-    if piv != list(range(n)):
-        raise ValueError("matrix is not invertible over F5")
-    return r[:, n:]
+def nullspace_gf5(a: np.ndarray) -> np.ndarray:
+    """F5 entry point of :func:`nullspace_mod`."""
+    return nullspace_mod(a, 5)
 
 
-def rank_gf5(a: np.ndarray, block: int = 128) -> int:
-    """Rank over F5 of a large dense matrix, blocked for GEMM speed."""
-    if a.size == 0:
-        return 0
-    A = (np.asarray(a) % 5).astype(np.float32)
-    m, n = A.shape
-    r = 0
-    j0 = 0
-    while j0 < n and r < m:
-        jb = min(block, n - j0)
-        panel = A[r:, j0:j0 + jb]
-        orig = panel.copy()
-        swaps: List[Tuple[int, int]] = []
-        pivcols: List[int] = []
-        q = 0
-        for j in range(jb):
-            col = panel[q:, j]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            i = q + int(nz[0])
-            if i != q:
-                panel[[q, i]] = panel[[i, q]]
-                swaps.append((q, i))
-            inv = _INV5[int(panel[q, j])]
-            if inv != 1:
-                panel[q] = (panel[q] * inv) % 5
-            col = panel[:, j].copy()
-            col[q] = 0.0
-            rows = np.nonzero(col)[0]
-            if rows.size:
-                panel[rows] = (panel[rows] - np.outer(col[rows], panel[q])) % 5
-            pivcols.append(j)
-            q += 1
-        k = q
-        if k and j0 + jb < n:
-            for (x, y) in swaps:
-                orig[[x, y]] = orig[[y, x]]
-            trail = A[r:, j0 + jb:]
-            for (x, y) in swaps:
-                trail[[x, y]] = trail[[y, x]]
-            p0 = orig[:, pivcols]
-            p0a = p0[:k]
-            p0b = p0[k:]
-            inv_top = inv_mod(p0a.astype(np.int64), 5).astype(np.float32)
-            w = (inv_top @ trail[:k]) % 5
-            trail[:k] = w
-            if p0b.shape[0]:
-                # float32 GEMM: entries < 5, inner dim <= block, sums < 2^24
-                trail[k:] = (trail[k:] - p0b @ w) % 5
-        elif k:
-            pass
-        r += k
-        j0 += jb
-    return r
+def inv_gf5(a: np.ndarray) -> np.ndarray:
+    """F5 entry point of :func:`inv_mod`."""
+    return inv_mod(a, 5)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebroid import AlgebroidSpec, eta_R_monomial
 from .coefficients import LocalRational
-from .flinalg import matmul_mod, rank_gf5
+from .flinalg import diagonal_valuations, matmul_mod, rank_gf5
 from .gradedpoly import Monomial, Polynomial, graded_piece_basis
 from .wordcx import (
     block_contraction,
@@ -393,77 +393,50 @@ def ext_dim(spec: AlgebroidSpec, s: int, t: int, hi: int) -> int:
 
 # --- integral structure -----------------------------------------------------
 
-def diagonal_valuations(mat: np.ndarray, k_power: int) -> List[int]:
-    """5-adic valuations of the elementary divisors of a matrix over Z/5^K.
-
-    Pivots are chosen at globally minimal valuation, so every elimination
-    step is exact at full precision."""
-    mod = 5 ** k_power
-    a = (np.asarray(mat, dtype=np.int64) % mod).copy()
-    vals: List[int] = []
-    live_r = list(range(a.shape[0]))
-    live_c = list(range(a.shape[1]))
-    while live_r and live_c:
-        sub = a[np.ix_(live_r, live_c)]
-        if not np.any(sub):
-            break
-        nz = sub[sub != 0]
-        v = min(_v5_int(int(x), k_power) for x in nz)
-        pos = None
-        for ii, i in enumerate(live_r):
-            for jj, j in enumerate(live_c):
-                if sub[ii, jj] and _v5_int(int(sub[ii, jj]), k_power) == v:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
-        i0, j0 = pos
-        piv = int(a[i0, j0])
-        unit = piv // 5 ** v
-        inv_unit = pow(unit % mod, -1, mod)
-        a[i0, :] = a[i0, :] * inv_unit % mod
-        for i in live_r:
-            if i != i0 and a[i, j0]:
-                f = (int(a[i, j0]) // 5 ** v) % mod
-                a[i, :] = (a[i, :] - f * a[i0, :]) % mod
-        for j in live_c:
-            if j != j0 and a[i0, j]:
-                f = (int(a[i0, j]) // 5 ** v) % mod
-                a[:, j] = (a[:, j] - f * a[:, j0]) % mod
-        vals.append(v)
-        live_r.remove(i0)
-        live_c.remove(j0)
-    return sorted(vals)
-
-
-def _v5_int(x: int, k_power: int) -> int:
-    v = 0
-    while x % 5 == 0:
-        x //= 5
-        v += 1
-        if v >= k_power:
-            return k_power
-    return v
+def partitions_2345(n: int) -> int:
+    """Partitions of n into parts 2, 3, 4, 5: the rank of the rational
+    polynomial ring on c2..c5 in degree 8n."""
+    count = 0
+    for x5 in range(n // 5 + 1):
+        for x4 in range((n - 5 * x5) // 4 + 1):
+            rest = n - 5 * x5 - 4 * x4
+            count += sum(1 for x3 in range(rest // 3 + 1)
+                         if (rest - 3 * x3) % 2 == 0)
+    return count
 
 
 class PrecisionExhausted(ValueError):
     """Working mod 5^K can no longer tell torsion from free rank."""
 
 
-def check_precision(valuations: Sequence[int], k_power: int) -> None:
-    """Valuations read mod 5^K are trusted only while K >= 2 and every one
-    stays at most K-2; otherwise raise PrecisionExhausted."""
+def certified_free_rank(dim: int, valuations: Sequence[int], s: int, t: int,
+                        k_power: int) -> int:
+    """Free rank of H^{s,t} from its cochain dimension and the elementary
+    divisor valuations, read mod 5^K, of the differentials into and out of
+    it.
+
+    Raises PrecisionExhausted unless K >= 2 and every valuation stays at
+    most K-2, so each torsion exponent is exact, and the free rank equals
+    the rational rank, so no divisor of 5^K read as zero: rationally
+    H^{s>0} = 0, and H^0 is the polynomial ring on c2..c5."""
     if k_power < 2 or any(v > k_power - 2 for v in valuations):
         raise PrecisionExhausted(
             f"torsion precision exhausted at K = {k_power}; raise K")
+    free = dim - len(valuations)
+    rational = partitions_2345(t // R_DEG) if s == 0 else 0
+    if free != rational:
+        raise PrecisionExhausted(
+            f"free rank {free} of H^{(s, t)} is not the rational rank"
+            f" {rational} at K = {k_power}; raise K")
+    return free
 
 
 def integral_structure(spec: AlgebroidSpec, s: int, t: int, hi: int,
                        k_power: int) -> Tuple[int, Tuple[int, ...]]:
     """(free rank, torsion exponents) of H^{s,t} over Z_(5).
 
-    Works mod 5^K on the transferred complex; valid while every observed
-    elementary divisor valuation stays at most K-2 (check_precision)."""
+    Works mod 5^K on the transferred complex; certified_free_rank checks
+    the answer against the precision and the rational rank."""
     if spec.quotient_level is not None:
         raise ValueError("integral structure needs the unquotiented spec")
     mod = 5 ** k_power
@@ -475,7 +448,6 @@ def integral_structure(spec: AlgebroidSpec, s: int, t: int, hi: int,
     here = transferred_matrix(spec, s, t, hi, mod)
     v_below = diagonal_valuations(below, k_power)
     v_here = diagonal_valuations(here, k_power)
-    check_precision(v_below + v_here, k_power)
-    free = dim - len(v_below) - len(v_here)
+    free = certified_free_rank(dim, v_below + v_here, s, t, k_power)
     torsion = tuple(sorted(v for v in v_below if v > 0))
     return free, torsion

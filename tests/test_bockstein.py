@@ -1,5 +1,6 @@
 import pytest
 
+import hopfext.bockstein as bockstein
 from hopfext.algebroid import AlgebroidSpec, quotient
 from hopfext.bockstein import (
     FiltrationSpec,
@@ -12,7 +13,7 @@ from hopfext.bockstein import (
     verify_differential,
 )
 from hopfext.cobar import class_equal_up_to_unit, parse_cobar
-from hopfext.transfer import ext_dim
+from hopfext.transfer import PrecisionExhausted, ext_dim
 
 RED = AlgebroidSpec("reduced")
 F1 = FiltrationSpec(1)
@@ -161,3 +162,22 @@ def _poly_times(spec, poly_text, cobar_text, s):
     left = parse_cobar(spec, 0, poly_text)
     right = parse_cobar(spec, s, cobar_text)
     return product(left, right)
+
+
+def test_five_adic_page_rejects_planted_5K_divisor(monkeypatch):
+    # the Z/5 divisor out of (0, 8), scaled to 5^K, reads as zero mod 5^K
+    # and would leave a free class where the rational rank is 0
+    k_power = 4
+    real = bockstein.transferred_matrix
+
+    def planted(spec, s, t, hi, mod):
+        mat = real(spec, s, t, hi, mod)
+        return mat * 5 ** (k_power - 1) % mod if s == 0 else mat
+
+    monkeypatch.setattr(bockstein, "transferred_matrix", planted)
+    bockstein._valuations.cache_clear()
+    try:
+        with pytest.raises(PrecisionExhausted):
+            page_dimensions(F5ADIC, 1, 1, 8, k_power)
+    finally:
+        bockstein._valuations.cache_clear()

@@ -20,7 +20,9 @@ def test_usage_errors():
     with pytest.raises(ValueError):
         RunConfig(command="ext", ideal=9)
     with pytest.raises(ValueError):
-        RunConfig(command="ext", s_max=0)
+        RunConfig(command="ext", s_max=-1)
+    with pytest.raises(ValueError):
+        RunConfig(command="invariants", t_max=0)
     with pytest.raises(ValueError):
         RunConfig(command="bockstein", tower=5)
     with pytest.raises(ValueError):
@@ -47,6 +49,18 @@ def test_kpower_ceiling_agrees_with_default(tmp_path):
                              out=str(out))) == 0
         texts.append((out / "ext.json").read_text(encoding="utf-8"))
     assert texts[0] == texts[1]
+
+
+def test_ext_h0_only_window(tmp_path):
+    entries = {}
+    for s_max in (0, 1):
+        out = tmp_path / str(s_max)
+        assert main(["ext", "--smax", str(s_max), "--tmax", "40",
+                     "--out", str(out)]) == 0
+        entries[s_max] = json.loads((out / "ext.json").read_text(
+            encoding="utf-8"))["entries"]
+    assert entries[0] == [e for e in entries[1] if e["s"] == 0]
+    assert entries[0]
 
 
 def test_axioms_small_window(tmp_path):

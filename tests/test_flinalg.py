@@ -16,6 +16,34 @@ from hopfext.flinalg import (
 )
 
 
+def _rref_reference(a, mod):
+    """The whole-row scalar echelon the kernel must reproduce bit for bit."""
+    a = np.asarray(a, dtype=np.int64) % mod
+    a = a.copy()
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for j in range(n):
+        if r >= m:
+            break
+        col = a[r:, j]
+        nz = np.nonzero(col % 5)[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * pow(int(a[r, j]), -1, mod)) % mod
+        col = a[:, j].copy()
+        col[r] = 0
+        rows = np.nonzero(col)[0]
+        if rows.size:
+            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % mod
+        pivots.append(j)
+        r += 1
+    return a, pivots
+
+
 def _naive_rank_f5(a):
     a = np.array(a, dtype=np.int64) % 5
     m, n = a.shape
@@ -95,7 +123,7 @@ def test_solve_inconsistent():
 @settings(deadline=None)
 @given(np_matrices)
 def test_rank_gf5_matches_naive_small(a):
-    assert rank_gf5(a, block=3) == _naive_rank_f5(a)
+    assert rank_gf5(a) == _naive_rank_f5(a)
 
 
 @pytest.mark.parametrize("seed,m,n", [(0, 300, 220), (1, 180, 400), (2, 257, 257)])
@@ -104,16 +132,46 @@ def test_rank_gf5_matches_rref_large(seed, m, n):
     # low-rank plus noise-free structure so rank is not trivially min(m, n)
     r = min(m, n) // 2
     a = (rng.integers(0, 5, (m, r)) @ rng.integers(0, 5, (r, n))) % 5
-    assert rank_gf5(a) == rank_mod(a, 5)
+    assert rank_gf5(a) == rank_mod(a, 5) == len(_rref_reference(a, 5)[1])
 
 
 @settings(deadline=None)
 @given(np_matrices)
 def test_rref_gf5_matches_scalar(a):
-    r1, p1 = rref_gf5(a, block=3)
-    r2, p2 = rref_mod(a, 5)
+    r1, p1 = rref_gf5(a)
+    r2, p2 = _rref_reference(a, 5)
     assert p1 == p2
-    assert np.array_equal(r1 % 5, r2 % 5)
+    assert np.array_equal(r1, r2)
+
+
+def _planted(rng, m, n, mod):
+    """Sparse random matrix whose planted columns are 5-divisible, so over
+    5^K the echelon skips them and later pivots still update them."""
+    a = rng.integers(0, mod, (m, n)) * (rng.random((m, n)) < 0.4)
+    fives = rng.random(n) < 0.3
+    a[:, fives] = a[:, fives] * 5 ** rng.integers(1, 3, fives.sum()) % mod
+    if m > 2:
+        a[-1] = (3 * a[0] + a[1]) % mod
+    return a
+
+
+@pytest.mark.parametrize("mod", [5, 25, 625, 5 ** 9])
+def test_echelon_bit_identical_to_reference(mod):
+    rng = np.random.default_rng(mod)
+    shapes = [(0, 0), (0, 4), (4, 0)] + [tuple(rng.integers(1, 12, 2))
+                                          for _ in range(200)]
+    for m, n in shapes:
+        a = _planted(rng, m, n, mod)
+        want, want_piv = _rref_reference(a, mod)
+        got, piv = rref_mod(a, mod)
+        assert piv == want_piv
+        assert np.array_equal(got, want)
+        assert rank_mod(a, mod) == len(want_piv)
+        if n:
+            ker = nullspace_mod(a, mod)
+            free = [j for j in range(n) if j not in want_piv]
+            assert np.array_equal(ker[free], np.eye(len(free), dtype=np.int64))
+            assert np.array_equal(ker[want_piv], -want[:len(want_piv)][:, free] % mod)
 
 
 @pytest.mark.parametrize("seed,m,n", [(3, 190, 260), (4, 310, 140)])
@@ -121,7 +179,7 @@ def test_nullspace_gf5_large(seed, m, n):
     rng = np.random.default_rng(seed)
     r = min(m, n) // 3
     a = (rng.integers(0, 5, (m, r)) @ rng.integers(0, 5, (r, n))) % 5
-    k = nullspace_gf5(a, block=64)
+    k = nullspace_gf5(a)
     assert np.all(a @ k % 5 == 0)
     assert k.shape[1] == n - rank_mod(a, 5)
     assert rank_mod(k.T, 5) == k.shape[1]
@@ -133,8 +191,10 @@ def test_inv_gf5_roundtrip():
         a = rng.integers(0, 5, (60, 60))
         if rank_mod(a, 5) == 60:
             break
-    b = inv_gf5(a, block=16)
+    b = inv_gf5(a)
     assert np.array_equal(a @ b % 5, np.eye(60, dtype=np.int64))
+    with pytest.raises(ValueError):
+        inv_gf5(np.array([[1, 2], [2, 4]]))
 
 
 def test_matmul_mod_exact():

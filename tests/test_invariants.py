@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hopfext.coefficients import LocalRational
 from hopfext.flinalg import rank_mod
 from hopfext.gradedpoly import parse_polynomial
+from hopfext.transfer import partitions_2345
 import hopfext.invariants as inv
 from hopfext.invariants import (
     A_RING,
@@ -29,16 +30,6 @@ from hopfext.invariants import (
     table1_expand,
     table1_records,
 )
-
-
-def partitions_2345(n: int) -> int:
-    count = 0
-    for x5 in range(n // 5 + 1):
-        for x4 in range((n - 5 * x5) // 4 + 1):
-            rest = n - 5 * x5 - 4 * x4
-            count += sum(1 for x3 in range(rest // 3 + 1)
-                         if (rest - 3 * x3) % 2 == 0)
-    return count
 
 
 def test_low_degree_kernels():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import hopfext.transfer as transfer
 from hopfext.algebroid import AlgebroidSpec, eta_R_monomial, quotient
 from hopfext.cobar import cohomology
 from hopfext.flinalg import matmul_mod
 from hopfext.transfer import (
+    PrecisionExhausted,
     diagonal_valuations,
     eta_items,
     eta_items_L,
@@ -115,6 +117,70 @@ def test_diagonal_valuations():
     assert diagonal_valuations(m, 4) == [0, 2]
     m = np.diag([1, 5, 125])
     assert diagonal_valuations(m, 4) == [0, 1, 3]
+    # a divisor of 5^K reads as zero; integral_structure must catch it
+    assert diagonal_valuations(np.diag([625, 1]), 4) == [0]
+
+
+def _valuations_reference(mat, k_power):
+    """Elementary divisor valuations by pivoting at a globally minimal
+    valuation and clearing the pivot's row and column."""
+    mod = 5 ** k_power
+    a = (np.asarray(mat, dtype=np.int64) % mod).copy()
+
+    def v5(x):
+        v = 0
+        while x % 5 == 0 and v < k_power:
+            x //= 5
+            v += 1
+        return v
+
+    vals = []
+    live_r, live_c = list(range(a.shape[0])), list(range(a.shape[1]))
+    while live_r and live_c and np.any(a[np.ix_(live_r, live_c)]):
+        v, i0, j0 = min((v5(int(a[i, j])), i, j) for i in live_r
+                        for j in live_c if a[i, j])
+        a[i0] = a[i0] * pow(int(a[i0, j0]) // 5 ** v, -1, mod) % mod
+        for i in live_r:
+            if i != i0:
+                a[i] = (a[i] - (int(a[i, j0]) // 5 ** v) * a[i0]) % mod
+        for j in live_c:
+            if j != j0:
+                a[:, j] = (a[:, j] - (int(a[i0, j]) // 5 ** v) * a[:, j0]) % mod
+        vals.append(v)
+        live_r.remove(i0)
+        live_c.remove(j0)
+    return sorted(vals)
+
+
+@pytest.mark.parametrize("k_power", [2, 3, 4, 9])
+def test_diagonal_valuations_match_reference(k_power):
+    mod = 5 ** k_power
+    rng = np.random.default_rng(k_power)
+    for _ in range(60):
+        m, n = rng.integers(1, 9, 2)
+        r = rng.integers(0, min(m, n) + 1)
+        core = (rng.integers(0, mod, (m, r)) @ rng.integers(0, 5, (r, n)))
+        rows = 5 ** rng.integers(0, k_power + 1, m)
+        cols = 5 ** rng.integers(0, k_power + 1, n)
+        a = rows[:, None] * (core % mod) % mod * cols[None, :] % mod
+        assert diagonal_valuations(a, k_power) == _valuations_reference(
+            a, k_power)
+
+
+def test_planted_5K_divisor_raises(monkeypatch):
+    # H^{1,8} = Z/5: scaling the differential out of degree 0 by 5^(K-1)
+    # makes its divisor 5^K, which reads as zero mod 5^K and would turn
+    # the torsion class into free rank
+    k_power = 4
+    real = transfer.transferred_matrix
+
+    def planted(spec, s, t, hi, mod):
+        mat = real(spec, s, t, hi, mod)
+        return mat * 5 ** (k_power - 1) % mod if s == 0 else mat
+
+    monkeypatch.setattr(transfer, "transferred_matrix", planted)
+    with pytest.raises(PrecisionExhausted):
+        integral_structure(RED, 1, 8, hi=2, k_power=k_power)
 
 
 @pytest.mark.parametrize("s,t", [(0, 16), (0, 24), (1, 8), (1, 40),
