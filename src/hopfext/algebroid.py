@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Dict, Mapping, Optional, Tuple
+from operator import add, itemgetter
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .gradedpoly import (
     MODE_F5,
@@ -310,6 +311,98 @@ def eta_R(spec: AlgebroidSpec, x: Polynomial) -> GammaElement:
     for mono, c in x.terms.items():
         out = out + eta_R_monomial(spec, mono).scale(c)
     return out
+
+
+# --- integer right-unit table ---------------------------------------------
+
+IntTerms = Tuple[Tuple[int, Monomial, int], ...]
+
+
+def coefficient_modulus(spec: AlgebroidSpec, mod: Optional[int]) -> Optional[int]:
+    """Modulus the integer right unit works in: a quotient spec works over
+    F5, so its coefficients are residues mod 5 whatever `mod` asks."""
+    return P if spec.quotient_level is not None else mod
+
+
+def _mono_add(m1: Monomial, m2: Monomial) -> Monomial:
+    return tuple(map(add, m1, m2))
+
+
+def sort_terms(out: List[Tuple[int, Monomial, int]]) -> None:
+    """Sort (exponent, monomial, coefficient) triples in place by exponent,
+    then in the polynomial term order (_mono_sort_key ascending, which is
+    descending lexicographic order of the monomials)."""
+    out.sort(key=itemgetter(1), reverse=True)
+    out.sort(key=itemgetter(0))
+
+
+def _int_terms(acc: Dict[Tuple[int, Monomial], int], mod: Optional[int]) -> IntTerms:
+    """Nonzero (r-exponent, monomial, coefficient) triples in sort_terms
+    order."""
+    out = []
+    for (e, m), c in acc.items():
+        if mod:
+            c %= mod
+        if c:
+            out.append((e, m, c))
+    sort_terms(out)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _r_power_int(spec: AlgebroidSpec, e: int, mod: Optional[int]) -> IntTerms:
+    """Normal form of r^e; for e >= 5 in the reduced variant,
+    r^e = r^(e-5) * r^5 = - sum_j a_j r^(e-j), with killed a_j dropped."""
+    if spec.variant != "reduced" or e < P:
+        return ((e, (0,) * spec.num_generators, 1),)
+    acc: Dict[Tuple[int, Monomial], int] = {}
+    for exp, mono in _relation_tail(spec):
+        for e2, m2, c2 in _r_power_int(spec, e - P + exp, mod):
+            key = (e2, _mono_add(mono, m2))
+            acc[key] = acc.get(key, 0) - c2
+    return _int_terms(acc, mod)
+
+
+@lru_cache(maxsize=None)
+def _r_times_eta_generator(spec: AlgebroidSpec, e: int, i: int,
+                           mod: Optional[int]) -> IntTerms:
+    """Normal form of r^e * eta_R(a_i), where
+    eta_R(a_i) = sum_{j=0..i} C(5-j, i-j) a_j r^(i-j) with a_0 = 1."""
+    n, k = spec.num_generators, spec.quotient_level or 0
+    acc: Dict[Tuple[int, Monomial], int] = {}
+    for j in range(0, i + 1):
+        if 1 <= j <= k:
+            continue
+        aj = tuple(int(g == j - 1) for g in range(n))
+        for e2, m2, c2 in _r_power_int(spec, e + i - j, mod):
+            key = (e2, _mono_add(aj, m2))
+            acc[key] = acc.get(key, 0) + comb(P - j, i - j) * c2
+    return _int_terms(acc, mod)
+
+
+@lru_cache(maxsize=None)
+def eta_R_int(spec: AlgebroidSpec, mono: Monomial, mod: Optional[int] = None) -> IntTerms:
+    """Right unit of a base monomial with integer coefficients, as
+    (r-exponent, monomial, coefficient) triples in normal form, in
+    sort_terms order.
+
+    mod = 5^K gives residues and None exact integers (see
+    coefficient_modulus for quotient specs).  Built like eta_R_monomial,
+    as the image of mono with one factor of its last generator removed
+    times that generator's image, but over plain integers."""
+    mod = coefficient_modulus(spec, mod)
+    for i in range(len(mono) - 1, -1, -1):
+        if mono[i]:
+            break
+    else:
+        return ((0, mono, 1),)
+    rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+    acc: Dict[Tuple[int, Monomial], int] = {}
+    for e1, m1, c1 in eta_R_int(spec, rest, mod):
+        for e, m2, c2 in _r_times_eta_generator(spec, e1, i + 1, mod):
+            key = (e, _mono_add(m1, m2))
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return _int_terms(acc, mod)
 
 
 def eta_L(spec: AlgebroidSpec, x: Polynomial) -> GammaElement:

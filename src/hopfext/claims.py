@@ -25,9 +25,9 @@ from .cobar import (class_equal_up_to_unit, cohomology, differential,
 from .coefficients import LocalRational
 from .flinalg import rank_mod
 from .gradedpoly import parse_polynomial
-from .invariants import (A_RING, _mod5, _mod5_rows, _products_of_degree,
-                         discriminant, hilbert_h0, invariant_basis,
-                         new_generators, table1_records)
+from .invariants import (A_RING, H0_T_CEILING, _mod5, _mod5_rows,
+                         _products_of_degree, discriminant, hilbert_h0,
+                         invariant_basis, new_generators, table1_records)
 from .transfer import ext_dim, integral_structure, partitions_2345
 from .v1algebra import presented_dim
 from .wordcx import dual_h_dim, reduced_word_h_dim
@@ -243,7 +243,7 @@ def _table1_integral():
 
 
 def _rational_ranks():
-    for t, rank in hilbert_h0(176):
+    for t, rank in hilbert_h0(H0_T_CEILING):
         want = partitions_2345(t // 8)
         _require(rank == want, f"rank {rank} at t = {t}, expected {want}")
 
@@ -341,14 +341,14 @@ def _integral_window():
             _require((free, tuple(torsion)) == want,
                      f"H^{(s, t)} = {(free, tuple(torsion))}, expected {want}")
     # s = 0 free ranks match the invariant-ring Hilbert function; the
-    # direct ambient kernel is only tractable through t = 176, where it
-    # agrees with the closed count, so the closed count carries the rest
-    # of the window
+    # direct ambient kernel is only tractable through H0_T_CEILING, where
+    # it agrees with the closed count, so the closed count carries the
+    # rest of the window
     for t in range(0, 241, 8):
         got = integral_structure(RED, 0, t, hi=5, k_power=4)
         want = (partitions_2345(t // 8), ())
         _require(got == want, f"H^{(0, t)} = {got}, expected {want}")
-    for t in range(0, 177, 8):
+    for t in range(0, H0_T_CEILING + 1, 8):
         _require(len(invariant_basis(t)) == partitions_2345(t // 8),
                  f"invariant basis in degree {t} has the wrong rank")
 
@@ -468,7 +468,7 @@ CLAIMS: List[Claim] = [
     Claim("table1-integral", "all 23 table expressions are 5-integral,"
           " invariant, of the declared degree", _table1_integral),
     Claim("h0-rational-ranks", "invariant ranks match the rational"
-          " polynomial ring on c2..c5, t <= 176", _rational_ranks),
+          f" polynomial ring on c2..c5, t <= {H0_T_CEILING}", _rational_ranks),
     Claim("h0-generator-census", "generator census: one fresh class per"
           " even degree through 112, two at 120, one at 160; the named"
           " generators span every graded piece", _generator_census),

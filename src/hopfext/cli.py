@@ -1,10 +1,11 @@
 """Command-line entry point for the cohomology engine.
 
 Subcommands: axioms, verify, ext, invariants, table1, disc, bockstein,
-chart.  All configuration is by flags; defaults are s_max=6, t_max=400,
-K=4.  Output is JSON on stdout (or files under --out), with a top-level
-"schema" field; charts are SVG plus a text fallback.  Exit codes: 0 all
-requested checks pass, 1 a verification failed, 2 usage error.
+chart.  All configuration is by flags; defaults are s_max=6, t_max=400
+(invariants: t_max=176, its ceiling), K=4.  Output is JSON on stdout (or
+files under --out), with a top-level "schema" field; charts are SVG plus a
+text fallback.  Exit codes: 0 all requested checks pass, 1 a verification
+failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from . import __version__
 from .algebroid import AlgebroidSpec, AxiomViolation, check_axioms
 from .flinalg import K_MAX
+from .invariants import H0_T_CEILING
 
 SCHEMA_PREFIX = "hopfext"
 
@@ -45,6 +47,9 @@ class RunConfig:
             raise ValueError("tower index must be in 0..4")
         if not 2 <= self.k_power <= K_MAX:
             raise ValueError(f"5-adic precision K must be in 2..{K_MAX}")
+        if self.command == "invariants" and self.t_max > H0_T_CEILING:
+            raise ValueError(f"invariants needs t_max <= {H0_T_CEILING}, the"
+                             " largest degree whose kernels are tractable")
 
 
 def _emit(config: RunConfig, payload: Dict) -> None:
@@ -105,14 +110,14 @@ def cmd_ext(config: RunConfig) -> int:
 
 def cmd_invariants(config: RunConfig) -> int:
     from .invariants import hilbert_h0, new_generators
-    t_max = min(config.t_max, 176) if config.t_max == 400 else config.t_max
-    ranks = hilbert_h0(t_max)
+    ranks = hilbert_h0(config.t_max)
     census = []
-    for t in range(8, t_max + 1, 8):
+    for t in range(8, config.t_max + 1, 8):
         count, reps = new_generators(t)
         census.append({"t": t, "count": count,
                        "leading": [str(p.sorted_terms()[0][0]) for p in reps]})
-    payload = {"schema": f"{SCHEMA_PREFIX}/invariants/1", "t_max": t_max,
+    payload = {"schema": f"{SCHEMA_PREFIX}/invariants/1",
+               "t_max": config.t_max,
                "ranks": [[t, r] for t, r in ranks], "census": census}
     _emit(config, payload)
     return 0
@@ -290,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quotient level 0..4; omit for the integral base")
     p = sub.add_parser("invariants", help="H0 ranks and generator census")
     common(p)
+    p.set_defaults(tmax=H0_T_CEILING)
     common(sub.add_parser("table1", help="expand and certify all named"
                           " generators"))
     common(sub.add_parser("disc", help="resultant discriminant checks"))

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebroid import AlgebroidSpec, eta_R, eta_R_monomial
+from .algebroid import AlgebroidSpec, eta_R, eta_R_int
 from .coefficients import IntMatrix, LocalRational, kernel_saturated
 from .flinalg import rank_mod
 from .gradedpoly import (
@@ -34,6 +34,9 @@ SPEC = AlgebroidSpec("full", None)
 A_RING = SPEC.base_ring
 Q_RING = RingSpec(A_RING.names, A_RING.degrees, mode=MODE_Q)
 R_DEG = 8
+# largest degree whose invariant kernels are tractable; the rational rank
+# carries the integral H^0 beyond it
+H0_T_CEILING = 176
 
 
 class IntegralityFailure(ArithmeticError):
@@ -62,27 +65,22 @@ def is_invariant(p: Polynomial) -> bool:
 def _eta_minus_id_matrix(t: int) -> Tuple[IntMatrix, Tuple[Monomial, ...]]:
     cols = tuple(graded_piece_basis(A_RING, t))
     row_offset: Dict[int, int] = {}
+    row_index: Dict[int, Dict[Monomial, int]] = {}
     nrows = 0
     for k in range(1, t // R_DEG + 1):
+        tgt = graded_piece_basis(A_RING, t - R_DEG * k)
         row_offset[k] = nrows
-        nrows += len(graded_piece_basis(A_RING, t - R_DEG * k))
+        row_index[k] = {m: i for i, m in enumerate(tgt)}
+        nrows += len(tgt)
     entries: Dict[Tuple[int, int], int] = {}
     for j, mono in enumerate(cols):
-        g = eta_R_monomial(SPEC, mono)
-        if g.terms.get(0) != Polynomial(A_RING, {mono: 1}):
+        terms = eta_R_int(SPEC, mono)
+        if [(m2, c) for k, m2, c in terms if k == 0] != [(mono, 1)]:
             raise InvarianceFailure(f"the r^0 term of eta_R({mono}) is not"
                                     " the monomial itself")
-        for k, poly in g.terms.items():
-            if k == 0:
-                continue
-            tgt = graded_piece_basis(A_RING, t - R_DEG * k)
-            idx = {m: i for i, m in enumerate(tgt)}
-            for m2, c in poly.terms.items():
-                if isinstance(c, LocalRational):
-                    if c.den != 1:
-                        raise AssertionError("right unit is not integral")
-                    c = c.num
-                entries[(row_offset[k] + idx[m2], j)] = int(c)
+        for k, m2, c in terms:
+            if k:
+                entries[(row_offset[k] + row_index[k][m2], j)] = c
     return IntMatrix(nrows, len(cols), entries), cols
 
 

@@ -20,10 +20,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebroid import AlgebroidSpec, eta_R_monomial
-from .coefficients import LocalRational
+from .algebroid import AlgebroidSpec, coefficient_modulus, eta_R_int, sort_terms
 from .flinalg import diagonal_valuations, matmul_mod, rank_gf5
-from .gradedpoly import Monomial, Polynomial, graded_piece_basis
+from .gradedpoly import Monomial, graded_piece_basis
 from .wordcx import (
     block_contraction,
     block_words,
@@ -35,12 +34,6 @@ from .wordcx import (
 Word = Tuple[int, ...]
 Key = Tuple[Monomial, Word]
 R_DEG = 8
-
-
-def _coeff_int(c, mod: int) -> int:
-    if isinstance(c, LocalRational):
-        return c.num * pow(c.den, -1, mod) % mod
-    return int(c) % mod
 
 
 def _word_index(words: Sequence[Word]) -> Dict[Word, int]:
@@ -66,27 +59,7 @@ def eta_items(spec: AlgebroidSpec, mono: Monomial, mod: int
 
     Reduced presentation: the right-unit image is already in normal form
     with slot weights 1..4."""
-    g = eta_R_monomial(spec, mono)
-    out = []
-    for e, p in sorted(g.terms.items()):
-        if e == 0:
-            continue
-        for m2, c in p.sorted_terms():
-            v = _coeff_int(c, mod)
-            if v:
-                out.append((e, m2, v))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _z_tail(spec: AlgebroidSpec) -> Tuple[Tuple[int, Polynomial], ...]:
-    """The non-z part of the top-power rewriting: r^5 = z - sum tail[e]*r^e."""
-    ring = spec.base_ring
-    out = []
-    for i, name in enumerate(("a5", "a4", "a3", "a2", "a1")):
-        if name in ring.names and name not in spec.killed:
-            out.append((i, Polynomial.generator(ring, name)))
-    return tuple(out)
+    return tuple(item for item in eta_R_int(spec, mono, mod) if item[0])
 
 
 @lru_cache(maxsize=None)
@@ -95,36 +68,33 @@ def eta_items_L(spec: AlgebroidSpec, mono: Monomial, mod: int
     """Right-unit tail in the extended letter alphabet (full presentation).
 
     Rewrites high r powers through r^5 = z - a5 - a4 r - ... so every term
-    is a single letter of weight 5m + j."""
+    is a single letter of weight 5m + j.  Each exponent is rewritten once,
+    highest first, since every rewrite lands on lower exponents."""
     if spec.variant != "full":
         raise ValueError("extended alphabet applies to the full presentation")
-    ring = spec.base_ring
-    g = eta_R_monomial(spec, mono)
-    state: Dict[Tuple[int, int], Polynomial] = {
-        (0, e): p for e, p in g.terms.items()}
-    tail = _z_tail(spec)
-    while True:
-        high = [k for k in state if k[1] >= 5]
-        if not high:
-            break
-        m, e = max(high, key=lambda k: k[1])
-        p = state.pop((m, e))
-        up = (m + 1, e - 5)
-        state[up] = state.get(up, Polynomial.zero(ring)) + p
-        for j, q in tail:
-            key = (m, e - 5 + j)
-            state[key] = state.get(key, Polynomial.zero(ring)) - p * q
+    mod = coefficient_modulus(spec, mod)
+    # r^5 = z - sum_j a_j r^(5-j) over the live a_j, as (5 - j, index of a_j)
+    tail = [(5 - j, j - 1) for j in range((spec.quotient_level or 0) + 1, 6)]
+    # levels[e][(m, monomial)] = coefficient of z^m r^e
+    levels: Dict[int, Dict[Tuple[int, Monomial], int]] = {}
+    for e, m2, c in eta_R_int(spec, mono, mod):
+        levels.setdefault(e, {})[(0, m2)] = c
+    for e in range(max(levels, default=0), 4, -1):
+        up = levels.setdefault(e - 5, {})
+        lows = [(levels.setdefault(e - 5 + j, {}), g) for j, g in tail]
+        for (m, m2), c in levels.pop(e, {}).items():
+            up[(m + 1, m2)] = up.get((m + 1, m2), 0) + c
+            for low, g in lows:
+                key = (m, m2[:g] + (m2[g] + 1,) + m2[g + 1:])
+                low[key] = low.get(key, 0) - c
     out = []
-    for (m, e) in sorted(state):
-        p = state[(m, e)]
-        w = 5 * m + e
-        if w == 0:
+    for e, terms in levels.items():
+        for (m, m2), c in terms.items():
+            w, v = 5 * m + e, c % mod
             # the weight-0 part dies in Gamma / (left unit image)
-            continue
-        for m2, c in p.sorted_terms():
-            v = _coeff_int(c, mod)
-            if v:
+            if w and v:
                 out.append((w, m2, v))
+    sort_terms(out)
     return tuple(out)
 
 

@@ -108,6 +108,16 @@ def test_invariants_payload(tmp_path):
     assert census == {8: 0, 16: 1, 24: 1, 32: 1, 40: 1, 48: 1}
 
 
+def test_invariants_tmax_above_ceiling_is_a_usage_error(capsys):
+    # an explicit window beyond the tractable kernels is refused, not
+    # quietly cut to the ceiling (the no-flag default is the ceiling)
+    assert main(["invariants", "--tmax", str(inv.H0_T_CEILING + 8)]) == 2
+    assert main(["invariants", "--tmax", "400"]) == 2
+    assert str(inv.H0_T_CEILING) in capsys.readouterr().err
+    args = build_parser().parse_args(["invariants"])
+    assert config_from_args(args).t_max == inv.H0_T_CEILING
+
+
 def test_table1_all_rows_pass(tmp_path):
     cfg = RunConfig(command="table1", out=str(tmp_path))
     assert run(cfg) == 0

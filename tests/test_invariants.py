@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hopfext.coefficients import LocalRational
 from hopfext.flinalg import rank_mod
-from hopfext.gradedpoly import parse_polynomial
+from hopfext.gradedpoly import graded_piece_basis, parse_polynomial
 from hopfext.transfer import partitions_2345
 import hopfext.invariants as inv
 from hopfext.invariants import (
@@ -71,6 +71,28 @@ def test_kernel_certificate_catches_a_moved_vector(monkeypatch):
     monkeypatch.setattr(inv, "kernel_saturated", perturbed)
     with pytest.raises(InvarianceFailure):
         invariant_basis.__wrapped__(t)
+
+
+@pytest.mark.parametrize("corrupt", ["scale", "extra"])
+def test_identity_term_guard(monkeypatch, corrupt):
+    # _eta_minus_id_matrix drops the r^0 part of eta_R, which is only
+    # right when that part is the monomial itself
+    t = 32
+    target = graded_piece_basis(A_RING, t)[0]
+    other = graded_piece_basis(A_RING, t)[1]
+    real = inv.eta_R_int
+
+    def wrong(spec, mono, mod=None):
+        terms = real(spec, mono, mod)
+        if mono != target:
+            return terms
+        if corrupt == "scale":
+            return tuple((e, m, 2 * c if e == 0 else c) for e, m, c in terms)
+        return ((0, other, 1),) + terms
+
+    monkeypatch.setattr(inv, "eta_R_int", wrong)
+    with pytest.raises(InvarianceFailure):
+        inv._eta_minus_id_matrix.__wrapped__(t)
 
 
 def test_c_classes():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import hopfext.transfer as transfer
-from hopfext.algebroid import AlgebroidSpec, eta_R_monomial, quotient
+from hopfext.algebroid import AlgebroidSpec, eta_R_int, eta_R_monomial, quotient
 from hopfext.cobar import cohomology
+from hopfext.coefficients import LocalRational
 from hopfext.flinalg import matmul_mod
+from hopfext.gradedpoly import Polynomial, graded_piece_basis
 from hopfext.transfer import (
     PrecisionExhausted,
     diagonal_valuations,
@@ -21,6 +23,88 @@ RED = AlgebroidSpec("reduced")
 FULL = AlgebroidSpec("full")
 RI = {k: quotient(RED, k) for k in (0, 1, 2, 4)}
 FI = {k: quotient(FULL, k) for k in (0, 1, 2)}
+
+
+def _coeff_int(c, mod):
+    if isinstance(c, LocalRational):
+        return c.num * pow(c.den, -1, mod) % mod
+    return int(c) % mod
+
+
+def _eta_items_reference(spec, mono, mod):
+    """eta_items read off the symbolic right unit."""
+    g = eta_R_monomial(spec, mono)
+    out = []
+    for e, p in sorted(g.terms.items()):
+        if e == 0:
+            continue
+        for m2, c in p.sorted_terms():
+            v = _coeff_int(c, mod)
+            if v:
+                out.append((e, m2, v))
+    return tuple(out)
+
+
+def _eta_items_L_reference(spec, mono, mod):
+    """eta_items_L by rewriting the symbolic right unit's top r power
+    through r^5 = z - a5 - a4 r - ... until every exponent is below 5."""
+    ring = spec.base_ring
+    tail = [(i, Polynomial.generator(ring, name))
+            for i, name in enumerate(("a5", "a4", "a3", "a2", "a1"))
+            if name not in spec.killed]
+    state = {(0, e): p for e, p in eta_R_monomial(spec, mono).terms.items()}
+    while True:
+        high = [k for k in state if k[1] >= 5]
+        if not high:
+            break
+        m, e = max(high, key=lambda k: k[1])
+        p = state.pop((m, e))
+        up = (m + 1, e - 5)
+        state[up] = state.get(up, Polynomial.zero(ring)) + p
+        for j, q in tail:
+            key = (m, e - 5 + j)
+            state[key] = state.get(key, Polynomial.zero(ring)) - p * q
+    out = []
+    for (m, e) in sorted(state):
+        w = 5 * m + e
+        if w == 0:
+            continue
+        for m2, c in state[(m, e)].sorted_terms():
+            v = _coeff_int(c, mod)
+            if v:
+                out.append((w, m2, v))
+    return tuple(out)
+
+
+def _monomials(spec, t_max):
+    killed = len(spec.killed)
+    return [m for t in range(0, t_max + 1, 8)
+            for m in graded_piece_basis(spec.base_ring, t)
+            if not any(m[:killed])]
+
+
+@pytest.mark.parametrize("variant,t_max", [("reduced", 160), ("full", 120)])
+@pytest.mark.parametrize("level", [None, 0, 1, 2, 3, 4])
+def test_eta_table_matches_symbolic(variant, t_max, level):
+    # the integer table emits the symbolic right unit's tuples, in order
+    spec = AlgebroidSpec(variant, level)
+    for mono in _monomials(spec, t_max):
+        for mod in (5, 625, 5 ** 9):
+            assert eta_items(spec, mono, mod) == \
+                _eta_items_reference(spec, mono, mod), (mono, mod)
+            if variant == "full":
+                assert eta_items_L(spec, mono, mod) == \
+                    _eta_items_L_reference(spec, mono, mod), (mono, mod)
+
+
+def test_exact_eta_table_matches_symbolic():
+    for mono in _monomials(FULL, 112):
+        want = sorted((e, m2, c.num) for e, p in
+                      eta_R_monomial(FULL, mono).terms.items()
+                      for m2, c in p.terms.items())
+        assert all(c.den == 1 for p in eta_R_monomial(FULL, mono).terms.values()
+                   for c in p.terms.values())
+        assert sorted(eta_R_int(FULL, mono)) == want, mono
 
 
 def test_eta_items_reduced_examples():
