@@ -24,6 +24,7 @@ from .gradedpoly import (
     Polynomial,
     RingSpec,
     format_polynomial,
+    graded_piece_basis,
     parse_polynomial,
 )
 
@@ -77,6 +78,15 @@ def _base_ring(variant: str, modular: bool) -> RingSpec:
     names = tuple(f"a{i}" for i in range(1, n + 1))
     degrees = tuple(R_DEGREE * i for i in range(1, n + 1))
     return RingSpec(names, degrees, mode=MODE_F5 if modular else MODE_LOCAL)
+
+
+@lru_cache(maxsize=None)
+def coefficient_piece(spec: AlgebroidSpec, t: int) -> Tuple[Monomial, ...]:
+    """Base monomials of degree t that survive the quotient (no killed
+    generator), in graded-lex order; empty for t < 0."""
+    killed = len(spec.killed)
+    return tuple(m for m in graded_piece_basis(spec.base_ring, t)
+                 if not any(m[:killed]))
 
 
 def reduce_base(spec: AlgebroidSpec, p: Polynomial) -> Polynomial:

@@ -192,20 +192,36 @@ def cmd_bockstein(config: RunConfig) -> int:
 
 # --- chart ------------------------------------------------------------------
 
+def _source_cells(data) -> Dict[Tuple[int, int], int]:
+    """Nonzero (s, t) -> dimension cells of an ext or bockstein JSON dump."""
+    entries = data.get("entries", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("chart source must be a JSON object with an"
+                         " 'entries' list")
+    cells: Dict[Tuple[int, int], int] = {}
+    for i, e in enumerate(entries):
+        try:
+            key = (e["s"], e["t"])
+            dim = e.get("dim")
+            if dim is None:
+                dim = e.get("free", 0) + len(e.get("torsion", []))
+            valid = all(isinstance(v, int) for v in key + (dim,))
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            raise ValueError(f"chart source entry {i} needs integer 's',"
+                             " 't' and dimension")
+        if dim:
+            cells[key] = cells.get(key, 0) + dim
+    return cells
+
+
 def cmd_chart(config: RunConfig) -> int:
     from .report import ChartSpec, Dot, emit_svg, parse_overlay, with_overlay
     if not config.source:
         raise ValueError("chart requires --source")
     with open(config.source, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    cells: Dict[Tuple[int, int], int] = {}
-    for e in data.get("entries", []):
-        dim = e.get("dim")
-        if dim is None:
-            dim = e.get("free", 0) + len(e.get("torsion", []))
-        if dim:
-            key = (e["s"], e["t"])
-            cells[key] = cells.get(key, 0) + dim
+        cells = _source_cells(json.load(fh))
     s_max = max((s for s, _ in cells), default=0)
     t_max = max((t for _, t in cells), default=0)
     arrows = ()

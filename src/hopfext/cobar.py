@@ -25,13 +25,13 @@ from .gradedpoly import (
     Monomial,
     Polynomial,
     format_polynomial,
-    graded_piece_basis,
     parse_polynomial,
 )
 from .algebroid import (
     R_DEGREE,
     AlgebroidSpec,
     GammaElement,
+    coefficient_piece,
     eta_R_monomial,
     psi_reduced,
     push_coefficient,
@@ -177,8 +177,6 @@ class CobarElement:
 def cochain_basis(spec: AlgebroidSpec, s: int, t: int) -> Tuple[Tuple[Monomial, CobarWord], ...]:
     """Deterministic basis of the (s,t) cochain piece: words in ascending lex
     order, then base monomials in graded-lex order."""
-    ring = spec.base_ring
-    killed = len(spec.killed)
     cap = spec.max_r_power
     out: List[Tuple[Monomial, CobarWord]] = []
     if t % R_DEGREE:
@@ -186,9 +184,7 @@ def cochain_basis(spec: AlgebroidSpec, s: int, t: int) -> Tuple[Tuple[Monomial, 
     for n in range(s, t // R_DEGREE + 1):
         if cap is not None and n > cap * s:
             break
-        mdeg = t - R_DEGREE * n
-        monos = [m for m in graded_piece_basis(ring, mdeg)
-                 if not any(m[i] for i in range(killed))]
+        monos = coefficient_piece(spec, t - R_DEGREE * n)
         if not monos:
             continue
         for word in compositions(n, s, cap):

@@ -18,10 +18,15 @@ import numpy as np
 
 # Largest 5-adic precision K the int64/float64 kernels keep exact.  One
 # product of entries is below 5^(2K), so each echelon update stays below
-# 2^63, and transfer._delta sums many before it reduces: at K = 9 about
-# 2.4e6 sums of 5^18 stay below 2^63, and matmul_mod's float64 bound
-# inner * (5^K - 1)^2 < 2^53 holds for inner dimensions up to 2,361.
-# (At K = 14 one product overflows int64.)
+# 2^63 (at K = 14 one product overflows).  The transfer's int64 sums reduce
+# late: h adds one product per source word of the same weight and length
+# before it reduces, and 2^63 / 5^18 leaves room for about 2.4e6 of them at
+# K = 9, against at most 4^7 = 16,384 reduced words (s <= 7) and
+# C(29, 4) = 23,751 letter-alphabet words (t <= 240, s <= 5); pi reduces
+# after every block add.  delta goes through matmul_mod, whose float64 sums
+# stay exact while inner * (5^K - 1)^2 < 2^53: at K = 9 that is 2,361
+# terms, and the largest coefficient piece the transfer reaches at t <= 400
+# has 1,154 monomials (a longer inner dimension is summed in chunks).
 K_MAX = 9
 
 
@@ -174,13 +179,21 @@ def diagonal_valuations(mat: np.ndarray, k_power: int) -> List[int]:
 def matmul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     """Exact a @ b mod `mod` through float64 BLAS.
 
-    Valid while inner_dim * (mod-1)^2 stays below 2^53; asserted."""
-    a = np.asarray(a, dtype=np.int64) % mod
-    b = np.asarray(b, dtype=np.int64) % mod
-    inner = a.shape[1] if a.ndim == 2 else a.shape[0]
-    if inner * (mod - 1) ** 2 >= 2 ** 53:
+    One float64 product sums at most `step` terms below (mod-1)^2, with
+    step * (mod-1)^2 < 2^53, so every partial sum is an exact integer; a
+    longer inner dimension is cut into chunks of `step`.  Each sum is
+    reduced after conversion to int64, which is several times faster than
+    a float64 remainder."""
+    step = (2 ** 53 - 1) // (mod - 1) ** 2
+    if step == 0:
         raise ValueError("modulus too large for exact float64 accumulation")
-    return ((a.astype(np.float64) @ b.astype(np.float64)) % mod).astype(np.int64)
+    a = (np.asarray(a, dtype=np.int64) % mod).astype(np.float64)
+    b = (np.asarray(b, dtype=np.int64) % mod).astype(np.float64)
+    out = (a[..., :step] @ b[:step]).astype(np.int64) % mod
+    for lo in range(step, a.shape[-1], step):
+        part = (a[..., lo:lo + step] @ b[lo:lo + step]).astype(np.int64)
+        out = (out + part) % mod
+    return out
 
 
 def rref_gf5(a: np.ndarray) -> Tuple[np.ndarray, List[int]]:

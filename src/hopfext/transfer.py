@@ -7,6 +7,16 @@ the coefficient-feeding part of the differential, giving a small complex
 with the same cohomology.  All the large-window computations (Ext tables,
 integral structure, spectral sequence pages) run here.
 
+The perturbation series pi delta sum_k (h delta)^k iota runs on word
+blocks: a chain at internal degree t is one int64 array per bar word, whose
+rows are the base monomials of degree t - 8 * weight(word) (the coefficient
+piece, in graded-lex order) and whose columns are the source basis.  delta
+touches only coefficients, so it is one matrix per piece degree and slot
+weight, applied through float64 BLAS (flinalg.matmul_mod, exact under its
+bound); h touches only words, so it is one scalar multiple of a block per
+word image; and the small basis is label-major over the same pieces, so pi
+adds each block to one run of rows.
+
 For the full presentation, cochains are written in the extended letter
 alphabet, where the right-unit image of the top base generator occupies
 its own letter and the transfer data assembles tensorially from block and
@@ -20,9 +30,15 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebroid import AlgebroidSpec, coefficient_modulus, eta_R_int, sort_terms
+from .algebroid import (
+    AlgebroidSpec,
+    coefficient_modulus,
+    coefficient_piece,
+    eta_R_int,
+    sort_terms,
+)
 from .flinalg import diagonal_valuations, matmul_mod, rank_gf5
-from .gradedpoly import Monomial, graded_piece_basis
+from .gradedpoly import Monomial
 from .wordcx import (
     block_contraction,
     block_words,
@@ -32,7 +48,6 @@ from .wordcx import (
 )
 
 Word = Tuple[int, ...]
-Key = Tuple[Monomial, Word]
 R_DEG = 8
 
 
@@ -52,7 +67,6 @@ def _block_index(W: int, s: int) -> Dict[Word, int]:
 
 # --- coefficient tails ------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def eta_items(spec: AlgebroidSpec, mono: Monomial, mod: int
               ) -> Tuple[Tuple[int, Monomial, int], ...]:
     """Right-unit tail of a base monomial as (slot weight, monomial, coeff).
@@ -62,7 +76,6 @@ def eta_items(spec: AlgebroidSpec, mono: Monomial, mod: int
     return tuple(item for item in eta_R_int(spec, mono, mod) if item[0])
 
 
-@lru_cache(maxsize=None)
 def eta_items_L(spec: AlgebroidSpec, mono: Monomial, mod: int
                 ) -> Tuple[Tuple[int, Monomial, int], ...]:
     """Right-unit tail in the extended letter alphabet (full presentation).
@@ -268,86 +281,130 @@ def _iota_label(spec: AlgebroidSpec, s: int, label: Tuple, hi: int, mod: int
                  for i in np.nonzero(col)[0])
 
 
+def _label_runs(spec: AlgebroidSpec, s: int, t: int, hi: int, mod: int
+                ) -> Tuple[Tuple[Tuple, int], ...]:
+    """(label, coefficient degree) runs of the small basis at (s, t).
+
+    The basis is label-major: each harmonic label of weight n is followed by
+    the whole coefficient piece of degree t - 8n."""
+    if s < 0 or t % R_DEG:
+        return ()
+    return tuple((label, t - R_DEG * n) for n in range(t // R_DEG + 1)
+                 for label in small_word_labels(spec, s, n, hi, mod))
+
+
 def small_basis(spec: AlgebroidSpec, s: int, t: int, hi: int, mod: int
                 ) -> Tuple[Tuple[Tuple, Monomial], ...]:
     """Deterministic basis of the transferred complex at (s, t)."""
-    ring = spec.base_ring
-    killed = len(spec.killed)
+    return tuple((label, mono) for label, d in _label_runs(spec, s, t, hi, mod)
+                 for mono in coefficient_piece(spec, d))
+
+
+# --- perturbation series on word blocks (see the module docstring) --------
+
+Blocks = Dict[Word, np.ndarray]
+
+
+@lru_cache(maxsize=None)
+def _piece_index(spec: AlgebroidSpec, d: int) -> Dict[Monomial, int]:
+    return {m: i for i, m in enumerate(coefficient_piece(spec, d))}
+
+
+@lru_cache(maxsize=None)
+def _eta_matrices(spec: AlgebroidSpec, d: int, mod: int
+                  ) -> Tuple[Tuple[int, np.ndarray], ...]:
+    """delta on the coefficient piece of degree d, one matrix per slot weight.
+
+    Returns (w, T) pairs: T maps the piece of degree d to the piece of
+    degree d - 8w by the weight-w part of the right-unit tail, so delta
+    sends the block of a word to T times it at (w,) + word.  T is kept in
+    the smallest unsigned dtype that holds a residue."""
+    items = eta_items_L if spec.variant == "full" else eta_items
+    piece = coefficient_piece(spec, d)
+    entries: Dict[int, List[Tuple[Monomial, int, int]]] = {}
+    for col, mono in enumerate(piece):
+        for w, mono2, cf in items(spec, mono, mod):
+            entries.setdefault(w, []).append((mono2, col, cf))
     out = []
-    if s < 0 or t % R_DEG:
-        return ()
-    for n in range(0, t // R_DEG + 1):
-        labels = small_word_labels(spec, s, n, hi, mod)
-        if not labels:
-            continue
-        monos = [m for m in graded_piece_basis(ring, t - R_DEG * n)
-                 if not any(m[i] for i in range(killed))]
-        for label in labels:
-            for mono in monos:
-                out.append((label, mono))
+    for w in sorted(entries):
+        index = _piece_index(spec, d - R_DEG * w)
+        mat = np.zeros((len(index), len(piece)), np.min_scalar_type(mod - 1))
+        monos, cols, cfs = zip(*entries[w])
+        mat[[index[m] for m in monos], cols] = cfs
+        mat.setflags(write=False)
+        out.append((w, mat))
     return tuple(out)
 
 
-# --- batched transferred differential --------------------------------------
+def _delta_blocks(spec: AlgebroidSpec, blocks: Blocks, t: int, mod: int
+                  ) -> Blocks:
+    # (w,) + word names its source, so every output block has one term;
+    # the products run on the block's nonzero rows and columns only
+    out: Blocks = {}
+    for word, blk in blocks.items():
+        rows = np.flatnonzero(blk.any(axis=1))
+        cols = np.flatnonzero(blk.any(axis=0))
+        sub = blk[np.ix_(rows, cols)]
+        for w, mat in _eta_matrices(spec, t - R_DEG * sum(word), mod):
+            prod = matmul_mod(mat[:, rows], sub, mod)
+            if prod.any():
+                new = np.zeros((len(mat), blk.shape[1]), dtype=np.int64)
+                new[:, cols] = prod
+                out[(w,) + word] = new
+    return out
 
-def _delta(spec: AlgebroidSpec, data: Dict[Key, np.ndarray], mod: int
-           ) -> Dict[Key, np.ndarray]:
-    items = eta_items_L if spec.variant == "full" else eta_items
-    out: Dict[Key, np.ndarray] = {}
-    for (mono, word), arr in data.items():
-        for w0, mono2, cf in items(spec, mono, mod):
-            key = (mono2, (w0,) + word)
-            cur = out.get(key)
-            if cur is None:
-                out[key] = cf * arr
-            else:
-                cur += cf * arr
-    return {k: v % mod for k, v in out.items() if np.any(v % mod)}
 
-
-def _h_batch(spec: AlgebroidSpec, data: Dict[Key, np.ndarray], hi: int,
-             mod: int) -> Dict[Key, np.ndarray]:
-    out: Dict[Key, np.ndarray] = {}
-    for (mono, word), arr in data.items():
+def _h_blocks(spec: AlgebroidSpec, blocks: Blocks, hi: int, mod: int
+              ) -> Blocks:
+    out: Blocks = {}
+    for word, blk in blocks.items():
         for w2, cf in _h_word(spec, word, hi, mod):
-            key = (mono, w2)
-            cur = out.get(key)
-            if cur is None:
-                out[key] = cf * arr
+            if w2 in out:
+                out[w2] += cf * blk
             else:
-                cur += cf * arr
-    return {k: v % mod for k, v in out.items() if np.any(v % mod)}
+                out[w2] = cf * blk
+    out = {w: v % mod for w, v in out.items()}
+    return {w: v for w, v in out.items() if v.any()}
 
 
 @lru_cache(maxsize=None)
 def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, hi: int, mod: int
                        ) -> np.ndarray:
-    """Matrix of the perturbed differential small(s, t) -> small(s+1, t)."""
+    """Matrix of the perturbed differential small(s, t) -> small(s+1, t),
+    the sum pi delta (h delta)^k iota over k >= 0."""
     if s + 1 > hi:
         raise ValueError("window exceeds the retraction depth")
-    src = small_basis(spec, s, t, hi, mod)
-    dst = small_basis(spec, s + 1, t, hi, mod)
-    dst_idx = {k: i for i, k in enumerate(dst)}
-    out = np.zeros((len(dst), len(src)), dtype=np.int64)
-    if not src or not dst:
+    offsets: Dict[Tuple, int] = {}
+    height = 0
+    for label, d in _label_runs(spec, s + 1, t, hi, mod):
+        offsets[label] = height
+        height += len(coefficient_piece(spec, d))
+    src = [(label, len(coefficient_piece(spec, d)))
+           for label, d in _label_runs(spec, s, t, hi, mod)]
+    width = sum(size for _, size in src)
+    out = np.zeros((height, width), dtype=np.int64)
+    if not width or not height:
         return out
-    width = len(src)
-    data: Dict[Key, np.ndarray] = {}
-    for col, (label, mono) in enumerate(src):
+    blocks: Blocks = {}
+    col = 0
+    for label, size in src:
+        diag = (np.arange(size), col + np.arange(size))
         for word, cf in _iota_label(spec, s, label, hi, mod):
-            key = (mono, word)
-            if key not in data:
-                data[key] = np.zeros(width, dtype=np.int64)
-            data[key][col] = (data[key][col] + cf) % mod
-    while data:
-        data = _delta(spec, data, mod)
-        for (mono, word), arr in data.items():
+            if word not in blocks:
+                blocks[word] = np.zeros((size, width), dtype=np.int64)
+            blocks[word][diag] += cf
+        col += size
+    blocks = {w: v % mod for w, v in blocks.items()}
+    while blocks:
+        blocks = _delta_blocks(spec, blocks, t, mod)
+        for word, blk in blocks.items():
             for label, cf in _pi_word(spec, word, hi, mod):
-                row = dst_idx.get((label, mono))
+                row = offsets.get(label)
                 if row is None:
                     raise AssertionError("projection left the small basis")
-                out[row] = (out[row] + cf * arr) % mod
-        data = _h_batch(spec, data, hi, mod)
+                part = out[row:row + len(blk)]
+                part[:] = (part + cf * blk) % mod
+        blocks = _h_blocks(spec, blocks, hi, mod)
     return out
 
 

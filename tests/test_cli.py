@@ -197,6 +197,21 @@ def test_chart_missing_source_is_usage_error(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("data", [
+    [{"s": 1, "t": 8, "dim": 1}],
+    {"entries": [{"s": 1, "dim": 1}]},
+    {"entries": [{"t": 8, "dim": 1}]},
+    {"entries": [{"s": 1, "t": 8, "dim": "1"}]},
+    {"entries": [[1, 8, 1]]},
+], ids=["top-level-list", "entry-without-t", "entry-without-s",
+        "string-dim", "entry-not-an-object"])
+def test_chart_malformed_source_is_usage_error(tmp_path, capsys, data):
+    src = tmp_path / "ext.json"
+    src.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["chart", "--source", str(src), "--out", str(tmp_path)]) == 2
+    assert "chart source" in capsys.readouterr().err
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(["verify"])
     cfg = config_from_args(args)

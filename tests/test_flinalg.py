@@ -202,3 +202,16 @@ def test_matmul_mod_exact():
     a = rng.integers(0, 625, (40, 70))
     b = rng.integers(0, 625, (70, 30))
     assert np.array_equal(matmul_mod(a, b, 625), a @ b % 625)
+
+
+def test_matmul_mod_exact_past_one_float64_sum():
+    # at 5^9 one float64 sum holds 2,361 products; 5,000 take three chunks
+    mod = 5 ** 9
+    rng = np.random.default_rng(12)
+    a = rng.integers(mod - 50, mod, (3, 5000))
+    b = rng.integers(mod - 50, mod, (5000, 2))
+    want = (a.astype(object) @ b.astype(object)) % mod
+    assert np.array_equal(matmul_mod(a, b, mod), want.astype(np.int64))
+    assert np.array_equal(matmul_mod(a[0], b[:, 0], mod), want[0, 0])
+    with pytest.raises(ValueError):
+        matmul_mod(a, b, 5 ** 12)

@@ -15,6 +15,7 @@ from hopfext.transfer import (
     ext_dim,
     integral_structure,
     small_basis,
+    small_word_labels,
     transferred_matrix,
 )
 from hopfext.wordcx import reduced_word_h_dim
@@ -76,11 +77,15 @@ def _eta_items_L_reference(spec, mono, mod):
     return tuple(out)
 
 
-def _monomials(spec, t_max):
+def _monomials_of_degree(spec, t):
     killed = len(spec.killed)
-    return [m for t in range(0, t_max + 1, 8)
-            for m in graded_piece_basis(spec.base_ring, t)
+    return [m for m in graded_piece_basis(spec.base_ring, t)
             if not any(m[:killed])]
+
+
+def _monomials(spec, t_max):
+    return [m for t in range(0, t_max + 1, 8)
+            for m in _monomials_of_degree(spec, t)]
 
 
 @pytest.mark.parametrize("variant,t_max", [("reduced", 160), ("full", 120)])
@@ -286,3 +291,85 @@ def test_small_basis_deterministic():
     a = small_basis(RI[1], 2, 96, 3, 5)
     b = small_basis(RI[1], 2, 96, 3, 5)
     assert a == b and len(a) == len(set(a))
+
+
+def _small_basis_reference(spec, s, t, hi, mod):
+    if s < 0 or t % 8:
+        return ()
+    return tuple((label, mono) for n in range(t // 8 + 1)
+                 for label in small_word_labels(spec, s, n, hi, mod)
+                 for mono in _monomials_of_degree(spec, t - 8 * n))
+
+
+def _transferred_reference(spec, s, t, hi, mod):
+    """transferred_matrix by the per-(monomial, word) loop: one int64 row
+    per key, delta one right-unit item and h one word image at a time."""
+    items = eta_items_L if spec.variant == "full" else eta_items
+
+    def delta(data):
+        out = {}
+        for (mono, word), arr in data.items():
+            for w0, mono2, cf in items(spec, mono, mod):
+                key = (mono2, (w0,) + word)
+                out[key] = out.get(key, 0) + cf * arr
+        return {k: v % mod for k, v in out.items() if np.any(v % mod)}
+
+    def h(data):
+        out = {}
+        for (mono, word), arr in data.items():
+            for w2, cf in transfer._h_word(spec, word, hi, mod):
+                out[(mono, w2)] = out.get((mono, w2), 0) + cf * arr
+        return {k: v % mod for k, v in out.items() if np.any(v % mod)}
+
+    src = _small_basis_reference(spec, s, t, hi, mod)
+    dst = _small_basis_reference(spec, s + 1, t, hi, mod)
+    dst_idx = {k: i for i, k in enumerate(dst)}
+    out = np.zeros((len(dst), len(src)), dtype=np.int64)
+    if not src or not dst:
+        return out
+    data = {}
+    for col, (label, mono) in enumerate(src):
+        for word, cf in transfer._iota_label(spec, s, label, hi, mod):
+            arr = data.setdefault((mono, word), np.zeros(len(src), np.int64))
+            arr[col] = (arr[col] + cf) % mod
+    while data:
+        data = delta(data)
+        for (mono, word), arr in data.items():
+            for label, cf in transfer._pi_word(spec, word, hi, mod):
+                row = dst_idx[(label, mono)]
+                out[row] = (out[row] + cf * arr) % mod
+        data = h(data)
+    return out
+
+
+TRANSFER_GRID = (
+    [("reduced", k, 5, 160) for k in range(5)]
+    + [("full", k, 5, 120) for k in range(5)]
+    + [("reduced", None, mod, 160) for mod in (5, 625, 5 ** 9)]
+    + [("full", None, mod, 96) for mod in (5, 625, 5 ** 9)])
+
+
+@pytest.mark.parametrize("variant,level,mod,t_max", TRANSFER_GRID)
+def test_transferred_matrix_matches_reference(variant, level, mod, t_max):
+    # the word-block series equals the per-key loop in value and dtype
+    spec = AlgebroidSpec(variant, level)
+    for hi in (4, 5):
+        for s in range(hi):
+            for t in range(8, t_max + 1, 8):
+                got = transferred_matrix(spec, s, t, hi, mod)
+                want = _transferred_reference(spec, s, t, hi, mod)
+                assert got.dtype == want.dtype, (s, t, hi)
+                assert np.array_equal(got, want), (s, t, hi)
+                assert small_basis(spec, s, t, hi, mod) == \
+                    _small_basis_reference(spec, s, t, hi, mod)
+
+
+def test_projection_outside_small_basis_raises(monkeypatch):
+    real = transfer._pi_word
+
+    def planted(spec, word, hi, mod):
+        return real(spec, word, hi, mod) + ((("outside",), 1),)
+
+    monkeypatch.setattr(transfer, "_pi_word", planted)
+    with pytest.raises(AssertionError, match="left the small basis"):
+        transferred_matrix.__wrapped__(RED, 0, 8, 2, 625)
