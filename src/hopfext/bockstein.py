@@ -102,8 +102,6 @@ def _z_dim(fspec: FiltrationSpec, s: int, t: int, u: int, r: int, hi: int
 def page_entry_dim(fspec: FiltrationSpec, r: int, s: int, t: int, u: int,
                    hi: int) -> int:
     """dim E_r^{s,t,u} by the filtered-complex rank formula."""
-    if r < 1:
-        raise ValueError("pages start at r = 1")
     val = _z_dim(fspec, s, t, u, r, hi) - _z_dim(fspec, s, t, u + 1, r - 1, hi)
     if s > 0:
         val -= _z_dim(fspec, s - 1, t, u - r + 1, r - 1, hi)
@@ -118,6 +116,8 @@ def _u_max(fspec: FiltrationSpec, t: int) -> int:
 def page_dimensions(fspec: FiltrationSpec, r: int, s_max: int, t_max: int,
                     k_power: int = 4) -> List[PageEntry]:
     """Nonzero E_r entries in the window, ordered by (t, s, u)."""
+    if r < 1:
+        raise ValueError("pages start at r = 1")
     hi = s_max + 1
     out: List[PageEntry] = []
     for t in range(0, t_max + 1, R_DEG):

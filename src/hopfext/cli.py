@@ -45,6 +45,8 @@ class RunConfig:
             raise ValueError("ideal level must be in 0..4")
         if not 0 <= self.tower <= 4:
             raise ValueError("tower index must be in 0..4")
+        if self.page < 1:
+            raise ValueError("pages start at r = 1")
         if not 2 <= self.k_power <= K_MAX:
             raise ValueError(f"5-adic precision K must be in 2..{K_MAX}")
         if self.command == "invariants" and self.t_max > H0_T_CEILING:

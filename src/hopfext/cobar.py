@@ -30,7 +30,6 @@ from .gradedpoly import (
 from .algebroid import (
     R_DEGREE,
     AlgebroidSpec,
-    GammaElement,
     coefficient_piece,
     eta_R_monomial,
     psi_reduced,
@@ -95,19 +94,6 @@ class CobarElement:
     @classmethod
     def from_polynomial(cls, p: Polynomial, spec: AlgebroidSpec) -> "CobarElement":
         return cls(spec, 0, {(m, ()): c for m, c in p.terms.items()})
-
-    @classmethod
-    def from_gamma(cls, g: GammaElement) -> "CobarElement":
-        """1-cochain from an element of the augmentation coideal."""
-        terms = {}
-        for e, p in g.terms.items():
-            if e == 0:
-                if p:
-                    raise ValueError("gamma element has a degree-0 part")
-                continue
-            for m, c in p.terms.items():
-                terms[(m, (e,))] = c
-        return cls(g.spec, 1, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -288,9 +274,14 @@ class CohomologyGroup:
 def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
     """Kernel-mod-image at (s,t) with representatives.
 
-    Over a quotient everything is F5 linear algebra.  Over Z_(5) the two
-    integer matrices are combined through Smith normal form; only 5-power
-    torsion is reported (other elementary divisors are units locally).
+    Over a quotient everything is F5 linear algebra.  Over Z_(5) two Smith
+    normal forms do the work.  With L b R = D for b = d^{s-1}, the first
+    rank(b) columns of L^{-1} span the saturation of im b, the i-th giving
+    a cyclic summand Z/d_i; only 5-power torsion is reported (other
+    elementary divisors are units locally), in ascending order.  The
+    remaining columns C span a complement, and the free classes are a
+    saturated kernel basis of d^s restricted to C.  Representatives list
+    the torsion classes in diagonal order, then the free ones.
     """
     if spec.quotient_level is not None:
         a = differential_matrix_mod(spec, s, t, 5)
@@ -304,108 +295,31 @@ def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
             coords = solve_mod(ker, b, 5)
             if coords is None:
                 raise AssertionError("image does not lie in kernel (d*d != 0?)")
-        red, pivots = rref_mod(coords.T, 5)
-        free = [j for j in range(ker.shape[1]) if j not in set(pivots)]
+        _, pivots = rref_mod(coords.T, 5)
+        free = sorted(set(range(ker.shape[1])) - set(pivots))
         reps = [vector_to_element(spec, s, t, ker[:, j]) for j in free]
         return CohomologyGroup(s, t, len(free), (), reps)
 
-    # integral path
-    from .coefficients import kernel_saturated
     a = differential_matrix_int(spec, s, t)
-    b = differential_matrix_int(spec, s - 1, t) if s > 0 else IntMatrix(a.cols, 0, {})
-    kbasis = kernel_saturated(a)
-    if not kbasis:
-        return CohomologyGroup(s, t, 0)
-    nk = len(kbasis)
-    kmat = [[vec[i] for vec in kbasis] for i in range(a.cols)]  # cols = kernel basis
-    if b.cols:
-        # image columns in kernel coordinates (exact; kernel is saturated)
-        coords = _integer_coords(kmat, b)
-        x = IntMatrix(nk, b.cols,
-                      {(i, j): coords[i][j] for i in range(nk) for j in range(b.cols)
-                       if coords[i][j]})
-        snf = smith_normal_form(x)
-        # L x R = D, so in the kernel basis K' = K L^{-1} the image lattice is
-        # spanned by d_i times the i-th column of K'
-        linv = _int_inverse(snf.left_transform.to_rows())
-        diag = list(snf.diagonal)
-    else:
-        linv = [[1 if i == j else 0 for j in range(nk)] for i in range(nk)]
-        diag = []
-    free_rank = 0
-    torsion: List[int] = []
-    reps: List[CobarElement] = []
-    for j in range(nk):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            free_rank += 1
-        elif v5(d) > 0:
-            torsion.append(v5(d))
-        else:
-            continue
-        newvec = [sum(kmat[i][kk] * linv[kk][j] for kk in range(nk))
-                  for i in range(a.cols)]
-        reps.append(vector_to_element(spec, s, t, newvec))
-    return CohomologyGroup(s, t, free_rank, tuple(torsion), reps)
+    n = a.cols
+    b = differential_matrix_int(spec, s - 1, t) if s > 0 else IntMatrix(n, 0)
+    image = smith_normal_form(b)
+    rank = len(image.diagonal)
+    saturated = image.left_inverse.columns(0, rank)
+    if a.matmul(saturated).entries:
+        raise AssertionError("image does not lie in kernel (d*d != 0?)")
+    complement = image.left_inverse.columns(rank, n)
+    restricted = smith_normal_form(a.matmul(complement))
+    kernel = complement.matmul(restricted.right_transform.columns(
+        len(restricted.diagonal), complement.cols))
 
+    def column(m: IntMatrix, j: int) -> CobarElement:
+        return vector_to_element(spec, s, t, [m.get(i, j) for i in range(n)])
 
-def _int_inverse(rows: List[List[int]]) -> List[List[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    from fractions import Fraction
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for j in range(n):
-        piv = next(i for i in range(j, n) if aug[i][j])
-        aug[j], aug[piv] = aug[piv], aug[j]
-        inv = 1 / aug[j][j]
-        aug[j] = [v * inv for v in aug[j]]
-        for i in range(n):
-            if i != j and aug[i][j]:
-                f = aug[i][j]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[j])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for v in row:
-            if v.denominator != 1:
-                raise AssertionError("matrix is not unimodular")
-    return [[int(v) for v in row] for row in out]
-
-
-def _integer_coords(kmat: List[List[int]], b: IntMatrix) -> List[List[int]]:
-    """Solve kmat @ X = b exactly over Q; integrality holds by saturation."""
-    from fractions import Fraction
-    rows = len(kmat)
-    cols = len(kmat[0]) if rows else 0
-    nrhs = b.cols
-    aug = [[Fraction(kmat[i][j]) for j in range(cols)] +
-           [Fraction(b.get(i, jj)) for jj in range(nrhs)] for i in range(rows)]
-    piv_rows = []
-    r = 0
-    for j in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][j]), None)
-        if piv is None:
-            raise AssertionError("kernel basis is not independent")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][j]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][j]:
-                f = aug[i][j]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        piv_rows.append(j)
-        r += 1
-    for i in range(r, rows):
-        if any(aug[i][cols:]):
-            raise AssertionError("image does not lie in kernel")
-    out = [[0] * nrhs for _ in range(cols)]
-    for i, j in enumerate(piv_rows):
-        for jj in range(nrhs):
-            val = aug[i][cols + jj]
-            if val.denominator != 1:
-                raise AssertionError("non-integral kernel coordinates")
-            out[j][jj] = int(val)
-    return out
+    torsion = [(v5(d), j) for j, d in enumerate(image.diagonal) if v5(d) > 0]
+    reps = [column(saturated, j) for _, j in torsion] + \
+        [column(kernel, j) for j in range(kernel.cols)]
+    return CohomologyGroup(s, t, kernel.cols, tuple(v for v, _ in torsion), reps)
 
 
 def product(x: CobarElement, y: CobarElement) -> CobarElement:

@@ -3,8 +3,11 @@
 Everything downstream (cobar differentials, invariant kernels, torsion
 extraction) reduces to the primitives here: reduced fractions with a tracked
 5-adic valuation, sparse integer matrices, Smith normal form with unimodular
-transforms, and saturated integer kernels.  No floating point is used; the
-generator table requires exact cancellation of powers of 5 up to 5^15.
+transforms L, R and the inverse of L, and saturated integer kernels.  Smith
+normal form is the one exact routine of the symbolic cobar layer;
+`kernel_saturated` serves `invariants` only, whose census prints leading
+monomials of its exact basis.  No floating point is used; the generator
+table requires exact cancellation of powers of 5 up to 5^15.
 """
 
 from __future__ import annotations
@@ -135,15 +138,6 @@ def _coerce(x):
     return NotImplemented
 
 
-def reduce(num: int, den: int) -> LocalRational:
-    """Reduced representation of num/den with the sign carried by num."""
-    return LocalRational(num, den)
-
-
-ONE = LocalRational(1)
-ZERO = LocalRational(0)
-
-
 @dataclass
 class IntMatrix:
     """Sparse integer matrix; absent entries are zero."""
@@ -167,12 +161,14 @@ class IntMatrix:
                    for j, val in enumerate(row) if val != 0}
         return cls(rows, cols, entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
     def get(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
+
+    def columns(self, start: int, stop: int) -> "IntMatrix":
+        """The columns start..stop-1 as a matrix of their own."""
+        return IntMatrix(self.rows, stop - start,
+                         {(i, j - start): val for (i, j), val in self.entries.items()
+                          if start <= j < stop})
 
     def to_rows(self) -> List[List[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
@@ -203,27 +199,35 @@ class IntMatrix:
 
 @dataclass
 class SmithDecomposition:
-    """left_transform * original * right_transform is diagonal."""
+    """left_transform * original * right_transform is diagonal, and
+    left_inverse is the inverse of left_transform."""
 
     left_transform: IntMatrix
     diagonal: Tuple[int, ...]
     right_transform: IntMatrix
+    left_inverse: IntMatrix
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular transforms.
 
     Diagonal entries are the (nonnegative) elementary divisors, each dividing
-    the next nonzero one.  An empty matrix yields an empty diagonal.
+    the next nonzero one, with the zero ones left off.  An empty matrix
+    yields an empty diagonal.  Every row operation on the left transform is
+    mirrored on the left inverse as the inverse column operation, so the
+    inverse is never solved for.
     """
     a = m.to_rows()
     rows, cols = m.rows, m.cols
     left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    linv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         left[i], left[j] = left[j], left[i]
+        for r in linv:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -238,6 +242,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         lrow, lsrc = left[dst], left[src]
         for j in range(rows):
             lrow[j] += q * lsrc[j]
+        for r in linv:
+            r[src] -= q * r[dst]
 
     def addmul_col(dst, src, q):
         for r in a:
@@ -308,11 +314,13 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                 a[i][j] = -a[i][j]
             for j in range(rows):
                 left[i][j] = -left[i][j]
+                linv[j][i] = -linv[j][i]
             d = -d
         diag.append(d)
     return SmithDecomposition(IntMatrix.from_rows(left) if rows else IntMatrix(0, 0),
                               tuple(diag),
-                              IntMatrix.from_rows(right) if cols else IntMatrix(0, 0))
+                              IntMatrix.from_rows(right) if cols else IntMatrix(0, 0),
+                              IntMatrix.from_rows(linv) if rows else IntMatrix(0, 0))
 
 
 def kernel_saturated(m: IntMatrix) -> List[Tuple[int, ...]]:

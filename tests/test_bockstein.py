@@ -68,6 +68,14 @@ def test_pages_decrease():
                 assert 0 <= d <= e.dim
 
 
+@pytest.mark.parametrize("fs", [F1, F5ADIC], ids=["k1", "k0"])
+@pytest.mark.parametrize("r", [0, -1])
+def test_pages_start_at_one(fs, r):
+    # r < 1 is no page; the 5-adic count `v >= r` would keep every torsion class
+    with pytest.raises(ValueError, match="pages start at r = 1"):
+        page_dimensions(fs, r, 1, 8)
+
+
 def test_stated_differentials_k3():
     i2 = F3.base
     x4 = cb(i2, 1, "a4^4*[r]")

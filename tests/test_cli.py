@@ -26,12 +26,18 @@ def test_usage_errors():
     with pytest.raises(ValueError):
         RunConfig(command="bockstein", tower=5)
     with pytest.raises(ValueError):
+        RunConfig(command="bockstein", page=0)
+    with pytest.raises(ValueError):
         RunConfig(command="ext", k_power=1)
     with pytest.raises(ValueError):
         RunConfig(command="ext", k_power=K_MAX + 1)
     # an unknown tower, a precision too low to see torsion, and a window
     # whose torsion exhausts the precision
     assert main(["bockstein", "--k", "5"]) == 2
+    # pages start at r = 1 on both towers
+    for k in ("0", "1"):
+        for page in ("0", "-1"):
+            assert main(["bockstein", "--k", k, "--page", page]) == 2
     assert main(["ext", "--kpower", "1", "--smax", "1", "--tmax", "8"]) == 2
     assert main(["ext", "--kpower", "2", "--smax", "1", "--tmax", "8"]) == 2
     # beyond the exact int64 accumulation bound

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import hopfext.cobar as cobar
 from hopfext.algebroid import AlgebroidSpec, quotient
 from hopfext.cobar import (
     CobarElement,
@@ -17,6 +18,7 @@ from hopfext.cobar import (
     product,
     triple_massey,
 )
+from hopfext.coefficients import IntMatrix
 FULL = AlgebroidSpec("full")
 RED = AlgebroidSpec("reduced")
 I0 = quotient(RED, 0)
@@ -130,6 +132,36 @@ def test_cohomology_integral_tower():
     assert rep == cb(RED, 1, "[r]") or rep == cb(RED, 1, "-[r]")
     g0 = cohomology(RED, 0, 16)
     assert g0.free_rank == 1 and g0.torsion == ()
+
+
+def test_integral_cohomology_guards_d_squared(monkeypatch):
+    # plant d∘d != 0: with the identity in place of d^0, the image is all of
+    # C^1, which d^1 does not kill at t = 16
+    real = cobar.differential_matrix_int
+
+    def planted(spec, s, t):
+        m = real(spec, s, t)
+        if s == 0:
+            return IntMatrix(m.rows, m.rows, {(i, i): 1 for i in range(m.rows)})
+        return m
+
+    monkeypatch.setattr(cobar, "differential_matrix_int", planted)
+    with pytest.raises(AssertionError, match=r"d\*d != 0"):
+        cohomology(RED, 1, 16)
+
+
+def test_integral_cohomology_planted_complex(monkeypatch):
+    # C^0 -> C^1 -> C^2 at t = 16 replaced by b = diag(35, 0) and a = 0:
+    # H^1 = Z/35 + Z, which is Z/5 + Z locally; torsion comes first
+    planted = {0: IntMatrix(2, 2, {(0, 0): 35}), 1: IntMatrix(1, 2)}
+    monkeypatch.setattr(cobar, "differential_matrix_int",
+                        lambda spec, s, t: planted[s])
+    g = cohomology(RED, 1, 16)
+    assert (g.free_rank, g.torsion) == (1, (1,))
+    basis = cochain_basis(RED, 1, 16)
+    for rep, key in zip(g.representatives, basis):
+        assert rep in (CobarElement(RED, 1, {key: u}) for u in (1, -1))
+    assert len(g.representatives) == 2
 
 
 def test_is_coboundary_cases():

@@ -94,7 +94,15 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 @given(small_matrices)
 def test_smith_normal_form_properties(rows):
-    m = IntMatrix.from_rows(rows)
+    _assert_smith(IntMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_smith_normal_form_empty(shape):
+    _assert_smith(IntMatrix(*shape))
+
+
+def _assert_smith(m):
     snf = smith_normal_form(m)
     prod = snf.left_transform.matmul(m).matmul(snf.right_transform)
     for (i, j), val in prod.entries.items():
@@ -108,6 +116,9 @@ def test_smith_normal_form_properties(rows):
         assert d1 > 0 and d2 % d1 == 0
     assert abs(_det(snf.left_transform.to_rows())) == 1
     assert abs(_det(snf.right_transform.to_rows())) == 1
+    ident = snf.left_transform.matmul(snf.left_inverse)
+    assert (ident.rows, ident.cols) == (m.rows, m.rows)
+    assert ident.entries == {(i, i): 1 for i in range(m.rows)}
 
 
 def test_smith_known_example():

@@ -28,6 +28,62 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name}: imported and never used: {unused}"
 
 
+def _definitions(path):
+    """(qualified name, first line, last line) of every module-level
+    function, class and constant and every method of a module-level
+    class, dunders left out since the language calls them."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        out.extend((name, node.lineno, node.end_lineno) for name in names)
+        if isinstance(node, ast.ClassDef):
+            out.extend((f"{node.name}.{item.name}", item.lineno, item.end_lineno)
+                       for item in node.body if isinstance(item, ast.FunctionDef))
+    return [d for d in out if not d[0].endswith("__")]
+
+
+def _references(path):
+    """(name, line) of every loaded name, attribute, imported name and
+    string constant (such as a tracer row) in one file."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.extend((alias.name.split(".")[-1], node.lineno)
+                       for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.value, node.lineno))
+    return out
+
+
+def test_no_unreferenced_definitions():
+    files = [p for d in ("src", "tests", "scripts", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    refs = {}
+    for path in files:
+        for name, line in _references(path):
+            refs.setdefault(name, []).append((path, line))
+    unreferenced = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, first, last in _definitions(path):
+            # a use inside its own definition (recursion) does not count
+            name = qualname.split(".")[-1]
+            if not any(p != path or not first <= line <= last
+                       for p, line in refs.get(name, ())):
+                unreferenced.append(f"{path.stem}.{qualname}")
+    assert not unreferenced, f"defined and never referenced: {unreferenced}"
+
+
 def _traced_names():
     """(module, class or None, attribute) for every row of the benchmark
     tracer's SPANS and COUNTS tables, read from its source."""

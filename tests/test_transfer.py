@@ -3,7 +3,7 @@ import pytest
 
 import hopfext.transfer as transfer
 from hopfext.algebroid import AlgebroidSpec, eta_R_int, eta_R_monomial, quotient
-from hopfext.cobar import cohomology
+from hopfext.cobar import cohomology, differential, is_coboundary
 from hopfext.coefficients import LocalRational
 from hopfext.flinalg import matmul_mod
 from hopfext.gradedpoly import Polynomial, graded_piece_basis
@@ -272,13 +272,22 @@ def test_planted_5K_divisor_raises(monkeypatch):
         integral_structure(RED, 1, 8, hi=2, k_power=k_power)
 
 
-@pytest.mark.parametrize("s,t", [(0, 16), (0, 24), (1, 8), (1, 40),
-                                 (2, 40), (2, 48), (1, 64)])
+@pytest.mark.parametrize("s,t", [(s, t) for s in range(5)
+                                 for t in range(0, 73, 8)])
 def test_integral_structure_matches_cobar(s, t):
     got_free, got_tors = integral_structure(RED, s, t, hi=s + 1, k_power=4)
     g = cohomology(RED, s, t)
     assert got_free == g.free_rank
     assert list(got_tors) == sorted(g.torsion)
+    # representatives: the torsion classes in order, then the free ones
+    assert len(g.representatives) == len(g.torsion) + g.free_rank
+    for rep in g.representatives:
+        assert not differential(rep)
+    for v, rep in zip(g.torsion, g.representatives):
+        assert is_coboundary(rep.scale(5 ** v)) is not None
+        assert is_coboundary(rep.scale(5 ** (v - 1))) is None
+    for rep in g.representatives[len(g.torsion):]:
+        assert is_coboundary(rep) is None
 
 
 def test_integral_first_line():
