@@ -7,6 +7,11 @@ base Z_(5)[a1..a4] and the monic relation r^5 + a1*r^4 + a2*r^3 + a3*r^2
 I_k = (5, a1, ..., ak).  Structure maps are exact; elements of Gamma are
 kept in a left-coefficient normal form with r-exponents below 5 in the
 reduced variant.
+
+The right unit is built once, as the integer table eta_R_int with the
+normal form of r^e from _r_power_int.  eta_R, reduce_gamma,
+push_coefficient, the cobar differential and the numeric layers read
+those two, and check_axioms certifies the table.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add, itemgetter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .gradedpoly import (
     MODE_F5,
@@ -243,84 +248,36 @@ def _relation_tail(spec: AlgebroidSpec) -> Tuple[Tuple[int, Monomial], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _reduced_r_power(spec: AlgebroidSpec, e: int) -> Tuple[Tuple[int, "Polynomial"], ...]:
-    """Normal form of r^e in the reduced variant, as (exponent, poly) pairs."""
-    ring = spec.base_ring
-    if e < P:
-        return ((e, Polynomial.constant(ring, 1)),)
-    acc: Dict[int, Polynomial] = {}
-    # r^e = r^(e-5) * r^5 = - sum_j a_j r^(e-j)
-    for exp, mono in _relation_tail(spec):
-        aj = Polynomial(ring, {mono: -1})
-        for e2, p2 in _reduced_r_power(spec, e - P + exp):
-            q = acc.get(e2)
-            q = p2 * aj if q is None else q + p2 * aj
-            if q:
-                acc[e2] = q
-            else:
-                acc.pop(e2, None)
-    return tuple(sorted(acc.items()))
-
-
 def reduce_gamma(g: GammaElement) -> GammaElement:
     """Apply the monic r^5 relation until every exponent is below 5."""
     spec = g.spec
     if spec.variant != "reduced" or all(e < P for e in g.terms):
         return g
-    out: Dict[int, Polynomial] = {}
-    for e, p in g.terms.items():
-        for e2, q in _reduced_r_power(spec, e):
-            # below r^5 the normal form is the constant 1
-            pq = p if e < P else p * q
-            acc = out.get(e2)
-            acc = pq if acc is None else acc + pq
-            if acc:
-                out[e2] = acc
-            else:
-                out.pop(e2, None)
-    res = GammaElement.__new__(GammaElement)
-    res.spec = spec
-    res.terms = {e: reduce_base(spec, p) for e, p in out.items()}
-    res.terms = {e: p for e, p in res.terms.items() if p}
-    return res
+    mod = coefficient_modulus(spec, None)
+    return _gamma(spec, ((e2, _mono_add(m, m2), c * c2)
+                         for e, p in g.terms.items()
+                         for e2, m2, c2 in _r_power_int(spec, e, mod)
+                         for m, c in p.terms.items()))
 
 
-@lru_cache(maxsize=None)
-def _eta_r_generator(spec: AlgebroidSpec, i: int) -> GammaElement:
-    # eta_R(a_i) = sum_{j=0..i} C(5-j, i-j) a_j r^(i-j), with a_0 = 1
+def _gamma(spec: AlgebroidSpec, terms: Iterable[Tuple[int, Monomial, object]]
+           ) -> GammaElement:
+    """The Gamma element summing (r-exponent, monomial, coefficient)
+    triples, such as the rows of eta_R_int."""
+    acc: Dict[int, Dict[Monomial, object]] = {}
+    for e, m, c in terms:
+        poly = acc.setdefault(e, {})
+        poly[m] = poly.get(m, 0) + c
     ring = spec.base_ring
-    terms: Dict[int, Polynomial] = {}
-    for j in range(0, i + 1):
-        c = comb(P - j, i - j)
-        if j == 0:
-            poly = Polynomial.constant(ring, c)
-        else:
-            poly = Polynomial.generator(ring, f"a{j}").scale(c)
-        e = i - j
-        terms[e] = terms.get(e, Polynomial.zero(ring)) + poly
-    return reduce_gamma(GammaElement(spec, terms))
-
-
-@lru_cache(maxsize=None)
-def eta_R_monomial(spec: AlgebroidSpec, mono: Monomial) -> GammaElement:
-    """Image of a monomial: the memoised image of mono with one factor of
-    its last generator removed, times that generator's image, so monomials
-    share their partial products."""
-    for i in range(len(mono) - 1, -1, -1):
-        if mono[i]:
-            rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-            return eta_R_monomial(spec, rest) * _eta_r_generator(spec, i + 1)
-    return GammaElement.from_base(spec, Polynomial.constant(spec.base_ring, 1))
+    return GammaElement(spec, {e: Polynomial(ring, t) for e, t in acc.items()})
 
 
 def eta_R(spec: AlgebroidSpec, x: Polynomial) -> GammaElement:
-    """Right unit: ring-map image of a base polynomial in Gamma."""
+    """Right unit: ring-map image of a base polynomial in Gamma, read off
+    the integer table eta_R_int."""
     x = reduce_base(spec, x)
-    out = GammaElement.zero(spec)
-    for mono, c in x.terms.items():
-        out = out + eta_R_monomial(spec, mono).scale(c)
-    return out
+    return _gamma(spec, ((e, m2, c * c2) for mono, c in x.terms.items()
+                         for e, m2, c2 in eta_R_int(spec, mono)))
 
 
 # --- integer right-unit table ---------------------------------------------
@@ -348,7 +305,7 @@ def sort_terms(out: List[Tuple[int, Monomial, int]]) -> None:
 
 def _int_terms(acc: Dict[Tuple[int, Monomial], int], mod: Optional[int]) -> IntTerms:
     """Nonzero (r-exponent, monomial, coefficient) triples in sort_terms
-    order."""
+    order; _push_prefix_mono keys by a word in place of the exponent."""
     out = []
     for (e, m), c in acc.items():
         if mod:
@@ -397,9 +354,10 @@ def eta_R_int(spec: AlgebroidSpec, mono: Monomial, mod: Optional[int] = None) ->
     sort_terms order.
 
     mod = 5^K gives residues and None exact integers (see
-    coefficient_modulus for quotient specs).  Built like eta_R_monomial,
-    as the image of mono with one factor of its last generator removed
-    times that generator's image, but over plain integers."""
+    coefficient_modulus for quotient specs).  The image of mono with one
+    factor of its last generator removed, times that generator's image, so
+    monomials share their partial products.  This is the one construction
+    of the right unit, and check_axioms certifies it."""
     mod = coefficient_modulus(spec, mod)
     for i in range(len(mono) - 1, -1, -1):
         if mono[i]:
@@ -506,33 +464,27 @@ def psi_reduced(spec: AlgebroidSpec, e: int) -> Tuple[Tuple[int, int, int], ...]
     return tuple((comb(e, k), k, e - k) for k in range(1, e))
 
 
-def _gamma_times_eta_r(spec: AlgebroidSpec, e: int, mono: Monomial) -> GammaElement:
-    return GammaElement.r_power(spec, e) * eta_R_monomial(spec, mono)
-
-
 @lru_cache(maxsize=None)
-def _push_prefix_mono(spec: AlgebroidSpec, word: Tuple[int, ...],
-                      mono: Monomial) -> Tuple[Tuple[Tuple[int, ...], "Polynomial"], ...]:
+def _push_prefix_mono(spec: AlgebroidSpec, word: Tuple[int, ...], mono: Monomial
+                      ) -> Tuple[Tuple[Tuple[int, ...], Monomial, int], ...]:
     """Move the base monomial sitting right of `word` across it to the global
-    left.  One move converts the coefficient through eta_R into the last
-    factor; its own coefficients then continue across the shorter prefix."""
-    ring = spec.base_ring
+    left, as (word, monomial, coefficient) triples.  One move multiplies
+    eta_R(mono) into the last factor; the monomials of that product then
+    continue across the shorter prefix."""
     if not word:
-        return (((), Polynomial(ring, {mono: 1})),)
-    g = _gamma_times_eta_r(spec, word[-1], mono)
-    out: Dict[Tuple[int, ...], Polynomial] = {}
-    for e, p in g.terms.items():
-        for m2, c2 in p.terms.items():
-            for prefix, q in _push_prefix_mono(spec, word[:-1], m2):
-                key = prefix + (e,)
-                add = q.scale(c2)
-                acc = out.get(key)
-                acc = add if acc is None else acc + add
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-    return tuple(sorted(out.items(), key=lambda kv: kv[0]))
+        return (((), mono, 1),)
+    mod = coefficient_modulus(spec, None)
+    moved: Dict[Tuple[int, Monomial], int] = {}
+    for e1, m1, c1 in eta_R_int(spec, mono):
+        for e, m2, c2 in _r_power_int(spec, word[-1] + e1, mod):
+            key = (e, _mono_add(m1, m2))
+            moved[key] = moved.get(key, 0) + c1 * c2
+    out: Dict[Tuple[Tuple[int, ...], Monomial], int] = {}
+    for (e, m), c in moved.items():
+        for prefix, m3, c3 in _push_prefix_mono(spec, word[:-1], m):
+            key = (prefix + (e,), m3)
+            out[key] = out.get(key, 0) + c * c3
+    return _int_terms(out, mod)
 
 
 def push_coefficient(spec: AlgebroidSpec, word: Tuple[int, ...], pos: int,
@@ -541,18 +493,14 @@ def push_coefficient(spec: AlgebroidSpec, word: Tuple[int, ...], pos: int,
     `pos` (pos=0 means it is already at the global left)."""
     coeff = reduce_base(spec, coeff)
     suffix = word[pos:]
-    out: Dict[Tuple[int, ...], Polynomial] = {}
+    acc: Dict[Tuple[int, ...], Dict[Monomial, object]] = {}
     for mono, c in coeff.terms.items():
-        for prefix, q in _push_prefix_mono(spec, word[:pos], mono):
-            key = prefix + suffix
-            add = q.scale(c)
-            acc = out.get(key)
-            acc = add if acc is None else acc + add
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
+        for prefix, m, c2 in _push_prefix_mono(spec, word[:pos], mono):
+            poly = acc.setdefault(prefix + suffix, {})
+            poly[m] = poly.get(m, 0) + c * c2
+    ring = spec.base_ring
+    out = {w: Polynomial(ring, t) for w, t in acc.items()}
+    return {w: p for w, p in out.items() if p}
 
 
 def quotient(spec: AlgebroidSpec, k: int) -> AlgebroidSpec:
@@ -599,21 +547,20 @@ def _check(cond: bool, detail: str):
         raise AxiomViolation(detail)
 
 
-def check_axioms(spec: AlgebroidSpec, t_max: int,
-                 eta_override: Optional[Mapping[int, GammaElement]] = None) -> Dict[str, int]:
+def check_axioms(spec: AlgebroidSpec, t_max: int) -> Dict[str, int]:
     """Verify the Hopf algebroid identities on all basis data of internal
     degree at most t_max.  Returns counts of checks performed; raises
     AxiomViolation on the first failure.
 
-    eta_override substitutes alternative right-unit images for selected
-    generators (negative-control hook for tests).
+    The right-unit images are the rows of eta_R_int, the table every
+    numeric route reads, so these checks certify that table.
     """
     ring = spec.base_ring
 
-    def eta(i: int) -> GammaElement:
-        if eta_override and i in eta_override:
-            return eta_override[i]
-        return _eta_r_generator(spec, i)
+    def eta(*gens: int) -> GammaElement:
+        # the table's image of the product of the generators a_i, i in gens
+        mono = tuple(gens.count(g) for g in range(1, spec.num_generators + 1))
+        return _gamma(spec, eta_R_int(spec, mono))
 
     counts = {"counit_unit": 0, "ring_map": 0, "degree": 0, "coassoc": 0,
               "counit_law": 0, "psi_eta_r": 0, "ideal_chain": 0}
@@ -635,12 +582,14 @@ def check_axioms(spec: AlgebroidSpec, t_max: int,
         _check(d in (None, R_DEGREE * i), f"eta_R(a{i}) not homogeneous of degree {8 * i}")
         counts["degree"] += 1
 
-    # eta_R multiplicative on generator pairs (sanity for the cached powers)
+    # eta_R multiplicative on generator pairs: the table's image of a_i*a_j
+    # is the product of the generator images in Gamma
     for i in range(1, spec.num_generators + 1):
         for j in range(i, spec.num_generators + 1):
             if R_DEGREE * (i + j) > t_max:
                 break
-            _check(eta(i) * eta(j) == eta(j) * eta(i), f"eta_R images a{i},a{j} do not commute")
+            _check(eta(i, j) == eta(i) * eta(j),
+                   f"eta_R(a{i}*a{j}) != eta_R(a{i}) * eta_R(a{j})")
             counts["ring_map"] += 1
 
     # counit laws and coassociativity on r-power basis elements

@@ -18,7 +18,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coefficients import IntMatrix, LocalRational, smith_normal_form, v5
+from .coefficients import (IntMatrix, LocalRational, SmithDecomposition,
+                           smith_normal_form, v5)
 from .flinalg import nullspace_mod, rank_mod, rref_mod, solve_mod
 from .gradedpoly import (
     InhomogeneousInput,
@@ -31,7 +32,7 @@ from .algebroid import (
     R_DEGREE,
     AlgebroidSpec,
     coefficient_piece,
-    eta_R_monomial,
+    eta_R_int,
     psi_reduced,
     push_coefficient,
 )
@@ -199,11 +200,8 @@ def differential(x: CobarElement) -> CobarElement:
             acc.pop(key, None)
 
     for (mono, word), c in x.terms.items():
-        eta = eta_R_monomial(spec, mono)
-        for e, p in eta.terms.items():
-            if e == 0:
-                continue
-            for m2, c2 in p.terms.items():
+        for e, m2, c2 in eta_R_int(spec, mono):
+            if e:
                 add((m2, (e,) + word), ring.coeff(c * c2))
         for i, e in enumerate(word):
             sign = -1 if (i + 1) % 2 else 1
@@ -258,6 +256,16 @@ def differential_matrix_mod(spec: AlgebroidSpec, s: int, t: int, mod: int) -> np
     return out
 
 
+@lru_cache(maxsize=None)
+def _image_smith(spec: AlgebroidSpec, s: int, t: int) -> SmithDecomposition:
+    """Smith normal form of the integral d^{s-1} into the (s,t) piece (of
+    a matrix with no columns at s = 0); cohomology and is_coboundary share
+    it."""
+    if s == 0:
+        return smith_normal_form(IntMatrix(len(cochain_basis(spec, 0, t)), 0))
+    return smith_normal_form(differential_matrix_int(spec, s - 1, t))
+
+
 @dataclass
 class CohomologyGroup:
     s: int
@@ -302,8 +310,7 @@ def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
 
     a = differential_matrix_int(spec, s, t)
     n = a.cols
-    b = differential_matrix_int(spec, s - 1, t) if s > 0 else IntMatrix(n, 0)
-    image = smith_normal_form(b)
+    image = _image_smith(spec, s, t)
     rank = len(image.diagonal)
     saturated = image.left_inverse.columns(0, rank)
     if a.matmul(saturated).entries:
@@ -377,7 +384,7 @@ def is_coboundary(z: CobarElement) -> Optional[CobarElement]:
         if isinstance(c, LocalRational):
             den = den * c.den // math.gcd(den, c.den)
     vec = [(c * den).num if isinstance(c, LocalRational) else int(c) * den for c in raw]
-    snf = smith_normal_form(a)
+    snf = _image_smith(spec, s, t)
     lz = [sum(snf.left_transform.get(i, j) * vec[j] for j in range(a.rows))
           for i in range(a.rows)]
     diag = snf.diagonal

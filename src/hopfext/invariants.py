@@ -1,8 +1,9 @@
 """The ring of translation invariants of the base, degree by degree.
 
 An element of A is invariant when the right unit fixes it; per degree this
-is the integer kernel of the stacked "coefficient of r^k in eta_R(x) - x"
-maps, computed saturated over Z_(5).  On top of the raw kernels the module
+is the integer kernel, saturated over Z_(5), of the "coefficient of r in
+eta_R(x)" map, certified against every "coefficient of r^k in eta_R(x) - x"
+map.  On top of the raw kernels the module
 builds the named generators (c classes, the Delta table, the discriminant),
 runs the generator census with the depth heuristic, and reports Hilbert
 data.
@@ -92,7 +93,12 @@ def invariant_basis(t: int) -> Tuple[Polynomial, ...]:
     if t == 0:
         return (Polynomial.constant(A_RING, 1),)
     mat, cols = _eta_minus_id_matrix(t)
-    vecs = kernel_saturated(mat)
+    # eta_R is a G_a-coaction, over Q equal to exp(rD) with D its r^1
+    # coefficient, so D v = 0 already forces invariance: the kernel is taken
+    # on the r^1 rows, which come first
+    r1_rows = len(graded_piece_basis(A_RING, t - R_DEG))
+    vecs = kernel_saturated(IntMatrix(r1_rows, mat.cols, {
+        (i, j): c for (i, j), c in mat.entries.items() if i < r1_rows}))
     # the r^0 part of eta_R is the identity (checked column by column in
     # _eta_minus_id_matrix), so eta_R fixes v exactly when mat * v = 0
     kernel = IntMatrix(len(cols), len(vecs),

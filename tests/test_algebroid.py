@@ -1,5 +1,6 @@
 import pytest
 
+import hopfext.algebroid as algebroid
 from hopfext.algebroid import (
     AlgebroidSpec,
     AxiomViolation,
@@ -127,10 +128,45 @@ def test_check_axioms_pass(spec):
     assert counts["coassoc"] > 0 and counts["counit_law"] > 0
 
 
-def test_check_axioms_negative_control():
-    bad = parse_gamma(FULL, "a3 + 2*a2*r + 6*a1*r^2 + 10*r^3")
+@pytest.fixture
+def plant_eta_row(monkeypatch):
+    """Replace one row of the integer right-unit table for FULL.  The table
+    builds products from its own rows, so its memo and the push memo that
+    reads it are cleared before and after."""
+    real = algebroid.eta_R_int
+
+    def clear():
+        real.cache_clear()
+        algebroid._push_prefix_mono.cache_clear()
+
+    def plant(mono, terms):
+        def planted(spec, m, mod=None):
+            return terms if (spec, m) == (FULL, mono) else real(spec, m, mod)
+        monkeypatch.setattr(algebroid, "eta_R_int", planted)
+
+    clear()
+    yield plant
+    monkeypatch.undo()
+    clear()
+
+
+def test_check_axioms_negative_control(plant_eta_row):
+    # eta_R(a3) with 2*a2*r in place of 3*a2*r
+    a1, a2, a3, one = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                       (0, 0, 0, 0, 0))
+    plant_eta_row(a3, ((0, a3, 1), (1, a2, 2), (2, a1, 6), (3, one, 10)))
     with pytest.raises(AxiomViolation):
-        check_axioms(FULL, 40, eta_override={3: bad})
+        check_axioms(FULL, 40)
+
+
+def test_check_axioms_ring_map_negative_control(plant_eta_row):
+    # the generator rows stay right and only the row of a1*a2 is off
+    a1a2 = (1, 1, 0, 0, 0)
+    terms = algebroid.eta_R_int(FULL, a1a2)
+    e, m, c = terms[-1]
+    plant_eta_row(a1a2, terms[:-1] + ((e, m, c + 1),))
+    with pytest.raises(AxiomViolation, match=r"eta_R\(a1\*a2\)"):
+        check_axioms(FULL, 40)
 
 
 def test_gamma_text_roundtrip():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -163,6 +164,19 @@ def test_disc_payload(tmp_path):
     payload = json.loads(_load(tmp_path, "disc.json"))
     assert payload["pass"] and payload["matches_table"]
     assert payload["degree"] == 160
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["axioms", "--tmax", "120"], "ffbf9c518500"),
+    (["table1"], "eb65db233380"),
+    (["disc"], "bdf5ff6a613b"),
+])
+def test_symbolic_outputs_pinned(tmp_path, argv, digest):
+    # these commands read the right unit through Gamma elements; their JSON
+    # is pinned byte for byte by the sha256 prefix of the file
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    text = (tmp_path / f"{argv[0]}.json").read_bytes()
+    assert hashlib.sha256(text).hexdigest()[:12] == digest
 
 
 def test_bockstein_dump(tmp_path):

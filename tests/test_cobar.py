@@ -134,7 +134,17 @@ def test_cohomology_integral_tower():
     assert g0.free_rank == 1 and g0.torsion == ()
 
 
-def test_integral_cohomology_guards_d_squared(monkeypatch):
+@pytest.fixture
+def fresh_smith(monkeypatch):
+    """monkeypatch, with the memoised Smith forms of d^{s-1} cleared before
+    and after, so a planted differential is read and then forgotten."""
+    cobar._image_smith.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    cobar._image_smith.cache_clear()
+
+
+def test_integral_cohomology_guards_d_squared(fresh_smith):
     # plant d∘d != 0: with the identity in place of d^0, the image is all of
     # C^1, which d^1 does not kill at t = 16
     real = cobar.differential_matrix_int
@@ -145,16 +155,16 @@ def test_integral_cohomology_guards_d_squared(monkeypatch):
             return IntMatrix(m.rows, m.rows, {(i, i): 1 for i in range(m.rows)})
         return m
 
-    monkeypatch.setattr(cobar, "differential_matrix_int", planted)
+    fresh_smith.setattr(cobar, "differential_matrix_int", planted)
     with pytest.raises(AssertionError, match=r"d\*d != 0"):
         cohomology(RED, 1, 16)
 
 
-def test_integral_cohomology_planted_complex(monkeypatch):
+def test_integral_cohomology_planted_complex(fresh_smith):
     # C^0 -> C^1 -> C^2 at t = 16 replaced by b = diag(35, 0) and a = 0:
     # H^1 = Z/35 + Z, which is Z/5 + Z locally; torsion comes first
     planted = {0: IntMatrix(2, 2, {(0, 0): 35}), 1: IntMatrix(1, 2)}
-    monkeypatch.setattr(cobar, "differential_matrix_int",
+    fresh_smith.setattr(cobar, "differential_matrix_int",
                         lambda spec, s, t: planted[s])
     g = cohomology(RED, 1, 16)
     assert (g.free_rank, g.torsion) == (1, (1,))
@@ -162,6 +172,27 @@ def test_integral_cohomology_planted_complex(monkeypatch):
     for rep, key in zip(g.representatives, basis):
         assert rep in (CobarElement(RED, 1, {key: u}) for u in (1, -1))
     assert len(g.representatives) == 2
+
+
+def test_one_smith_form_of_d_per_cell(fresh_smith):
+    # cohomology and every is_coboundary at (s, t) share one Smith form of
+    # d^{s-1}; class_equal_up_to_unit tries three units here
+    shapes = []
+    real = cobar.smith_normal_form
+
+    def counted(m):
+        shapes.append((m.rows, m.cols))
+        return real(m)
+
+    fresh_smith.setattr(cobar, "smith_normal_form", counted)
+    b = cobar.differential_matrix_int(RED, 1, 40)
+    g = cohomology(RED, 2, 40)
+    assert g.torsion == (1,)
+    rep = g.representatives[0]
+    assert class_equal_up_to_unit(rep, rep.scale(2))
+    assert is_coboundary(rep) is None
+    assert shapes.count((b.rows, b.cols)) == 1
+    assert len(shapes) == 2
 
 
 def test_is_coboundary_cases():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfext.coefficients import LocalRational
+from hopfext.coefficients import LocalRational, kernel_saturated
 from hopfext.flinalg import rank_mod
 from hopfext.gradedpoly import graded_piece_basis, parse_polynomial
 from hopfext.transfer import partitions_2345
@@ -71,6 +71,23 @@ def test_kernel_certificate_catches_a_moved_vector(monkeypatch):
     monkeypatch.setattr(inv, "kernel_saturated", perturbed)
     with pytest.raises(InvarianceFailure):
         invariant_basis.__wrapped__(t)
+
+
+def test_r1_block_kernel_matches_full_kernel(monkeypatch):
+    # invariant_basis takes the kernel of the r^1 rows alone; it is the
+    # kernel of every stacked r^k row, vector for vector
+    seen = []
+
+    def recorded(mat):
+        seen.append(kernel_saturated(mat))
+        return seen[-1]
+
+    monkeypatch.setattr(inv, "kernel_saturated", recorded)
+    for t in range(8, 129, 8):
+        seen.clear()
+        invariant_basis.__wrapped__(t)
+        mat, _ = inv._eta_minus_id_matrix(t)
+        assert seen == [kernel_saturated(mat)], t
 
 
 @pytest.mark.parametrize("corrupt", ["scale", "extra"])
