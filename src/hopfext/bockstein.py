@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -27,10 +27,11 @@ from .cobar import (
     vector_to_element,
 )
 from .coefficients import LocalRational
-from .flinalg import diagonal_valuations, rank_gf5, solve_mod
+from .flinalg import rank_gf5, solve_mod
 from .transfer import (
     R_DEG,
     certified_free_rank,
+    differential_valuations,
     small_basis,
     transferred_matrix,
 )
@@ -73,39 +74,37 @@ class PageEntry:
 
 # --- page dimensions (transferred complex) ---------------------------------
 
-def _small_filtration(fspec: FiltrationSpec, s: int, t: int, hi: int
-                      ) -> np.ndarray:
-    basis = small_basis(fspec.base, s, t, hi, 5)
+def _small_filtration(fspec: FiltrationSpec, s: int, t: int) -> np.ndarray:
+    basis = small_basis(fspec.base, s, t, 5)
     pos = fspec.k - 1
     return np.array([mono[pos] for _, mono in basis], dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
-def _z_dim(fspec: FiltrationSpec, s: int, t: int, u: int, r: int, hi: int
-           ) -> int:
+def _z_dim(fspec: FiltrationSpec, s: int, t: int, u: int, r: int) -> int:
     """dim {x in F^u C^s : D x in F^(u+r)} over F5.
 
     u may be negative (F^u is then the whole space) while the target
     filtration u + r keeps its stated value."""
-    filt_src = _small_filtration(fspec, s, t, hi)
+    filt_src = _small_filtration(fspec, s, t)
     cols = np.nonzero(filt_src >= max(u, 0))[0]
     if cols.size == 0:
         return 0
-    d = transferred_matrix(fspec.base, s, t, hi, 5)
-    filt_dst = _small_filtration(fspec, s + 1, t, hi)
+    d = transferred_matrix(fspec.base, s, t, 5)
+    filt_dst = _small_filtration(fspec, s + 1, t)
     rows = np.nonzero(filt_dst < u + r)[0]
     if rows.size == 0 or d.size == 0:
         return int(cols.size)
     return int(cols.size) - rank_gf5(d[np.ix_(rows, cols)])
 
 
-def page_entry_dim(fspec: FiltrationSpec, r: int, s: int, t: int, u: int,
-                   hi: int) -> int:
+def page_entry_dim(fspec: FiltrationSpec, r: int, s: int, t: int, u: int
+                   ) -> int:
     """dim E_r^{s,t,u} by the filtered-complex rank formula."""
-    val = _z_dim(fspec, s, t, u, r, hi) - _z_dim(fspec, s, t, u + 1, r - 1, hi)
+    val = _z_dim(fspec, s, t, u, r) - _z_dim(fspec, s, t, u + 1, r - 1)
     if s > 0:
-        val -= _z_dim(fspec, s - 1, t, u - r + 1, r - 1, hi)
-        val += _z_dim(fspec, s - 1, t, u - r + 1, r, hi)
+        val -= _z_dim(fspec, s - 1, t, u - r + 1, r - 1)
+        val += _z_dim(fspec, s - 1, t, u - r + 1, r)
     return val
 
 
@@ -118,18 +117,17 @@ def page_dimensions(fspec: FiltrationSpec, r: int, s_max: int, t_max: int,
     """Nonzero E_r entries in the window, ordered by (t, s, u)."""
     if r < 1:
         raise ValueError("pages start at r = 1")
-    hi = s_max + 1
     out: List[PageEntry] = []
     for t in range(0, t_max + 1, R_DEG):
         if fspec.k == 0:
             for s in range(0, s_max + 1):
-                d = _five_adic_page_dim(fspec, r, s, t, hi, k_power)
+                d = _five_adic_page_dim(fspec, r, s, t, k_power)
                 if d:
                     out.append(PageEntry(s, t, 0, d))
             continue
         for s in range(0, s_max + 1):
             for u in range(0, _u_max(fspec, t) + 1):
-                d = page_entry_dim(fspec, r, s, t, u, hi)
+                d = page_entry_dim(fspec, r, s, t, u)
                 if d:
                     out.append(PageEntry(s, t, u, d))
     return out
@@ -144,29 +142,16 @@ def infinity_page(fspec: FiltrationSpec, s_max: int, t_max: int,
     return page_dimensions(fspec, r, s_max, t_max, k_power)
 
 
-@lru_cache(maxsize=None)
-def _valuations(spec: AlgebroidSpec, s: int, t: int, hi: int, k_power: int
-                ) -> Tuple[int, ...]:
-    mod = 5 ** k_power
-    dim_dst = len(small_basis(spec, s + 1, t, hi, mod))
-    dim_src = len(small_basis(spec, s, t, hi, mod))
-    if dim_dst == 0 or dim_src == 0:
-        return ()
-    return tuple(diagonal_valuations(
-        transferred_matrix(spec, s, t, hi, mod), k_power))
-
-
 def _five_adic_page_dim(fspec: FiltrationSpec, r: int, s: int, t: int,
-                        hi: int, k_power: int) -> int:
+                        k_power: int) -> int:
     """E_r of the 5-adic tower: free rank plus torsion surviving r-1
     Bockstein differentials on either side."""
     spec = fspec.base
-    mod = 5 ** k_power
-    dim = len(small_basis(spec, s, t, hi, mod))
+    dim = len(small_basis(spec, s, t, 5 ** k_power))
     if dim == 0:
         return 0
-    here = _valuations(spec, s, t, hi, k_power)
-    below = _valuations(spec, s - 1, t, hi, k_power) if s else ()
+    here = differential_valuations(spec, s, t, k_power)
+    below = differential_valuations(spec, s - 1, t, k_power) if s else ()
     free = certified_free_rank(dim, here + below, s, t, k_power)
     return free + sum(1 for v in here if v >= r) + sum(1 for v in below if v >= r)
 

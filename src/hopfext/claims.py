@@ -110,7 +110,7 @@ def _top_quotient_ring():
             _require(dual_h_dim(s, 8 * n) == reduced_word_h_dim(n, s),
                      f"word complex disagrees at (s, n) = {(s, n)}")
     for s, t in ((0, 0), (1, 8), (2, 40), (3, 48), (4, 80), (2, 48), (5, 96)):
-        _require(ext_dim(I[4], s, t, hi=6) == dual_h_dim(s, t),
+        _require(ext_dim(I[4], s, t) == dual_h_dim(s, t),
                  f"ext_dim mod I4 disagrees at {(s, t)}")
 
 
@@ -173,7 +173,7 @@ def _v1_algebra_hilbert():
         for t in range(0, 401, 8):
             stated[(s, t)] = presented_dim(s, t)
             completed[(s, t)] = presented_dim(s, t, completed=True)
-            ext[(s, t)] = ext_dim(I[1], s, t, hi=7)
+            ext[(s, t)] = ext_dim(I[1], s, t)
     wrong = [c for c in ext if completed[c] != ext[c]]
     _require(not wrong, f"completed model disagrees with ext_dim at {wrong}")
     mismatches = sorted(c for c in ext if stated[c] != ext[c])
@@ -228,7 +228,7 @@ def _full_reduced():
         fq = quotient(FULL, k)
         for s in range(0, 5):
             for t in range(8, 241, 8):
-                _require(ext_dim(I[k], s, t, hi=5) == ext_dim(fq, s, t, hi=5),
+                _require(ext_dim(I[k], s, t) == ext_dim(fq, s, t),
                          f"presentations disagree at (k, s, t) = {(k, s, t)}")
 
 
@@ -336,7 +336,7 @@ def _integral_window():
             expected[(s, 160 * j + dt)] = (0, (1,))
     for s in range(1, 5):
         for t in range(8, 241, 8):
-            free, torsion = integral_structure(RED, s, t, hi=5, k_power=4)
+            free, torsion = integral_structure(RED, s, t, k_power=4)
             want = expected.get((s, t), (0, ()))
             _require((free, tuple(torsion)) == want,
                      f"H^{(s, t)} = {(free, tuple(torsion))}, expected {want}")
@@ -345,7 +345,7 @@ def _integral_window():
     # it agrees with the closed count, so the closed count carries the
     # rest of the window
     for t in range(0, 241, 8):
-        got = integral_structure(RED, 0, t, hi=5, k_power=4)
+        got = integral_structure(RED, 0, t, k_power=4)
         want = (partitions_2345(t // 8), ())
         _require(got == want, f"H^{(0, t)} = {got}, expected {want}")
     for t in range(0, H0_T_CEILING + 1, 8):

@@ -88,17 +88,16 @@ def cmd_ext(config: RunConfig) -> int:
     from .transfer import ext_dim, integral_structure
     spec = AlgebroidSpec("reduced", config.ideal)
     entries = []
-    hi = config.s_max + 1
     for t in range(0, config.t_max + 1, 8):
         for s in range(0, config.s_max + 1):
             if config.ideal is None:
                 free, torsion = integral_structure(
-                    spec, s, t, hi=hi, k_power=config.k_power)
+                    spec, s, t, k_power=config.k_power)
                 if free or torsion:
                     entries.append({"s": s, "t": t, "free": free,
                                     "torsion": list(torsion)})
             else:
-                dim = ext_dim(spec, s, t, hi=hi)
+                dim = ext_dim(spec, s, t)
                 if dim:
                     entries.append({"s": s, "t": t, "dim": dim})
     payload = {"schema": f"{SCHEMA_PREFIX}/ext/1", "variant": "reduced",

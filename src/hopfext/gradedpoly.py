@@ -1,6 +1,6 @@
 """Graded sparse multivariate polynomials over the coefficient modes used by
 the engine: Z_(5) (exact fractions with 5-unit denominators allowed), F5,
-Z/5^K, and Q.
+and Q.  Work mod 5^K runs on integer arrays, not on these polynomials.
 
 Monomials are exponent tuples aligned with the ring's generators.  All
 per-degree enumeration is in graded-lexicographic order with the first
@@ -20,7 +20,6 @@ Monomial = Tuple[int, ...]
 
 MODE_LOCAL = "Z_local5"
 MODE_F5 = "F5"
-MODE_MOD5K = "Zmod5K"
 MODE_Q = "Q"
 
 
@@ -47,12 +46,11 @@ class InhomogeneousInput(ValueError):
 @dataclass(frozen=True)
 class RingSpec:
     """Graded polynomial ring: generator names, even positive degrees, and a
-    coefficient mode (optionally mod 5^K)."""
+    coefficient mode."""
 
     names: Tuple[str, ...]
     degrees: Tuple[int, ...]
     mode: str = MODE_LOCAL
-    mod_power: int = 1  # K, only meaningful for Zmod5K
 
     def __post_init__(self):
         if len(self.names) != len(self.degrees):
@@ -61,16 +59,12 @@ class RingSpec:
             raise ValueError("generator names must be unique")
         if any(d <= 0 for d in self.degrees):
             raise ValueError("generator degrees must be positive")
-        if self.mode not in (MODE_LOCAL, MODE_F5, MODE_MOD5K, MODE_Q):
+        if self.mode not in (MODE_LOCAL, MODE_F5, MODE_Q):
             raise ValueError(f"unknown coefficient mode {self.mode!r}")
 
     @property
     def modulus(self) -> Optional[int]:
-        if self.mode == MODE_F5:
-            return 5
-        if self.mode == MODE_MOD5K:
-            return 5 ** self.mod_power
-        return None
+        return 5 if self.mode == MODE_F5 else None
 
     def coeff(self, value) -> object:
         """Normalize a raw coefficient into this ring's domain."""

@@ -2,8 +2,11 @@
 
 The cobar complex in a fixed internal degree splits coefficient-side
 (monomials) against word-side (bar slots).  The word-side part is
-contracted by the wordcx module; this module perturbs that contraction by
-the coefficient-feeding part of the differential, giving a small complex
+contracted by the wordcx module, which caches a contraction per level;
+each read of it here (h, iota or pi on a word or tensor factor) asks for
+the level equal to the length of the word it reads, so no retraction
+depth is fixed in advance.  This module perturbs that contraction by the
+coefficient-feeding part of the differential, giving a small complex
 with the same cohomology.  All the large-window computations (Ext tables,
 integral structure, spectral sequence pages) run here.
 
@@ -20,7 +23,8 @@ adds each block to one run of rows.
 For the full presentation, cochains are written in the extended letter
 alphabet, where the right-unit image of the top base generator occupies
 its own letter and the transfer data assembles tensorially from block and
-tail retractions.
+tail retractions.  A reduced word is a letter word with no blocks, so both
+presentations share one path.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .algebroid import (
 from .flinalg import diagonal_valuations, matmul_mod, rank_gf5
 from .gradedpoly import Monomial
 from .wordcx import (
+    CellContraction,
     block_contraction,
     block_words,
     reduced_contraction,
@@ -120,27 +125,24 @@ def _col_items(mat: np.ndarray, j: int) -> List[Tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _h_word(spec: AlgebroidSpec, word: Word, hi: int, mod: int
-            ) -> Tuple[Tuple[Word, int], ...]:
-    """Homotopy applied to a single word, as (lower word, coeff) pairs."""
-    if spec.variant == "reduced":
-        n, s = sum(word), len(word)
-        con = reduced_contraction(n, hi, mod)
-        low = reduced_words(n, s - 1)
-        return tuple((low[i], c) for i, c in
-                     _col_items(con.h[s], _cell_index(n, s)[word]))
+def _h_word(word: Word, mod: int) -> Tuple[Tuple[Word, int], ...]:
+    """Homotopy applied to a single word, as (lower word, coeff) pairs.
+
+    The word factors into z-terminated blocks and a bounded tail (a
+    reduced word is all tail); h acts on one factor, iota pi on the later
+    ones."""
     blocks, tailw = split_blocks(word)
     factors = list(blocks) + [tailw]
     out: Dict[Word, int] = {}
     prefix: Word = ()
     for i, f in enumerate(factors):
-        hv = _factor_h(f, hi, mod)
+        hv = _factor_h(f, mod)
         if hv:
             sign = -1 if len(prefix) % 2 else 1
             parts: List[List[Tuple[Word, int]]] = [list(hv.items())]
             dead = False
             for g in factors[i + 1:]:
-                pv = _factor_proj(g, hi, mod)
+                pv = _factor_proj(g, mod)
                 if not pv:
                     dead = True
                     break
@@ -156,62 +158,49 @@ def _h_word(spec: AlgebroidSpec, word: Word, hi: int, mod: int
     return tuple((w, c) for w, c in out.items() if c)
 
 
-def _factor_h(f: Word, hi: int, mod: int) -> Dict[Word, int]:
+def _factor(f: Word, mod: int) -> Tuple[CellContraction, int]:
+    """Contraction through level len(f) of the complex holding the nonempty
+    factor f (a block or a bounded word), and f's index at that level."""
+    n, s = sum(f), len(f)
+    if f[-1] >= 5:
+        return block_contraction(n, s, mod), _block_index(n, s)[f]
+    return reduced_contraction(n, s, mod), _cell_index(n, s)[f]
+
+
+def _factor_h(f: Word, mod: int) -> Dict[Word, int]:
     if not f:
         return {}
-    if f[-1] >= 5:
-        con = block_contraction(sum(f), hi, mod)
-        low = block_words(sum(f), len(f) - 1)
-        idx = _block_index(sum(f), len(f))[f]
-    else:
-        con = reduced_contraction(sum(f), hi, mod)
-        low = reduced_words(sum(f), len(f) - 1)
-        idx = _cell_index(sum(f), len(f))[f]
-    s = len(f)
-    if s not in con.h or not con.h[s].size:
-        return {}
-    return {low[i]: c for i, c in _col_items(con.h[s], idx)}
+    con, idx = _factor(f, mod)
+    low = con.words.get(len(f) - 1, ())
+    return {low[i]: c for i, c in _col_items(con.h[len(f)], idx)}
 
 
-def _factor_proj(f: Word, hi: int, mod: int) -> Dict[Word, int]:
+def _factor_proj(f: Word, mod: int) -> Dict[Word, int]:
     """iota compose pi on one tensor factor."""
     if not f:
         return {(): 1}
+    con, idx = _factor(f, mod)
     s = len(f)
-    if f[-1] >= 5:
-        con = block_contraction(sum(f), hi, mod)
-        words = block_words(sum(f), s)
-        idx = _block_index(sum(f), s)[f]
-    else:
-        con = reduced_contraction(sum(f), hi, mod)
-        words = reduced_words(sum(f), s)
-        idx = _cell_index(sum(f), s)[f]
     if con.h_dim(s) == 0:
         return {}
     vec = matmul_mod(con.iota[s], con.pi[s][:, idx:idx + 1], mod)[:, 0]
-    return {words[i]: int(vec[i]) for i in np.nonzero(vec)[0]}
+    return {con.words[s][i]: int(vec[i]) for i in np.nonzero(vec)[0]}
 
 
 # --- small basis ------------------------------------------------------------
 
-# reduced label: (n, j); full label: (zletters, tail_n, tail_j)
+# label: (z letters, tail weight, tail class); a reduced label has no z letters
 
 @lru_cache(maxsize=None)
-def small_word_labels(spec: AlgebroidSpec, s: int, n: int, hi: int, mod: int
+def small_word_labels(spec: AlgebroidSpec, s: int, n: int, mod: int
                       ) -> Tuple[Tuple, ...]:
     """Harmonic word classes at word length s and weight n."""
-    if spec.variant == "reduced":
-        con = reduced_contraction(n, hi, mod)
-        return tuple((n, j) for j in range(con.h_dim(s)))
     out = []
-    for b in range(0, s + 1):
+    for b in range(0, s + 1 if spec.variant == "full" else 1):
         for zs in _zweight_tuples(b, n):
             tail_n = n - sum(zs)
-            st = s - b
-            if st < 0:
-                continue
-            con = reduced_contraction(tail_n, hi, mod)
-            for j in range(con.h_dim(st)):
+            con = reduced_contraction(tail_n, s - b, mod)
+            for j in range(con.h_dim(s - b)):
                 out.append((zs, tail_n, j))
     return tuple(out)
 
@@ -228,28 +217,18 @@ def _zweight_tuples(b: int, n_max: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _pi_word(spec: AlgebroidSpec, word: Word, hi: int, mod: int
-             ) -> Tuple[Tuple[Tuple, int], ...]:
+def _pi_word(word: Word, mod: int) -> Tuple[Tuple[Tuple, int], ...]:
     """Projection of a word onto harmonic labels (monomial untouched)."""
-    if spec.variant == "reduced":
-        n, s = sum(word), len(word)
-        con = reduced_contraction(n, hi, mod)
-        if con.h_dim(s) == 0:
-            return ()
-        idx = _cell_index(n, s)[word]
-        col = con.pi[s][:, idx]
-        return tuple(((n, int(j)), int(col[j])) for j in np.nonzero(col)[0])
     blocks, tailw = split_blocks(word)
     coeff = 1
     zs = []
     for f in blocks:
         if len(f) != 1 or f[0] % 5 != 0:
             return ()
-        con = block_contraction(f[0], hi, mod)
-        coeff = coeff * int(con.pi[1][0, 0]) % mod
+        coeff = coeff * int(block_contraction(f[0], 1, mod).pi[1][0, 0]) % mod
         zs.append(f[0])
     tail_n, st = sum(tailw), len(tailw)
-    con = reduced_contraction(tail_n, hi, mod)
+    con = reduced_contraction(tail_n, st, mod)
     if con.h_dim(st) == 0:
         return ()
     col = con.pi[st][:, _cell_index(tail_n, st)[tailw]]
@@ -258,30 +237,19 @@ def _pi_word(spec: AlgebroidSpec, word: Word, hi: int, mod: int
 
 
 @lru_cache(maxsize=None)
-def _iota_label(spec: AlgebroidSpec, s: int, label: Tuple, hi: int, mod: int
-                ) -> Tuple[Tuple[Word, int], ...]:
-    if spec.variant == "reduced":
-        n, j = label
-        con = reduced_contraction(n, hi, mod)
-        words = reduced_words(n, s)
-        col = con.iota[s][:, j]
-        return tuple((words[i], int(col[i])) for i in np.nonzero(col)[0])
+def _iota_label(s: int, label: Tuple, mod: int) -> Tuple[Tuple[Word, int], ...]:
     zs, tail_n, j = label
     coeff = 1
-    head: Word = ()
     for w in zs:
-        con = block_contraction(w, hi, mod)
-        coeff = coeff * int(con.iota[1][0, 0]) % mod
-        head = head + (w,)
+        coeff = coeff * int(block_contraction(w, 1, mod).iota[1][0, 0]) % mod
     st = s - len(zs)
-    con = reduced_contraction(tail_n, hi, mod)
-    words = reduced_words(tail_n, st)
+    con = reduced_contraction(tail_n, st, mod)
     col = con.iota[st][:, j]
-    return tuple((head + words[i], coeff * int(col[i]) % mod)
+    return tuple((zs + con.words[st][i], coeff * int(col[i]) % mod)
                  for i in np.nonzero(col)[0])
 
 
-def _label_runs(spec: AlgebroidSpec, s: int, t: int, hi: int, mod: int
+def _label_runs(spec: AlgebroidSpec, s: int, t: int, mod: int
                 ) -> Tuple[Tuple[Tuple, int], ...]:
     """(label, coefficient degree) runs of the small basis at (s, t).
 
@@ -290,13 +258,13 @@ def _label_runs(spec: AlgebroidSpec, s: int, t: int, hi: int, mod: int
     if s < 0 or t % R_DEG:
         return ()
     return tuple((label, t - R_DEG * n) for n in range(t // R_DEG + 1)
-                 for label in small_word_labels(spec, s, n, hi, mod))
+                 for label in small_word_labels(spec, s, n, mod))
 
 
-def small_basis(spec: AlgebroidSpec, s: int, t: int, hi: int, mod: int
+def small_basis(spec: AlgebroidSpec, s: int, t: int, mod: int
                 ) -> Tuple[Tuple[Tuple, Monomial], ...]:
     """Deterministic basis of the transferred complex at (s, t)."""
-    return tuple((label, mono) for label, d in _label_runs(spec, s, t, hi, mod)
+    return tuple((label, mono) for label, d in _label_runs(spec, s, t, mod)
                  for mono in coefficient_piece(spec, d))
 
 
@@ -354,11 +322,10 @@ def _delta_blocks(spec: AlgebroidSpec, blocks: Blocks, t: int, mod: int
     return out
 
 
-def _h_blocks(spec: AlgebroidSpec, blocks: Blocks, hi: int, mod: int
-              ) -> Blocks:
+def _h_blocks(blocks: Blocks, mod: int) -> Blocks:
     out: Blocks = {}
     for word, blk in blocks.items():
-        for w2, cf in _h_word(spec, word, hi, mod):
+        for w2, cf in _h_word(word, mod):
             if w2 in out:
                 out[w2] += cf * blk
             else:
@@ -368,19 +335,17 @@ def _h_blocks(spec: AlgebroidSpec, blocks: Blocks, hi: int, mod: int
 
 
 @lru_cache(maxsize=None)
-def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, hi: int, mod: int
+def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, mod: int
                        ) -> np.ndarray:
     """Matrix of the perturbed differential small(s, t) -> small(s+1, t),
     the sum pi delta (h delta)^k iota over k >= 0."""
-    if s + 1 > hi:
-        raise ValueError("window exceeds the retraction depth")
     offsets: Dict[Tuple, int] = {}
     height = 0
-    for label, d in _label_runs(spec, s + 1, t, hi, mod):
+    for label, d in _label_runs(spec, s + 1, t, mod):
         offsets[label] = height
         height += len(coefficient_piece(spec, d))
     src = [(label, len(coefficient_piece(spec, d)))
-           for label, d in _label_runs(spec, s, t, hi, mod)]
+           for label, d in _label_runs(spec, s, t, mod)]
     width = sum(size for _, size in src)
     out = np.zeros((height, width), dtype=np.int64)
     if not width or not height:
@@ -389,7 +354,7 @@ def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, hi: int, mod: int
     col = 0
     for label, size in src:
         diag = (np.arange(size), col + np.arange(size))
-        for word, cf in _iota_label(spec, s, label, hi, mod):
+        for word, cf in _iota_label(s, label, mod):
             if word not in blocks:
                 blocks[word] = np.zeros((size, width), dtype=np.int64)
             blocks[word][diag] += cf
@@ -398,23 +363,23 @@ def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, hi: int, mod: int
     while blocks:
         blocks = _delta_blocks(spec, blocks, t, mod)
         for word, blk in blocks.items():
-            for label, cf in _pi_word(spec, word, hi, mod):
+            for label, cf in _pi_word(word, mod):
                 row = offsets.get(label)
                 if row is None:
                     raise AssertionError("projection left the small basis")
                 part = out[row:row + len(blk)]
                 part[:] = (part + cf * blk) % mod
-        blocks = _h_blocks(spec, blocks, hi, mod)
+        blocks = _h_blocks(blocks, mod)
     return out
 
 
-def ext_dim(spec: AlgebroidSpec, s: int, t: int, hi: int) -> int:
+def ext_dim(spec: AlgebroidSpec, s: int, t: int) -> int:
     """Mod-5 cohomology dimension at (s, t) via the transferred complex."""
-    dim = len(small_basis(spec, s, t, hi, 5))
+    dim = len(small_basis(spec, s, t, 5))
     if dim == 0:
         return 0
-    r_below = rank_gf5(transferred_matrix(spec, s - 1, t, hi, 5)) if s else 0
-    r_here = rank_gf5(transferred_matrix(spec, s, t, hi, 5))
+    r_below = rank_gf5(transferred_matrix(spec, s - 1, t, 5)) if s else 0
+    r_here = rank_gf5(transferred_matrix(spec, s, t, 5))
     return dim - r_below - r_here
 
 
@@ -458,23 +423,28 @@ def certified_free_rank(dim: int, valuations: Sequence[int], s: int, t: int,
     return free
 
 
-def integral_structure(spec: AlgebroidSpec, s: int, t: int, hi: int,
-                       k_power: int) -> Tuple[int, Tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def differential_valuations(spec: AlgebroidSpec, s: int, t: int, k_power: int
+                            ) -> Tuple[int, ...]:
+    """Elementary divisor valuations, read mod 5^K, of the transferred
+    differential out of (s, t)."""
+    return tuple(diagonal_valuations(
+        transferred_matrix(spec, s, t, 5 ** k_power), k_power))
+
+
+def integral_structure(spec: AlgebroidSpec, s: int, t: int, k_power: int
+                       ) -> Tuple[int, Tuple[int, ...]]:
     """(free rank, torsion exponents) of H^{s,t} over Z_(5).
 
     Works mod 5^K on the transferred complex; certified_free_rank checks
     the answer against the precision and the rational rank."""
     if spec.quotient_level is not None:
         raise ValueError("integral structure needs the unquotiented spec")
-    mod = 5 ** k_power
-    dim = len(small_basis(spec, s, t, hi, mod))
+    dim = len(small_basis(spec, s, t, 5 ** k_power))
     if dim == 0:
         return 0, ()
-    below = transferred_matrix(spec, s - 1, t, hi, mod) if s else \
-        np.zeros((dim, 0), dtype=np.int64)
-    here = transferred_matrix(spec, s, t, hi, mod)
-    v_below = diagonal_valuations(below, k_power)
-    v_here = diagonal_valuations(here, k_power)
+    v_below = differential_valuations(spec, s - 1, t, k_power) if s else ()
+    v_here = differential_valuations(spec, s, t, k_power)
     free = certified_free_rank(dim, v_below + v_here, s, t, k_power)
     torsion = tuple(sorted(v for v in v_below if v > 0))
     return free, torsion

@@ -8,7 +8,10 @@ weight gives a finite complex of words; this module builds those
 complexes, contracts them onto their (small) cohomology, and exposes the
 projection / inclusion / homotopy triple that the transfer layer perturbs.
 Each level costs two eliminations: one echelon of the differential and
-one, of kernel-dimension size, of the boundaries (see _contract).
+one, of kernel-dimension size, of the boundaries (see _grow).  A
+contraction is cached per (weight, level, modulus) and the one through
+level s is the cached one through s - 1 plus one level, so each level is
+eliminated once; the transfer layer reads a word at its own length.
 
 Two alphabets appear.  The bounded alphabet has one letter of each weight
 1..4 (bar slots r..r^4), used for the reduced presentation.  The extended
@@ -102,18 +105,21 @@ def word_matrix(src: Tuple[Word, ...], dst: Tuple[Word, ...], mod: int,
 
 @dataclass
 class CellContraction:
-    """Per-weight retraction data: for each level s in [lo, hi], harmonic
-    inclusion iota, projection pi, and homotopy h (mapping level s to s-1),
-    satisfying d h + h d = 1 - iota pi with h h = 0, pi h = 0, h iota = 0."""
+    """Per-weight retraction data through level `top`: for each level s in
+    [lo, top], harmonic inclusion iota, projection pi, and homotopy h
+    (mapping level s to s-1), satisfying d h + h d = 1 - iota pi with
+    h h = 0, pi h = 0, h iota = 0; piv[s] are the pivot columns of the
+    echelon of d[s]."""
 
     mod: int
     lo: int
-    hi: int
+    top: int
     words: Dict[int, Tuple[Word, ...]]
     d: Dict[int, np.ndarray]
     iota: Dict[int, np.ndarray]
     pi: Dict[int, np.ndarray]
     h: Dict[int, np.ndarray]
+    piv: Dict[int, List[int]]
 
     def dim(self, s: int) -> int:
         return len(self.words.get(s, ()))
@@ -145,9 +151,10 @@ def _retract_level(ds: np.ndarray, bmat: np.ndarray, mod: int
     return piv, free, iota, red2[:, nb:]
 
 
-def _contract(words_by_s: Dict[int, Tuple[Word, ...]], mod: int,
-              lo: int, hi: int) -> CellContraction:
-    """Contract levels lo..hi with two eliminations per level.
+def _grow(con: CellContraction, here: Tuple[Word, ...],
+          above: Tuple[Word, ...]) -> CellContraction:
+    """`con` with one more level s = con.top + 1, whose differential maps
+    the words `here` to the words `above`; levels below s are shared.
 
     With P and F the pivot and free columns of the echelon of d[s], the
     echelon kernel basis is the identity on F, and the complement E of
@@ -160,50 +167,51 @@ def _contract(words_by_s: Dict[int, Tuple[Word, ...]], mod: int,
     inverse of the full basis [bmat | iota | E] is M^-1 on the F columns
     and 0 on P in its top rows, so pi[s] is the H rows of M^-1 and h[s]
     is its boundary rows, placed at the previous level's pivot rows."""
-    d = {s: word_matrix(words_by_s.get(s, ()), words_by_s.get(s + 1, ()), mod)
-         for s in range(lo, hi + 1)}
-    iota: Dict[int, np.ndarray] = {}
-    pi: Dict[int, np.ndarray] = {}
-    h: Dict[int, np.ndarray] = {}
-    piv: List[int] = []
-    bmat = np.zeros((len(words_by_s.get(lo, ())), 0), dtype=np.int64)
-    for s in range(lo, hi + 1):
-        dim, prev_piv = d[s].shape[1], piv
-        piv, free, iota[s], minv = _retract_level(d[s], bmat, mod)
-        nb = len(prev_piv)
-        pi[s] = np.zeros((len(free) - nb, dim), dtype=np.int64)
-        pi[s][:, free] = minv[nb:]
-        h[s] = np.zeros((len(words_by_s.get(s - 1, ())), dim), dtype=np.int64)
-        h[s][np.ix_(prev_piv, free)] = minv[:nb]
-        bmat = d[s][:, piv]
-    return CellContraction(mod, lo, hi, words_by_s, d, iota, pi, h)
+    s, mod = con.top + 1, con.mod
+    words = {**con.words, s: here, s + 1: above}
+    ds = word_matrix(here, above, mod)
+    prev_piv = con.piv.get(s - 1, [])
+    bmat = con.d[s - 1][:, prev_piv] if s - 1 in con.d else \
+        np.zeros((len(here), 0), dtype=np.int64)
+    piv, free, iota, minv = _retract_level(ds, bmat, mod)
+    nb = len(prev_piv)
+    pi = np.zeros((len(free) - nb, ds.shape[1]), dtype=np.int64)
+    pi[:, free] = minv[nb:]
+    h = np.zeros((len(words.get(s - 1, ())), ds.shape[1]), dtype=np.int64)
+    h[np.ix_(prev_piv, free)] = minv[:nb]
+    return CellContraction(mod, con.lo, s, words, {**con.d, s: ds},
+                           {**con.iota, s: iota}, {**con.pi, s: pi},
+                           {**con.h, s: h}, {**con.piv, s: piv})
 
 
 @lru_cache(maxsize=None)
-def reduced_contraction(n: int, hi: int, mod: int) -> CellContraction:
-    """Retraction of the bounded-alphabet weight-n complex, levels up to hi."""
+def reduced_contraction(n: int, s: int, mod: int) -> CellContraction:
+    """Retraction of the bounded-alphabet weight-n complex through level s:
+    the cached one through s - 1 plus one level."""
     lo = 0 if n == 0 else (n + CAP - 1) // CAP
-    hi = min(hi, n) if n else 0
-    words = {s: reduced_words(n, s) for s in range(lo, hi + 2)}
-    return _contract(words, mod, lo, hi)
+    if s > n:
+        return reduced_contraction(n, n, mod)
+    if s < lo:
+        return CellContraction(mod, lo, lo - 1, {}, {}, {}, {}, {}, {})
+    return _grow(reduced_contraction(n, s - 1, mod), reduced_words(n, s),
+                 reduced_words(n, s + 1))
 
 
 @lru_cache(maxsize=None)
-def block_contraction(W: int, hi: int, mod: int) -> CellContraction:
-    """Retraction of the weight-W block complex (last letter carries z).
+def block_contraction(W: int, s: int, mod: int) -> CellContraction:
+    """Retraction of the weight-W block complex (last letter carries z)
+    through level s, grown like reduced_contraction.
 
     Cohomology is one line: dimension 1 at level 1 when 5 divides W (the
-    bare z power), zero otherwise; asserted during construction."""
-    lo = 1
-    hi = max(hi, 1)
-    words = {s: block_words(W, s) for s in range(lo, hi + 2)}
-    out = _contract(words, mod, lo, hi)
-    expect = 1 if W % 5 == 0 else 0
-    for s in range(lo, hi + 1):
-        want = expect if s == 1 else 0
-        if out.h_dim(s) != want:
-            raise AssertionError(f"block weight {W} level {s}: "
-                                 f"harmonic dim {out.h_dim(s)} != {want}")
+    bare z power), zero otherwise; asserted as each level is added."""
+    if s < 1:
+        return CellContraction(mod, 1, 0, {}, {}, {}, {}, {}, {})
+    out = _grow(block_contraction(W, s - 1, mod), block_words(W, s),
+                block_words(W, s + 1))
+    want = int(s == 1 and W % 5 == 0)
+    if out.h_dim(s) != want:
+        raise AssertionError(f"block weight {W} level {s}: "
+                             f"harmonic dim {out.h_dim(s)} != {want}")
     return out
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-import hopfext.bockstein as bockstein
+import hopfext.transfer as transfer
 from hopfext.algebroid import AlgebroidSpec, quotient
 from hopfext.bockstein import (
     FiltrationSpec,
@@ -50,21 +50,21 @@ def test_first_page_is_tensor_decomposition():
         for s in range(0, 3):
             for t in (24, 48, 72, 104):
                 for u in range(0, t // (8 * k) + 1):
-                    want = ext_dim(over, s, t - 8 * k * u, hi=s + 1)
-                    assert page_entry_dim(fs, 1, s, t, u, hi=s + 1) == want, \
+                    want = ext_dim(over, s, t - 8 * k * u)
+                    assert page_entry_dim(fs, 1, s, t, u) == want, \
                         (k, s, t, u)
 
 
 def test_first_page_single_monomial_entry():
     # the class a3 sits alone at filtration 1 of the k=3 tower
-    assert page_entry_dim(F3, 1, 0, 24, 1, hi=2) == 1
+    assert page_entry_dim(F3, 1, 0, 24, 1) == 1
 
 
 def test_pages_decrease():
     for fs in (F3, F2, F1):
         for e in page_dimensions(fs, 1, 3, 96):
             for r in (2, 3, 4):
-                d = page_entry_dim(fs, r, e.s, e.t, e.u, hi=4)
+                d = page_entry_dim(fs, r, e.s, e.t, e.u)
                 assert 0 <= d <= e.dim
 
 
@@ -161,7 +161,7 @@ def test_convergence_to_quotient_cohomology():
             inf[key] = inf.get(key, 0) + e.dim
         for s in range(0, 4):
             for t in range(8, 105, 8):
-                want = ext_dim(fs.base, s, t, hi=s + 1)
+                want = ext_dim(fs.base, s, t)
                 assert inf.get((s, t), 0) == want, (fs, s, t)
 
 
@@ -176,16 +176,17 @@ def test_five_adic_page_rejects_planted_5K_divisor(monkeypatch):
     # the Z/5 divisor out of (0, 8), scaled to 5^K, reads as zero mod 5^K
     # and would leave a free class where the rational rank is 0
     k_power = 4
-    real = bockstein.transferred_matrix
+    real = transfer.transferred_matrix
 
-    def planted(spec, s, t, hi, mod):
-        mat = real(spec, s, t, hi, mod)
+    def planted(spec, s, t, mod):
+        mat = real(spec, s, t, mod)
         return mat * 5 ** (k_power - 1) % mod if s == 0 else mat
 
-    monkeypatch.setattr(bockstein, "transferred_matrix", planted)
-    bockstein._valuations.cache_clear()
+    monkeypatch.setattr(transfer, "transferred_matrix", planted)
+    # a valuation cached by an earlier test would hide the plant
+    transfer.differential_valuations.cache_clear()
     try:
         with pytest.raises(PrecisionExhausted):
             page_dimensions(F5ADIC, 1, 1, 8, k_power)
     finally:
-        bockstein._valuations.cache_clear()
+        transfer.differential_valuations.cache_clear()

@@ -47,7 +47,7 @@ def test_completed_model_matches_cobar_sample():
     for s in range(0, 5):
         for t in range(0, 161, 8):
             assert presented_dim(s, t, completed=True) == \
-                ext_dim(I1, s, t, hi=6), (s, t)
+                ext_dim(I1, s, t), (s, t)
 
 
 def _monomials_by_filter(s, t):

@@ -73,7 +73,7 @@ def test_dual_resolution_matches_word_ranks():
 
 
 def _check_identities(c):
-    for s in range(c.lo, c.hi + 1):
+    for s in range(c.lo, c.top + 1):
         dim = c.dim(s)
         if dim == 0:
             continue
@@ -105,7 +105,7 @@ def _check_identities(c):
 def test_reduced_contraction_identities(n, mod):
     c = reduced_contraction(n, n, mod)
     _check_identities(c)
-    for s in range(c.lo, c.hi + 1):
+    for s in range(c.lo, c.top + 1):
         assert c.h_dim(s) == reduced_word_h_dim(n, s)
 
 
@@ -113,7 +113,7 @@ def test_reduced_contraction_identities(n, mod):
 def test_block_contraction(W):
     c = block_contraction(W, 4, 5)
     _check_identities(c)
-    total = sum(c.h_dim(s) for s in range(c.lo, c.hi + 1))
+    total = sum(c.h_dim(s) for s in range(c.lo, c.top + 1))
     assert total == (1 if W % 5 == 0 else 0)
     if W % 5 == 0:
         # the harmonic class is the bare z power
@@ -129,18 +129,18 @@ def test_block_words_and_split():
     assert tail == (3, 1)
 
 
-def _contract_reference(words_by_s, mod, lo, hi):
+def _contract_reference(words_by_s, mod, lo, top):
     """Four eliminations per level: nullspace of d[s], greedy harmonic
     columns from [bmat | ker], greedy unit complement from [base | I], then
-    the inverse of the full basis.  The reference for wordcx._contract."""
+    the inverse of the full basis.  The reference for wordcx._grow."""
     d = {}
-    for s in range(lo, hi + 1):
+    for s in range(lo, top + 1):
         d[s] = word_matrix(words_by_s.get(s, ()), words_by_s.get(s + 1, ()), mod)
     iota, pi, h = {}, {}, {}
     prev_dim = len(words_by_s.get(lo - 1, ()))
     prev_e = np.zeros((prev_dim, 0), dtype=np.int64)
     bmat = np.zeros((len(words_by_s.get(lo, ())), 0), dtype=np.int64)
-    for s in range(lo, hi + 1):
+    for s in range(lo, top + 1):
         dim = len(words_by_s.get(s, ()))
         if dim == 0:
             iota[s] = np.zeros((0, 0), dtype=np.int64)
@@ -184,7 +184,7 @@ def _contract_reference(words_by_s, mod, lo, hi):
 
 
 def _assert_matches_reference(c):
-    ref = _contract_reference(c.words, c.mod, c.lo, c.hi)
+    ref = _contract_reference(c.words, c.mod, c.lo, c.top)
     for name, want in zip(("d", "iota", "pi", "h"), ref):
         got = getattr(c, name)
         assert sorted(got) == sorted(want), name
@@ -194,18 +194,37 @@ def _assert_matches_reference(c):
 
 
 @pytest.mark.parametrize("mod", [5, 625])
-@pytest.mark.parametrize("hi", [3, 5, 7])
-def test_reduced_contraction_matches_reference(hi, mod):
-    # n = 4 * hi + 1 has its lowest level above hi: no levels at all
-    for n in list(range(0, 12)) + [4 * hi + 1]:
-        _assert_matches_reference(reduced_contraction(n, hi, mod))
+@pytest.mark.parametrize("top", [3, 5, 7])
+def test_reduced_contraction_matches_reference(top, mod):
+    # n = 4 * top + 1 has its lowest level above top: no levels at all
+    for n in list(range(0, 12)) + [4 * top + 1]:
+        _assert_matches_reference(reduced_contraction(n, top, mod))
 
 
 @pytest.mark.parametrize("mod", [5, 625])
-@pytest.mark.parametrize("hi", [3, 5])
-def test_block_contraction_matches_reference(hi, mod):
+@pytest.mark.parametrize("top", [3, 5])
+def test_block_contraction_matches_reference(top, mod):
     for W in range(1, 21):
-        _assert_matches_reference(block_contraction(W, hi, mod))
+        _assert_matches_reference(block_contraction(W, top, mod))
+
+
+def _shares_levels(low, high):
+    assert low.top <= high.top
+    for name in ("d", "iota", "pi", "h"):
+        for s, arr in getattr(low, name).items():
+            assert getattr(high, name)[s] is arr, (name, s)
+
+
+@pytest.mark.parametrize("mod", [5, 625])
+def test_contraction_levels_are_built_once(mod):
+    # a deeper contraction extends the shallower one: each level of a
+    # weight is eliminated once, and every depth reads the same arrays
+    for n in range(0, 13):
+        _shares_levels(reduced_contraction(n, 3, mod),
+                       reduced_contraction(n, 7, mod))
+    for W in range(5, 21):
+        _shares_levels(block_contraction(W, 2, mod),
+                       block_contraction(W, 5, mod))
 
 
 def test_stuck_column_trips_the_prime_power_guard():
