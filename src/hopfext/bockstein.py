@@ -75,7 +75,7 @@ class PageEntry:
 # --- page dimensions (transferred complex) ---------------------------------
 
 def _small_filtration(fspec: FiltrationSpec, s: int, t: int) -> np.ndarray:
-    basis = small_basis(fspec.base, s, t, 5)
+    basis = small_basis(fspec.base, s, t)
     pos = fspec.k - 1
     return np.array([mono[pos] for _, mono in basis], dtype=np.int64)
 
@@ -147,7 +147,7 @@ def _five_adic_page_dim(fspec: FiltrationSpec, r: int, s: int, t: int,
     """E_r of the 5-adic tower: free rank plus torsion surviving r-1
     Bockstein differentials on either side."""
     spec = fspec.base
-    dim = len(small_basis(spec, s, t, 5 ** k_power))
+    dim = len(small_basis(spec, s, t))
     if dim == 0:
         return 0
     here = differential_valuations(spec, s, t, k_power)

@@ -1,14 +1,14 @@
-"""Transfer of the cobar differential onto the word-cohomology basis.
+"""Transfer of the cobar differential onto the critical-word basis.
 
 The cobar complex in a fixed internal degree splits coefficient-side
 (monomials) against word-side (bar slots).  The word-side part is
-contracted by the wordcx module, which caches a contraction per level;
-each read of it here (h, iota or pi on a word or tensor factor) asks for
-the level equal to the length of the word it reads, so no retraction
-depth is fixed in advance.  This module perturbs that contraction by the
-coefficient-feeding part of the differential, giving a small complex
-with the same cohomology.  All the large-window computations (Ext tables,
-integral structure, spectral sequence pages) run here.
+contracted by the wordcx module in closed form, by an acyclic matching on
+words; each read of it here (h, iota pi or pi on a tensor factor of a
+word) asks for the maps at that one word, so no word basis is enumerated.
+This module perturbs that contraction by the coefficient-feeding part of
+the differential, giving a small complex with the same cohomology.  All
+the large-window computations (Ext tables, integral structure, spectral
+sequence pages) run here.
 
 The perturbation series pi delta sum_k (h delta)^k iota runs on word
 blocks: a chain at internal degree t is one int64 array per bar word, whose
@@ -18,12 +18,12 @@ touches only coefficients, so it is one matrix per piece degree and slot
 weight, applied through float64 BLAS (flinalg.matmul_mod, exact under its
 bound); h touches only words, so it is one scalar multiple of a block per
 word image; and the small basis is label-major over the same pieces, so pi
-adds each block to one run of rows.
+adds each block to one run of rows.  Its labels are the critical words.
 
 For the full presentation, cochains are written in the extended letter
 alphabet, where the right-unit image of the top base generator occupies
 its own letter and the transfer data assembles tensorially from block and
-tail retractions.  A reduced word is a letter word with no blocks, so both
+tail contractions.  A reduced word is a letter word with no blocks, so both
 presentations share one path.
 """
 
@@ -44,30 +44,15 @@ from .algebroid import (
 from .flinalg import diagonal_valuations, matmul_mod, rank_gf5
 from .gradedpoly import Monomial
 from .wordcx import (
-    CellContraction,
+    Contraction,
     block_contraction,
-    block_words,
+    critical_word,
     reduced_contraction,
-    reduced_words,
     split_blocks,
 )
 
 Word = Tuple[int, ...]
 R_DEG = 8
-
-
-def _word_index(words: Sequence[Word]) -> Dict[Word, int]:
-    return {w: i for i, w in enumerate(words)}
-
-
-@lru_cache(maxsize=None)
-def _cell_index(n: int, s: int) -> Dict[Word, int]:
-    return _word_index(reduced_words(n, s))
-
-
-@lru_cache(maxsize=None)
-def _block_index(W: int, s: int) -> Dict[Word, int]:
-    return _word_index(block_words(W, s))
 
 
 # --- coefficient tails ------------------------------------------------------
@@ -118,10 +103,22 @@ def eta_items_L(spec: AlgebroidSpec, mono: Monomial, mod: int
 
 # --- per-word contraction actions ------------------------------------------
 
-def _col_items(mat: np.ndarray, j: int) -> List[Tuple[int, int]]:
-    col = mat[:, j]
-    nz = np.nonzero(col)[0]
-    return [(int(i), int(col[i])) for i in nz]
+def _factor_maps(word: Word, mod: int) -> List[Tuple[Word, Contraction]]:
+    """The tensor factors of a word, its z-terminated blocks and then its
+    bounded tail, each with the Morse maps at it."""
+    blocks, tailw = split_blocks(word)
+    return [(f, block_contraction(f, mod)) for f in blocks] + \
+        [(tailw, reduced_contraction(tailw, mod))]
+
+
+def _tensor(parts: Sequence[Dict[Word, int]], mod: int) -> Dict[Word, int]:
+    """Tensor product of per-factor images, as concatenated words.  Each
+    part's words share one length, so no two products concatenate alike."""
+    out: Dict[Word, int] = {(): 1}
+    for part in parts:
+        out = {w + w2: c * c2 % mod
+               for w, c in out.items() for w2, c2 in part.items()}
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -131,77 +128,31 @@ def _h_word(word: Word, mod: int) -> Tuple[Tuple[Word, int], ...]:
     The word factors into z-terminated blocks and a bounded tail (a
     reduced word is all tail); h acts on one factor, iota pi on the later
     ones."""
-    blocks, tailw = split_blocks(word)
-    factors = list(blocks) + [tailw]
+    factors = _factor_maps(word, mod)
     out: Dict[Word, int] = {}
     prefix: Word = ()
-    for i, f in enumerate(factors):
-        hv = _factor_h(f, mod)
-        if hv:
-            sign = -1 if len(prefix) % 2 else 1
-            parts: List[List[Tuple[Word, int]]] = [list(hv.items())]
-            dead = False
-            for g in factors[i + 1:]:
-                pv = _factor_proj(g, mod)
-                if not pv:
-                    dead = True
-                    break
-                parts.append(list(pv.items()))
-            if not dead:
-                stack = [(prefix, sign)]
-                for choices in parts:
-                    stack = [(w + w2, c * c2 % mod)
-                             for (w, c) in stack for (w2, c2) in choices]
-                for w, c in stack:
-                    out[w] = (out.get(w, 0) + c) % mod
+    for i, (f, con) in enumerate(factors):
+        sign = -1 if len(prefix) % 2 else 1
+        parts = [{prefix: sign}, con.h] + [g.proj for _, g in factors[i + 1:]]
+        for w, c in _tensor(parts, mod).items():
+            out[w] = (out.get(w, 0) + c) % mod
         prefix = prefix + f
     return tuple((w, c) for w, c in out.items() if c)
 
 
-def _factor(f: Word, mod: int) -> Tuple[CellContraction, int]:
-    """Contraction through level len(f) of the complex holding the nonempty
-    factor f (a block or a bounded word), and f's index at that level."""
-    n, s = sum(f), len(f)
-    if f[-1] >= 5:
-        return block_contraction(n, s, mod), _block_index(n, s)[f]
-    return reduced_contraction(n, s, mod), _cell_index(n, s)[f]
-
-
-def _factor_h(f: Word, mod: int) -> Dict[Word, int]:
-    if not f:
-        return {}
-    con, idx = _factor(f, mod)
-    low = con.words.get(len(f) - 1, ())
-    return {low[i]: c for i, c in _col_items(con.h[len(f)], idx)}
-
-
-def _factor_proj(f: Word, mod: int) -> Dict[Word, int]:
-    """iota compose pi on one tensor factor."""
-    if not f:
-        return {(): 1}
-    con, idx = _factor(f, mod)
-    s = len(f)
-    if con.h_dim(s) == 0:
-        return {}
-    vec = matmul_mod(con.iota[s], con.pi[s][:, idx:idx + 1], mod)[:, 0]
-    return {con.words[s][i]: int(vec[i]) for i in np.nonzero(vec)[0]}
-
-
 # --- small basis ------------------------------------------------------------
 
-# label: (z letters, tail weight, tail class); a reduced label has no z letters
+# label: a critical extended word, its z letters then a critical bounded word
 
 @lru_cache(maxsize=None)
-def small_word_labels(spec: AlgebroidSpec, s: int, n: int, mod: int
-                      ) -> Tuple[Tuple, ...]:
-    """Harmonic word classes at word length s and weight n."""
+def small_word_labels(spec: AlgebroidSpec, s: int, n: int) -> Tuple[Word, ...]:
+    """Critical words at word length s and weight n."""
     out = []
     for b in range(0, s + 1 if spec.variant == "full" else 1):
         for zs in _zweight_tuples(b, n):
-            tail_n = n - sum(zs)
-            con = reduced_contraction(tail_n, s - b, mod)
-            for j in range(con.h_dim(s - b)):
-                out.append((zs, tail_n, j))
+            tail = critical_word(n - sum(zs))
+            if tail is not None and len(tail) == s - b:
+                out.append(zs + tail)
     return tuple(out)
 
 
@@ -217,40 +168,21 @@ def _zweight_tuples(b: int, n_max: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _pi_word(word: Word, mod: int) -> Tuple[Tuple[Tuple, int], ...]:
-    """Projection of a word onto harmonic labels (monomial untouched)."""
-    blocks, tailw = split_blocks(word)
-    coeff = 1
-    zs = []
-    for f in blocks:
-        if len(f) != 1 or f[0] % 5 != 0:
-            return ()
-        coeff = coeff * int(block_contraction(f[0], 1, mod).pi[1][0, 0]) % mod
-        zs.append(f[0])
-    tail_n, st = sum(tailw), len(tailw)
-    con = reduced_contraction(tail_n, st, mod)
-    if con.h_dim(st) == 0:
-        return ()
-    col = con.pi[st][:, _cell_index(tail_n, st)[tailw]]
-    return tuple(((tuple(zs), tail_n, int(j)), coeff * int(col[j]) % mod)
-                 for j in np.nonzero(col)[0])
+def _pi_word(word: Word, mod: int) -> Tuple[Tuple[Word, int], ...]:
+    """Projection of a word onto the critical words (monomial untouched)."""
+    return tuple(_tensor([con.pi for _, con in _factor_maps(word, mod)],
+                         mod).items())
 
 
 @lru_cache(maxsize=None)
-def _iota_label(s: int, label: Tuple, mod: int) -> Tuple[Tuple[Word, int], ...]:
-    zs, tail_n, j = label
-    coeff = 1
-    for w in zs:
-        coeff = coeff * int(block_contraction(w, 1, mod).iota[1][0, 0]) % mod
-    st = s - len(zs)
-    con = reduced_contraction(tail_n, st, mod)
-    col = con.iota[st][:, j]
-    return tuple((zs + con.words[st][i], coeff * int(col[i]) % mod)
-                 for i in np.nonzero(col)[0])
+def _iota_label(label: Word, mod: int) -> Tuple[Tuple[Word, int], ...]:
+    # each factor of a critical word is critical, so its proj is its iota
+    return tuple(_tensor([con.proj for _, con in _factor_maps(label, mod)],
+                         mod).items())
 
 
-def _label_runs(spec: AlgebroidSpec, s: int, t: int, mod: int
-                ) -> Tuple[Tuple[Tuple, int], ...]:
+def _label_runs(spec: AlgebroidSpec, s: int, t: int
+                ) -> Tuple[Tuple[Word, int], ...]:
     """(label, coefficient degree) runs of the small basis at (s, t).
 
     The basis is label-major: each harmonic label of weight n is followed by
@@ -258,13 +190,13 @@ def _label_runs(spec: AlgebroidSpec, s: int, t: int, mod: int
     if s < 0 or t % R_DEG:
         return ()
     return tuple((label, t - R_DEG * n) for n in range(t // R_DEG + 1)
-                 for label in small_word_labels(spec, s, n, mod))
+                 for label in small_word_labels(spec, s, n))
 
 
-def small_basis(spec: AlgebroidSpec, s: int, t: int, mod: int
-                ) -> Tuple[Tuple[Tuple, Monomial], ...]:
+def small_basis(spec: AlgebroidSpec, s: int, t: int
+                ) -> Tuple[Tuple[Word, Monomial], ...]:
     """Deterministic basis of the transferred complex at (s, t)."""
-    return tuple((label, mono) for label, d in _label_runs(spec, s, t, mod)
+    return tuple((label, mono) for label, d in _label_runs(spec, s, t)
                  for mono in coefficient_piece(spec, d))
 
 
@@ -341,11 +273,11 @@ def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, mod: int
     the sum pi delta (h delta)^k iota over k >= 0."""
     offsets: Dict[Tuple, int] = {}
     height = 0
-    for label, d in _label_runs(spec, s + 1, t, mod):
+    for label, d in _label_runs(spec, s + 1, t):
         offsets[label] = height
         height += len(coefficient_piece(spec, d))
     src = [(label, len(coefficient_piece(spec, d)))
-           for label, d in _label_runs(spec, s, t, mod)]
+           for label, d in _label_runs(spec, s, t)]
     width = sum(size for _, size in src)
     out = np.zeros((height, width), dtype=np.int64)
     if not width or not height:
@@ -354,7 +286,7 @@ def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, mod: int
     col = 0
     for label, size in src:
         diag = (np.arange(size), col + np.arange(size))
-        for word, cf in _iota_label(s, label, mod):
+        for word, cf in _iota_label(label, mod):
             if word not in blocks:
                 blocks[word] = np.zeros((size, width), dtype=np.int64)
             blocks[word][diag] += cf
@@ -375,7 +307,7 @@ def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, mod: int
 
 def ext_dim(spec: AlgebroidSpec, s: int, t: int) -> int:
     """Mod-5 cohomology dimension at (s, t) via the transferred complex."""
-    dim = len(small_basis(spec, s, t, 5))
+    dim = len(small_basis(spec, s, t))
     if dim == 0:
         return 0
     r_below = rank_gf5(transferred_matrix(spec, s - 1, t, 5)) if s else 0
@@ -440,7 +372,7 @@ def integral_structure(spec: AlgebroidSpec, s: int, t: int, k_power: int
     the answer against the precision and the rational rank."""
     if spec.quotient_level is not None:
         raise ValueError("integral structure needs the unquotiented spec")
-    dim = len(small_basis(spec, s, t, 5 ** k_power))
+    dim = len(small_basis(spec, s, t))
     if dim == 0:
         return 0, ()
     v_below = differential_valuations(spec, s - 1, t, k_power) if s else ()

@@ -1,17 +1,12 @@
-"""Fixed-weight word complexes of the cobar construction, with numeric
-strong deformation retractions onto their cohomology.
+"""Fixed-weight word complexes of the cobar construction, contracted in
+closed form by an acyclic matching on words.
 
 The cobar differential is the sum of a slot-splitting part (coefficient
 untouched) and a coefficient-feeding part.  The splitting part preserves
 the total r-weight of the bar word and is block-diagonal over it, so each
-weight gives a finite complex of words; this module builds those
-complexes, contracts them onto their (small) cohomology, and exposes the
-projection / inclusion / homotopy triple that the transfer layer perturbs.
-Each level costs two eliminations: one echelon of the differential and
-one, of kernel-dimension size, of the boundaries (see _grow).  A
-contraction is cached per (weight, level, modulus) and the one through
-level s is the cached one through s - 1 plus one level, so each level is
-eliminated once; the transfer layer reads a word at its own length.
+weight gives a finite complex of words.  This module contracts those
+complexes onto their critical words and exposes the projection /
+inclusion / homotopy triple that the transfer layer perturbs.
 
 Two alphabets appear.  The bounded alphabet has one letter of each weight
 1..4 (bar slots r..r^4), used for the reduced presentation.  The extended
@@ -20,6 +15,34 @@ for the slot z^(w div 5) * r^(w mod 5), where z is the right-unit image of
 the top base generator.  z is coproduct-passive, so extended words factor
 into z-terminated blocks followed by a bounded tail, and the whole complex
 is a tensor product of small pieces.
+
+The contraction is algebraic discrete Morse theory (Skoldberg, Trans. AMS
+358 (2006); Jollenbeck-Welker, Mem. AMS 197 (2009)) for this matching:
+
+- bounded word: skip its leading (1, 4) pairs and read the next letter.  A
+  letter a >= 2 makes the word the lower cell, matched with the split
+  (1, a - 1) of that letter at coefficient -+a; a 1 followed by b <= 3
+  makes it the upper cell, matched with the merge 1 + b.  The words left,
+  (1, 4)^k and (1, 4)^k 1, are critical.
+- block word ending in H = 5m + j: for j >= 1 it is the lower cell,
+  matched with the split (j, H - j) at coefficient +-1; for j = 0 and more
+  than one letter it is the upper cell; (W,) with 5 | W is critical.
+
+Every matched coefficient is a 5-unit, so one construction serves F5 and
+every Z/5^K.  With h0 the inverse of the matched part (an upper word to its
+lower partner) and delta the differential minus the matched part, the
+perturbation lemma gives
+
+    h = h0 - h delta h0,   pi = pi0 - pi delta h0,
+    iota = sum_k (-h0 delta)^k   on critical words,
+
+so d h + h d = 1 - iota pi with h h = 0, pi h = 0 and h iota = 0.  No
+critical word appears in any delta h0 of this matching, so pi is pi0.  The
+maps are read one word at a time and memoised per (word, modulus): no word
+basis is enumerated and nothing is eliminated.  The recursion is shallow:
+the only upper words in delta h0 of an upper word split a letter of its
+leading (1, 4) pairs, so each step has fewer such pairs and h recurses at
+most s / 2 deep at level s (block words do not recurse at all).
 """
 
 from __future__ import annotations
@@ -27,12 +50,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .cobar import compositions
-from .flinalg import nullspace_gf5, rank_gf5, rref_gf5, rref_mod
+from .flinalg import nullspace_gf5, rank_gf5, rref_gf5
 
 Word = Tuple[int, ...]
 
@@ -69,18 +92,6 @@ def reduced_words(n: int, s: int) -> Tuple[Word, ...]:
     return tuple(compositions(n, s, CAP))
 
 
-@lru_cache(maxsize=None)
-def block_words(W: int, s: int) -> Tuple[Word, ...]:
-    """Extended-alphabet words of weight W whose last letter carries z."""
-    if s < 1 or W < 5 + (s - 1):
-        return ()
-    out = []
-    for heavy in range(5, W - (s - 1) + 1):
-        for prefix in compositions(W - heavy, s - 1, CAP):
-            out.append(prefix + (heavy,))
-    return tuple(out)
-
-
 def split_blocks(word: Word) -> Tuple[Tuple[Word, ...], Word]:
     """Factor an extended word into z-terminated blocks and the bounded tail."""
     blocks = []
@@ -103,116 +114,136 @@ def word_matrix(src: Tuple[Word, ...], dst: Tuple[Word, ...], mod: int,
     return m
 
 
-@dataclass
-class CellContraction:
-    """Per-weight retraction data through level `top`: for each level s in
-    [lo, top], harmonic inclusion iota, projection pi, and homotopy h
-    (mapping level s to s-1), satisfying d h + h d = 1 - iota pi with
-    h h = 0, pi h = 0, h iota = 0; piv[s] are the pivot columns of the
-    echelon of d[s]."""
+# --- the Morse contraction (see the module docstring) ----------------------
 
-    mod: int
-    lo: int
-    top: int
-    words: Dict[int, Tuple[Word, ...]]
-    d: Dict[int, np.ndarray]
-    iota: Dict[int, np.ndarray]
-    pi: Dict[int, np.ndarray]
-    h: Dict[int, np.ndarray]
-    piv: Dict[int, List[int]]
-
-    def dim(self, s: int) -> int:
-        return len(self.words.get(s, ()))
-
-    def h_dim(self, s: int) -> int:
-        return self.iota[s].shape[1] if s in self.iota else 0
+class MatchingError(ArithmeticError):
+    """A matched pair whose coefficient is not a 5-unit: h0 cannot invert
+    it over Z/5^K, so the matching does not contract the complex."""
 
 
-def _retract_level(ds: np.ndarray, bmat: np.ndarray, mod: int
-                   ) -> Tuple[List[int], List[int], np.ndarray, np.ndarray]:
-    """One level of the retraction: `ds` is d[s], `bmat` the boundaries of
-    the previous level's complement.  Returns the pivot columns P and free
-    columns F of the echelon of d[s], iota, and M^-1 for M = [bmat_F | H_F]."""
-    rref = rref_gf5 if mod == 5 else (lambda a: rref_mod(a, mod))
-    red, piv = rref(ds)
-    # d ker = 0 exactly when no stuck 5-divisible column leaves residue
-    if np.any(red[len(piv):]):
-        raise AssertionError("echelon kernel failed over the prime power")
-    free = sorted(set(range(ds.shape[1])) - set(piv))
-    nb = bmat.shape[1]
-    red2, piv2 = rref(np.concatenate(
-        [bmat[free], np.eye(len(free), dtype=np.int64)], axis=1))
-    if piv2[:nb] != list(range(nb)):
-        raise AssertionError("boundary columns are not independent")
-    hcols = [free[p - nb] for p in piv2[nb:]]
-    iota = np.zeros((ds.shape[1], len(hcols)), dtype=np.int64)
-    iota[hcols, range(len(hcols))] = 1
-    iota[piv] = (-red[:len(piv)][:, hcols]) % mod
-    return piv, free, iota, red2[:, nb:]
+def critical_word(n: int) -> Optional[Word]:
+    """The critical bounded word of weight n: (1, 4)^k for n = 5k,
+    (1, 4)^k 1 for n = 5k + 1, and none for other weights."""
+    k, j = divmod(n, 5)
+    return (1, 4) * k + (1,) * j if j < 2 else None
 
 
-def _grow(con: CellContraction, here: Tuple[Word, ...],
-          above: Tuple[Word, ...]) -> CellContraction:
-    """`con` with one more level s = con.top + 1, whose differential maps
-    the words `here` to the words `above`; levels below s are shared.
-
-    With P and F the pivot and free columns of the echelon of d[s], the
-    echelon kernel basis is the identity on F, and the complement E of
-    ker d[s] is the unit vectors at P: the kernel vector of a free column
-    f is e_f minus pivot columns p < f, so e_f lies in span(ker, e_{<f}).
-    So the next level's boundaries are the columns d[s][:, P], and a
-    kernel element is fixed by its F coordinates.  The second
-    elimination, of [bmat_F | I_F], picks the harmonic columns H greedily
-    after the boundaries and returns M^-1 for M = [bmat_F | H_F].  The
-    inverse of the full basis [bmat | iota | E] is M^-1 on the F columns
-    and 0 on P in its top rows, so pi[s] is the H rows of M^-1 and h[s]
-    is its boundary rows, placed at the previous level's pivot rows."""
-    s, mod = con.top + 1, con.mod
-    words = {**con.words, s: here, s + 1: above}
-    ds = word_matrix(here, above, mod)
-    prev_piv = con.piv.get(s - 1, [])
-    bmat = con.d[s - 1][:, prev_piv] if s - 1 in con.d else \
-        np.zeros((len(here), 0), dtype=np.int64)
-    piv, free, iota, minv = _retract_level(ds, bmat, mod)
-    nb = len(prev_piv)
-    pi = np.zeros((len(free) - nb, ds.shape[1]), dtype=np.int64)
-    pi[:, free] = minv[nb:]
-    h = np.zeros((len(words.get(s - 1, ())), ds.shape[1]), dtype=np.int64)
-    h[np.ix_(prev_piv, free)] = minv[:nb]
-    return CellContraction(mod, con.lo, s, words, {**con.d, s: ds},
-                           {**con.iota, s: iota}, {**con.pi, s: pi},
-                           {**con.h, s: h}, {**con.piv, s: piv})
+def _match(word: Word) -> Optional[Tuple[Word, bool]]:
+    """The partner of a word and whether the word is the upper (longer)
+    cell of the pair; None for a critical word."""
+    if word and word[-1] >= 5:
+        j = word[-1] % 5
+        if j:
+            return word[:-1] + (j, word[-1] - j), False
+        if len(word) > 1:
+            return word[:-2] + (word[-2] + word[-1],), True
+        return None
+    p = 0
+    while word[p:p + 2] == (1, 4):
+        p += 2
+    if word[p:] in ((), (1,)):
+        return None
+    if word[p] >= 2:
+        return word[:p] + (1, word[p] - 1) + word[p + 1:], False
+    return word[:p] + (1 + word[p + 1],) + word[p + 2:], True
 
 
-@lru_cache(maxsize=None)
-def reduced_contraction(n: int, s: int, mod: int) -> CellContraction:
-    """Retraction of the bounded-alphabet weight-n complex through level s:
-    the cached one through s - 1 plus one level."""
-    lo = 0 if n == 0 else (n + CAP - 1) // CAP
-    if s > n:
-        return reduced_contraction(n, n, mod)
-    if s < lo:
-        return CellContraction(mod, lo, lo - 1, {}, {}, {}, {}, {}, {})
-    return _grow(reduced_contraction(n, s - 1, mod), reduced_words(n, s),
-                 reduced_words(n, s + 1))
+def _h0(word: Word, mod: int) -> Optional[Tuple[Word, int]]:
+    """h0 of an upper word: its lower partner and the inverse of the
+    matched coefficient; None on every other word."""
+    pair = _match(word)
+    if pair is None or not pair[1]:
+        return None
+    lower = pair[0]
+    cf = word_d_entries(lower).get(word, 0)
+    if cf % 5 == 0:
+        raise MatchingError(f"matched coefficient {cf} of {lower} -> {word}"
+                            " is not a 5-unit")
+    return lower, pow(cf, -1, mod)
 
 
-@lru_cache(maxsize=None)
-def block_contraction(W: int, s: int, mod: int) -> CellContraction:
-    """Retraction of the weight-W block complex (last letter carries z)
-    through level s, grown like reduced_contraction.
-
-    Cohomology is one line: dimension 1 at level 1 when 5 divides W (the
-    bare z power), zero otherwise; asserted as each level is added."""
-    if s < 1:
-        return CellContraction(mod, 1, 0, {}, {}, {}, {}, {}, {})
-    out = _grow(block_contraction(W, s - 1, mod), block_words(W, s),
-                block_words(W, s + 1))
-    want = int(s == 1 and W % 5 == 0)
-    if out.h_dim(s) != want:
-        raise AssertionError(f"block weight {W} level {s}: "
-                             f"harmonic dim {out.h_dim(s)} != {want}")
+def _delta(word: Word) -> Dict[Word, int]:
+    """The differential of a word minus its matched term."""
+    out = word_d_entries(word)
+    pair = _match(word)
+    if pair is not None and not pair[1]:
+        out.pop(pair[0], None)
     return out
+
+
+def _add(acc: Dict[Word, int], terms: Dict[Word, int], cf: int,
+         mod: int) -> None:
+    for w, c in terms.items():
+        acc[w] = (acc.get(w, 0) + cf * c) % mod
+
+
+def _nonzero(terms: Dict[Word, int]) -> Dict[Word, int]:
+    return {w: c for w, c in terms.items() if c}
+
+
+@dataclass(frozen=True)
+class Contraction:
+    """The Morse maps at one word of level s: h(word) at level s - 1, pi
+    (word) on the critical words and iota pi (word) at level s, each as
+    {word: coefficient mod the modulus}.  For a critical word, pi is the
+    word itself and proj is its iota."""
+
+    h: Dict[Word, int]
+    pi: Dict[Word, int]
+    proj: Dict[Word, int]
+
+    @property
+    def words(self) -> Dict[str, Tuple[Word, ...]]:
+        """The words each map reaches."""
+        return {"h": tuple(self.h), "pi": tuple(self.pi),
+                "proj": tuple(self.proj)}
+
+
+def _contract(word: Word, mod: int,
+              entry: Callable[[Word, int], Contraction]) -> Contraction:
+    """The Morse maps at one word; h recurses through `entry`, the cached
+    entry point of the word's complex.  pi is pi0: it is the word itself
+    on a critical word and vanishes on the others."""
+    step = _h0(word, mod)
+    if step is not None:
+        lower, inv = step
+        h = {lower: inv}
+        for y, cf in _delta(lower).items():
+            pair = _match(y)
+            if pair is not None and pair[1]:  # h vanishes off upper words
+                _add(h, entry(y, mod).h, -inv * cf, mod)
+        return Contraction(_nonzero(h), {}, {})
+    if _match(word) is not None:
+        return Contraction({}, {}, {})
+    iota, term = {word: 1}, {word: 1}
+    while term:
+        nxt: Dict[Word, int] = {}
+        for w, c in term.items():
+            for y, cf in _delta(w).items():
+                step = _h0(y, mod)
+                if step is not None:
+                    x, inv = step
+                    nxt[x] = (nxt.get(x, 0) - c * cf * inv) % mod
+        term = _nonzero(nxt)
+        _add(iota, term, 1, mod)
+    return Contraction({}, {word: 1}, _nonzero(iota))
+
+
+@lru_cache(maxsize=None)
+def reduced_contraction(word: Word, mod: int) -> Contraction:
+    """The Morse maps at a bounded word.  Its critical words are
+    critical_word(n) at each weight n, and iota of (1, 4)^k [1] is
+    b^k [1] with b = (1, 4) + 2 (2, 3) + 2 (3, 2) + (4, 1)."""
+    return _contract(word, mod, reduced_contraction)
+
+
+@lru_cache(maxsize=None)
+def block_contraction(word: Word, mod: int) -> Contraction:
+    """The Morse maps at a block word (last letter carries z), in closed
+    form: pi vanishes on every block word but the bare z power (W,) with
+    5 | W, which is its own iota; h sends (p, 5m) with p nonempty to
+    (-1)^len(p) (p[:-1], p[-1] + 5m) and every other block word to 0."""
+    return _contract(word, mod, block_contraction)
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +262,7 @@ def reduced_word_h_dim(n: int, s: int) -> int:
     coefficient part of the differential vanishes.  Computed by dense
     ranks over the word bases, so it is only practical while those stay
     small (word dimension peaks around n ~ 5s/2); use dual_h_dim for
-    large windows."""
+    large windows.  An independent check of the critical words."""
     dim = len(reduced_words(n, s))
     if dim == 0:
         return 0

@@ -50,6 +50,14 @@ def test_completed_model_matches_cobar_sample():
                 ext_dim(I1, s, t), (s, t)
 
 
+def test_completed_model_matches_cobar_beyond_the_claim_window():
+    # verify's v1-algebra-hilbert claim stops at s = 6
+    for s in (7, 8):
+        for t in range(0, 201, 8):
+            assert presented_dim(s, t, completed=True) == \
+                ext_dim(I1, s, t), (s, t)
+
+
 def _monomials_by_filter(s, t):
     """Reference: filter the full box of exponent ranges by bidegree."""
     if s < 0 or t < 0:

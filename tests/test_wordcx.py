@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 
+import hopfext.wordcx as wordcx
 from hopfext.algebroid import AlgebroidSpec, quotient
 from hopfext.cobar import cochain_basis, differential_matrix_mod
-from hopfext.flinalg import (
-    inv_gf5,
-    inv_mod,
-    matmul_mod,
-    nullspace_gf5,
-    nullspace_mod,
-    rref_gf5,
-    rref_mod,
-)
+from hopfext.flinalg import matmul_mod
 from hopfext.wordcx import (
-    _retract_level,
+    MatchingError,
     block_contraction,
-    block_words,
+    critical_word,
+    dual_h_dim,
     letter_splits,
     reduced_contraction,
     reduced_word_h_dim,
@@ -24,6 +18,8 @@ from hopfext.wordcx import (
     word_d_entries,
     word_matrix,
 )
+
+from echelon import block_words, complex_levels, contract_reference
 
 I4 = quotient(AlgebroidSpec("reduced"), 4)
 
@@ -62,7 +58,6 @@ def test_reduced_h_dims_pattern():
 
 
 def test_dual_resolution_matches_word_ranks():
-    from hopfext.wordcx import dual_h_dim
     for n in range(0, 14):
         for s in range(0, n + 2):
             assert dual_h_dim(s, 8 * n) == reduced_word_h_dim(n, s), (n, s)
@@ -72,53 +67,124 @@ def test_dual_resolution_matches_word_ranks():
     assert dual_h_dim(8, 168) == 0
 
 
-def _check_identities(c):
-    for s in range(c.lo, c.top + 1):
-        dim = c.dim(s)
-        if dim == 0:
-            continue
-        eye = np.eye(dim, dtype=np.int64)
-        lhs = np.zeros((dim, dim), dtype=np.int64)
-        if s - 1 in c.d and c.h[s].size:
-            lhs += matmul_mod(c.d[s - 1], c.h[s], c.mod)
-        if s + 1 in c.h:
-            if c.d[s].size and c.h[s + 1].size:
-                lhs += matmul_mod(c.h[s + 1], c.d[s], c.mod)
-            proj = matmul_mod(c.iota[s], c.pi[s], c.mod) if c.h_dim(s) \
-                else np.zeros((dim, dim), dtype=np.int64)
-            assert np.array_equal(lhs % c.mod, (eye - proj) % c.mod), s
-        if c.h_dim(s):
-            assert np.array_equal(
-                matmul_mod(c.pi[s], c.iota[s], c.mod),
-                np.eye(c.h_dim(s), dtype=np.int64))
-            assert not np.any(matmul_mod(c.d[s], c.iota[s], c.mod))
-        if s - 1 in c.pi and c.h[s].size and c.pi[s - 1].size:
-            assert not np.any(matmul_mod(c.pi[s - 1], c.h[s], c.mod))
-        if c.h_dim(s) and c.h[s].size:
-            assert not np.any(matmul_mod(c.h[s], c.iota[s], c.mod))
-        if s - 1 in c.h and c.h[s].size and c.h[s - 1].size:
-            assert not np.any(matmul_mod(c.h[s - 1], c.h[s], c.mod))
+MODS = (5, 625, 5 ** 9)
 
 
-@pytest.mark.parametrize("mod", [5, 625])
-@pytest.mark.parametrize("n", [3, 5, 6, 7, 10])
+def _levels(block, n):
+    """Word bases of every level of one weight's complex."""
+    words, _ = complex_levels(block, n, max(n, 1))
+    return {s: ws for s, ws in words.items() if ws}
+
+
+def _apply_d(terms, mod):
+    out = {}
+    for w, c in terms.items():
+        for w2, c2 in word_d_entries(w).items():
+            out[w2] = (out.get(w2, 0) + c * c2) % mod
+    return {w: c for w, c in out.items() if c}
+
+
+def _apply(entry, field, terms, mod):
+    out = {}
+    for w, c in terms.items():
+        for w2, c2 in getattr(entry(w, mod), field).items():
+            out[w2] = (out.get(w2, 0) + c * c2) % mod
+    return {w: c for w, c in out.items() if c}
+
+
+def _check_identities(levels, entry, mod):
+    """d h + h d = 1 - iota pi, h h = 0, pi h = 0, h iota = 0, pi iota = 1
+    and d iota = 0 on every word of a complex, with the maps read from
+    entry; returns the critical words."""
+    critical = []
+    for ws in levels.values():
+        for w in ws:
+            con = entry(w, mod)
+            lhs = _apply_d(con.h, mod)
+            for w2, c in _apply(entry, "h", _apply_d({w: 1}, mod), mod).items():
+                lhs[w2] = (lhs.get(w2, 0) + c) % mod
+            for w2, c in con.proj.items():
+                lhs[w2] = (lhs.get(w2, 0) + c) % mod
+            assert {k: v for k, v in lhs.items() if v} == {w: 1}, w
+            assert not _apply(entry, "h", con.h, mod), w
+            assert not _apply(entry, "pi", con.h, mod), w
+            if w in con.pi:
+                critical.append(w)
+                assert con.pi == {w: 1}, w
+                assert _apply(entry, "pi", con.proj, mod) == {w: 1}, w
+                assert not _apply(entry, "h", con.proj, mod), w
+                assert not _apply_d(con.proj, mod), w
+            else:
+                # no critical word in any delta h0: pi is pi0
+                assert not con.pi and not con.proj, w
+    return critical
+
+
+@pytest.mark.parametrize("mod", MODS)
+@pytest.mark.parametrize("n", range(17))
 def test_reduced_contraction_identities(n, mod):
-    c = reduced_contraction(n, n, mod)
-    _check_identities(c)
-    for s in range(c.lo, c.top + 1):
-        assert c.h_dim(s) == reduced_word_h_dim(n, s)
+    critical = _check_identities(_levels(False, n), reduced_contraction, mod)
+    crit = critical_word(n)
+    assert critical == ([] if crit is None else [crit])
+    for s in range(n + 2):
+        assert dual_h_dim(s, 8 * n) == sum(len(w) == s for w in critical)
 
 
-@pytest.mark.parametrize("W", [5, 6, 7, 9, 10, 12, 15])
+@pytest.mark.parametrize("W", range(1, 19))
 def test_block_contraction(W):
-    c = block_contraction(W, 4, 5)
-    _check_identities(c)
-    total = sum(c.h_dim(s) for s in range(c.lo, c.top + 1))
-    assert total == (1 if W % 5 == 0 else 0)
-    if W % 5 == 0:
-        # the harmonic class is the bare z power
-        assert list(c.words[1]) == [(W,)]
-        assert c.iota[1].shape == (1, 1)
+    # the closed form: pi vanishes on every block word but a bare z power,
+    # which is its own iota, and h is one merge of the last two letters
+    levels = _levels(True, W)
+    for mod in MODS:
+        critical = _check_identities(levels, block_contraction, mod)
+        assert critical == ([(W,)] if W % 5 == 0 else [])
+        for w in critical:
+            assert block_contraction(w, mod).proj == {w: 1}
+        for ws in levels.values():
+            for w in ws:
+                want = {}
+                if len(w) > 1 and w[-1] % 5 == 0:
+                    want = {w[:-2] + (w[-2] + w[-1],): (-1) ** (len(w) - 1) % mod}
+                assert block_contraction(w, mod).h == want, w
+
+
+@pytest.mark.parametrize("mod", MODS)
+def test_critical_iota_is_a_power_of_b(mod):
+    # iota((1, 4)^k [1]) = b^k [1], b = (1, 4) + 2 (2, 3) + 2 (3, 2) + (4, 1):
+    # the transpotence cocycle
+    b = {(1, 4): 1, (2, 3): 2, (3, 2): 2, (4, 1): 1}
+    power = {(): 1}
+    for k in range(5):
+        for tail in ((), (1,)):
+            want = {w + tail: c % mod for w, c in power.items()}
+            assert reduced_contraction((1, 4) * k + tail, mod).proj == want
+        power = {w + w2: c * c2 for w, c in power.items() for w2, c2 in b.items()}
+
+
+def _leading_pairs(word):
+    p = 0
+    while word[p:p + 2] == (1, 4):
+        p += 2
+    return p // 2
+
+
+@pytest.mark.parametrize("block", [False, True])
+def test_zigzag_descends(block):
+    # h and pi of an upper word recurse only into the upper words of
+    # delta h0 of it; each has fewer leading (1, 4) pairs (blocks have
+    # none), so the recursion is at most s / 2 deep at level s
+    for n in range(1, 17):
+        for ws in _levels(block, n).values():
+            for w in ws:
+                step = wordcx._h0(w, 5)
+                if step is None:
+                    continue
+                upper = [y for y in wordcx._delta(step[0])
+                         if wordcx._h0(y, 5) is not None]
+                if block:
+                    assert not upper, w
+                assert all(_leading_pairs(y) < _leading_pairs(w)
+                           for y in upper), w
 
 
 def test_block_words_and_split():
@@ -129,68 +195,21 @@ def test_block_words_and_split():
     assert tail == (3, 1)
 
 
-def _contract_reference(words_by_s, mod, lo, top):
-    """Four eliminations per level: nullspace of d[s], greedy harmonic
-    columns from [bmat | ker], greedy unit complement from [base | I], then
-    the inverse of the full basis.  The reference for wordcx._grow."""
-    d = {}
+def _assert_matches_reference(block, n, top, mod):
+    # the echelon oracle has the same harmonic dimension at every level,
+    # and the Morse cocycle of each critical word represents its class
+    words, lo = complex_levels(block, n, top)
+    _, iota, pi, _ = contract_reference(words, mod, lo, top)
+    entry = block_contraction if block else reduced_contraction
     for s in range(lo, top + 1):
-        d[s] = word_matrix(words_by_s.get(s, ()), words_by_s.get(s + 1, ()), mod)
-    iota, pi, h = {}, {}, {}
-    prev_dim = len(words_by_s.get(lo - 1, ()))
-    prev_e = np.zeros((prev_dim, 0), dtype=np.int64)
-    bmat = np.zeros((len(words_by_s.get(lo, ())), 0), dtype=np.int64)
-    for s in range(lo, top + 1):
-        dim = len(words_by_s.get(s, ()))
-        if dim == 0:
-            iota[s] = np.zeros((0, 0), dtype=np.int64)
-            pi[s] = np.zeros((0, 0), dtype=np.int64)
-            h[s] = np.zeros((prev_e.shape[0], 0), dtype=np.int64)
-            prev_e = np.zeros((0, 0), dtype=np.int64)
-            bmat = np.zeros((len(words_by_s.get(s + 1, ())), 0), dtype=np.int64)
-            continue
-        if mod == 5:
-            ker = nullspace_gf5(d[s])
-        else:
-            ker = nullspace_mod(d[s], mod)
-            if np.any(matmul_mod(d[s], ker, mod)):
-                raise AssertionError("echelon kernel failed over the prime power")
-        nb = bmat.shape[1]
-        combo = np.concatenate([bmat, ker], axis=1)
-        red, piv = (rref_gf5(combo) if mod == 5 else rref_mod(combo, mod))
-        if piv[:nb] != list(range(nb)):
-            raise AssertionError("boundary columns are not independent")
-        hmat = ker[:, [p - nb for p in piv[nb:]]]
-        base = np.concatenate([bmat, hmat], axis=1)
-        aug = np.concatenate([base, np.eye(dim, dtype=np.int64)], axis=1)
-        _, piv2 = (rref_gf5(aug) if mod == 5 else rref_mod(aug, mod))
-        wb = base.shape[1]
-        if piv2[:wb] != list(range(wb)):
-            raise AssertionError("basis columns degenerate")
-        ecols = [p - wb for p in piv2[wb:]]
-        emat = np.zeros((dim, len(ecols)), dtype=np.int64)
-        for k, c in enumerate(ecols):
-            emat[c, k] = 1
-        t = np.concatenate([base, emat], axis=1)
-        tinv = inv_gf5(t) if mod == 5 else inv_mod(t, mod)
-        h[s] = matmul_mod(prev_e, tinv[:nb], mod) if nb else \
-            np.zeros((prev_e.shape[0], dim), dtype=np.int64)
-        pi[s] = tinv[nb:nb + hmat.shape[1]]
-        iota[s] = hmat
-        prev_e = emat
-        bmat = matmul_mod(d[s], emat, mod) if emat.size else \
-            np.zeros((len(words_by_s.get(s + 1, ())), 0), dtype=np.int64)
-    return d, iota, pi, h
-
-
-def _assert_matches_reference(c):
-    ref = _contract_reference(c.words, c.mod, c.lo, c.top)
-    for name, want in zip(("d", "iota", "pi", "h"), ref):
-        got = getattr(c, name)
-        assert sorted(got) == sorted(want), name
-        for s in want:
-            assert got[s].dtype == want[s].dtype, (name, s)
-            assert np.array_equal(got[s], want[s]), (name, s)
+        critical = [w for w in words[s] if entry(w, mod).pi]
+        assert iota[s].shape[1] == len(critical), (n, s)
+        for w in critical:
+            col = np.zeros((len(words[s]), 1), dtype=np.int64)
+            for w2, c in entry(w, mod).proj.items():
+                col[words[s].index(w2), 0] = c
+            # one class per level: the echelon projection is a 5-unit
+            assert matmul_mod(pi[s], col, mod)[0, 0] % 5, (n, s)
 
 
 @pytest.mark.parametrize("mod", [5, 625])
@@ -198,44 +217,58 @@ def _assert_matches_reference(c):
 def test_reduced_contraction_matches_reference(top, mod):
     # n = 4 * top + 1 has its lowest level above top: no levels at all
     for n in list(range(0, 12)) + [4 * top + 1]:
-        _assert_matches_reference(reduced_contraction(n, top, mod))
+        _assert_matches_reference(False, n, top, mod)
 
 
 @pytest.mark.parametrize("mod", [5, 625])
 @pytest.mark.parametrize("top", [3, 5])
 def test_block_contraction_matches_reference(top, mod):
     for W in range(1, 21):
-        _assert_matches_reference(block_contraction(W, top, mod))
-
-
-def _shares_levels(low, high):
-    assert low.top <= high.top
-    for name in ("d", "iota", "pi", "h"):
-        for s, arr in getattr(low, name).items():
-            assert getattr(high, name)[s] is arr, (name, s)
+        _assert_matches_reference(True, W, top, mod)
 
 
 @pytest.mark.parametrize("mod", [5, 625])
 def test_contraction_levels_are_built_once(mod):
-    # a deeper contraction extends the shallower one: each level of a
-    # weight is eliminated once, and every depth reads the same arrays
-    for n in range(0, 13):
-        _shares_levels(reduced_contraction(n, 3, mod),
-                       reduced_contraction(n, 7, mod))
-    for W in range(5, 21):
-        _shares_levels(block_contraction(W, 2, mod),
-                       block_contraction(W, 5, mod))
+    # the maps at a word read only words of its own weight and level, each
+    # computed once per modulus and shared by every later read
+    for entry, block in ((reduced_contraction, False), (block_contraction, True)):
+        for n in range(13):
+            for ws in _levels(block, n).values():
+                entry.cache_clear()
+                first = [entry(w, mod) for w in ws]
+                assert entry.cache_info().misses == len(ws)
+                assert all(entry(w, mod) is c for w, c in zip(ws, first))
+                assert entry.cache_info().misses == len(ws)
 
 
-def test_stuck_column_trips_the_prime_power_guard():
-    # over Z/25 the second column is 5-divisible and nonzero: the echelon
-    # skips it as free, but its kernel vector e_1 is not in ker d
-    ds = np.array([[1, 5], [0, 10]], dtype=np.int64)
-    with pytest.raises(AssertionError, match="prime power"):
-        _retract_level(ds, np.zeros((2, 0), dtype=np.int64), 25)
-    # the same matrix over F5 has the honest kernel e_1
-    piv, free, iota, minv = _retract_level(ds % 5, np.zeros((2, 0),
-                                           dtype=np.int64), 5)
-    assert (piv, free) == ([0], [1])
-    assert iota.tolist() == [[0], [1]]
-    assert minv.tolist() == [[1]]
+def test_stuck_column_trips_the_prime_power_guard(monkeypatch):
+    # a matched coefficient of 15 is a stuck pivot over Z/25: h0 must stop
+    # at the named guard, not at a failed inverse or a runaway recursion
+    real = wordcx.letter_splits
+
+    def planted(w):
+        return [(15 if (a, b) == (1, 2) else cf, a, b) for cf, a, b in real(w)]
+
+    monkeypatch.setattr(wordcx, "letter_splits", planted)
+    with pytest.raises(MatchingError, match="not a 5-unit"):
+        reduced_contraction.__wrapped__((1, 2), 25)
+    with pytest.raises(MatchingError, match="not a 5-unit"):
+        reduced_contraction.__wrapped__((1, 2, 1, 1), 25)
+
+
+def test_corrupted_delta_fails_the_identities(monkeypatch):
+    real = wordcx._delta
+
+    def planted(word):
+        out = real(word)
+        for k in out:
+            out[k] += 1
+        return out
+
+    monkeypatch.setattr(wordcx, "_delta", planted)
+    reduced_contraction.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            _check_identities(_levels(False, 6), reduced_contraction, 5)
+    finally:
+        reduced_contraction.cache_clear()
