@@ -29,9 +29,9 @@ from .cobar import (
 from .coefficients import LocalRational
 from .flinalg import rank_gf5, solve_mod
 from .transfer import (
+    K_POWER,
     R_DEG,
-    certified_free_rank,
-    differential_valuations,
+    integral_valuations,
     small_basis,
     transferred_matrix,
 )
@@ -112,8 +112,8 @@ def _u_max(fspec: FiltrationSpec, t: int) -> int:
     return t // (R_DEG * fspec.k)
 
 
-def page_dimensions(fspec: FiltrationSpec, r: int, s_max: int, t_max: int,
-                    k_power: int = 4) -> List[PageEntry]:
+def page_dimensions(fspec: FiltrationSpec, r: int, s_max: int, t_max: int
+                    ) -> List[PageEntry]:
     """Nonzero E_r entries in the window, ordered by (t, s, u)."""
     if r < 1:
         raise ValueError("pages start at r = 1")
@@ -121,7 +121,7 @@ def page_dimensions(fspec: FiltrationSpec, r: int, s_max: int, t_max: int,
     for t in range(0, t_max + 1, R_DEG):
         if fspec.k == 0:
             for s in range(0, s_max + 1):
-                d = _five_adic_page_dim(fspec, r, s, t, k_power)
+                d = _five_adic_page_dim(fspec, r, s, t)
                 if d:
                     out.append(PageEntry(s, t, 0, d))
             continue
@@ -133,27 +133,20 @@ def page_dimensions(fspec: FiltrationSpec, r: int, s_max: int, t_max: int,
     return out
 
 
-def infinity_page(fspec: FiltrationSpec, s_max: int, t_max: int,
-                  k_power: int = 4) -> List[PageEntry]:
+def infinity_page(fspec: FiltrationSpec, s_max: int, t_max: int
+                  ) -> List[PageEntry]:
     """E_infinity within the window: in a fixed internal degree the
     filtration is bounded, so a page beyond the largest possible jump is
     stable."""
-    r = (t_max // (R_DEG * fspec.k) if fspec.k else k_power) + 2
-    return page_dimensions(fspec, r, s_max, t_max, k_power)
+    r = (t_max // (R_DEG * fspec.k) if fspec.k else K_POWER) + 2
+    return page_dimensions(fspec, r, s_max, t_max)
 
 
-def _five_adic_page_dim(fspec: FiltrationSpec, r: int, s: int, t: int,
-                        k_power: int) -> int:
+def _five_adic_page_dim(fspec: FiltrationSpec, r: int, s: int, t: int) -> int:
     """E_r of the 5-adic tower: free rank plus torsion surviving r-1
     Bockstein differentials on either side."""
-    spec = fspec.base
-    dim = len(small_basis(spec, s, t))
-    if dim == 0:
-        return 0
-    here = differential_valuations(spec, s, t, k_power)
-    below = differential_valuations(spec, s - 1, t, k_power) if s else ()
-    free = certified_free_rank(dim, here + below, s, t, k_power)
-    return free + sum(1 for v in here if v >= r) + sum(1 for v in below if v >= r)
+    free, below, here = integral_valuations(fspec.base, s, t)
+    return free + sum(1 for v in below + here if v >= r)
 
 
 # --- stated differentials (symbolic cobar complex) -------------------------
@@ -300,9 +293,9 @@ def _verify_five_adic(source: CobarElement, target: CobarElement, r: int
 
 # --- report feed ------------------------------------------------------------
 
-def page_dump(fspec: FiltrationSpec, r: int, s_max: int, t_max: int,
-              k_power: int = 4) -> Dict[str, object]:
-    entries = page_dimensions(fspec, r, s_max, t_max, k_power)
+def page_dump(fspec: FiltrationSpec, r: int, s_max: int, t_max: int
+              ) -> Dict[str, object]:
+    entries = page_dimensions(fspec, r, s_max, t_max)
     return {
         "filtration": fspec.filter_name,
         "page": r,

@@ -26,8 +26,9 @@ from .coefficients import LocalRational
 from .flinalg import rank_mod
 from .gradedpoly import parse_polynomial
 from .invariants import (A_RING, H0_T_CEILING, _mod5, _mod5_rows,
-                         _products_of_degree, discriminant, hilbert_h0,
-                         invariant_basis, new_generators, table1_records)
+                         _products_of_degree, disc_unit_factor, discriminant,
+                         hilbert_h0, invariant_basis, new_generators,
+                         table1_records)
 from .transfer import ext_dim, integral_structure, partitions_2345
 from .v1algebra import presented_dim
 from .wordcx import dual_h_dim, reduced_word_h_dim
@@ -319,11 +320,7 @@ def _disc_mod_i1():
 
 
 def _disc_table():
-    disc = discriminant()
-    d_row = [r for r in table1_records() if r.name == "D"][0].polynomial
-    lead_m, lead_c = disc.sorted_terms()[0]
-    lam = d_row.terms[lead_m] / lead_c
-    _require(lam.valuation() == 0 and disc.scale(lam) == d_row,
+    _require(disc_unit_factor()[1],
              "resultant discriminant is not a 5-unit times table entry D")
 
 
@@ -336,7 +333,7 @@ def _integral_window():
             expected[(s, 160 * j + dt)] = (0, (1,))
     for s in range(1, 5):
         for t in range(8, 241, 8):
-            free, torsion = integral_structure(RED, s, t, k_power=4)
+            free, torsion = integral_structure(RED, s, t)
             want = expected.get((s, t), (0, ()))
             _require((free, tuple(torsion)) == want,
                      f"H^{(s, t)} = {(free, tuple(torsion))}, expected {want}")
@@ -345,7 +342,7 @@ def _integral_window():
     # it agrees with the closed count, so the closed count carries the
     # rest of the window
     for t in range(0, 241, 8):
-        got = integral_structure(RED, 0, t, k_power=4)
+        got = integral_structure(RED, 0, t)
         want = (partitions_2345(t // 8), ())
         _require(got == want, f"H^{(0, t)} = {got}, expected {want}")
     for t in range(0, H0_T_CEILING + 1, 8):

@@ -1,10 +1,13 @@
 """Command-line entry point for the cohomology engine.
 
 Subcommands: axioms, verify, ext, invariants, table1, disc, bockstein,
-chart.  All configuration is by flags; defaults are s_max=6, t_max=400
-(invariants: t_max=176, its ceiling), K=4.  Output is JSON on stdout (or
-files under --out), with a top-level "schema" field; charts are SVG plus a
-text fallback.  Exit codes: 0 all requested checks pass, 1 a verification
+chart.  All configuration is by flags, and each subcommand declares only
+the flags its handler reads; defaults are s_max=6, t_max=400
+(invariants: t_max=176, its ceiling).  Integral answers are read mod 5^4
+(transfer.K_POWER), a fixed precision that certifies every torsion
+exponent of the measured windows.  Output is JSON on stdout (or files
+under --out), with a top-level "schema" field; charts are SVG plus a text
+fallback.  Exit codes: 0 all requested checks pass, 1 a verification
 failed, 2 usage error.
 """
 
@@ -19,7 +22,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebroid import AlgebroidSpec, AxiomViolation, check_axioms
-from .flinalg import K_MAX
 from .invariants import H0_T_CEILING
 
 SCHEMA_PREFIX = "hopfext"
@@ -31,7 +33,6 @@ class RunConfig:
     ideal: Optional[int] = None
     s_max: int = 6
     t_max: int = 400
-    k_power: int = 4
     out: Optional[str] = None
     overlay: Optional[str] = None
     source: Optional[str] = None
@@ -47,8 +48,6 @@ class RunConfig:
             raise ValueError("tower index must be in 0..4")
         if self.page < 1:
             raise ValueError("pages start at r = 1")
-        if not 2 <= self.k_power <= K_MAX:
-            raise ValueError(f"5-adic precision K must be in 2..{K_MAX}")
         if self.command == "invariants" and self.t_max > H0_T_CEILING:
             raise ValueError(f"invariants needs t_max <= {H0_T_CEILING}, the"
                              " largest degree whose kernels are tractable")
@@ -91,8 +90,7 @@ def cmd_ext(config: RunConfig) -> int:
     for t in range(0, config.t_max + 1, 8):
         for s in range(0, config.s_max + 1):
             if config.ideal is None:
-                free, torsion = integral_structure(
-                    spec, s, t, k_power=config.k_power)
+                free, torsion = integral_structure(spec, s, t)
                 if free or torsion:
                     entries.append({"s": s, "t": t, "free": free,
                                     "torsion": list(torsion)})
@@ -151,9 +149,8 @@ def cmd_table1(config: RunConfig) -> int:
 # --- disc -------------------------------------------------------------------
 
 def cmd_disc(config: RunConfig) -> int:
-    from .coefficients import LocalRational
-    from .invariants import (NormalizationFailure, discriminant,
-                             table1_expand)
+    from .invariants import (NormalizationFailure, disc_unit_factor,
+                             discriminant)
     payload = {"schema": f"{SCHEMA_PREFIX}/disc/1"}
     try:
         disc = discriminant()
@@ -161,12 +158,7 @@ def cmd_disc(config: RunConfig) -> int:
         payload.update({"pass": False, "error": str(exc)})
         _emit(config, payload)
         return 1
-    d_row = table1_expand("D").polynomial
-    lead_m, lead_c = disc.sorted_terms()[0]
-    other = d_row.terms.get(lead_m, LocalRational(0))
-    lam = (other if isinstance(other, LocalRational)
-           else LocalRational(int(other))) / lead_c
-    matches = lam.valuation() == 0 and disc.scale(lam) == d_row
+    lam, matches = disc_unit_factor()
     payload.update({
         "degree": 160,
         "matches_table": matches,
@@ -183,8 +175,7 @@ def cmd_disc(config: RunConfig) -> int:
 def cmd_bockstein(config: RunConfig) -> int:
     from .bockstein import FiltrationSpec, page_dump
     fspec = FiltrationSpec(config.tower)
-    dump = page_dump(fspec, config.page, config.s_max, config.t_max,
-                     k_power=config.k_power)
+    dump = page_dump(fspec, config.page, config.s_max, config.t_max)
     payload = {"schema": f"{SCHEMA_PREFIX}/bockstein/1"}
     payload.update(dump)
     _emit(config, payload)
@@ -287,6 +278,39 @@ def cmd_verify(config: RunConfig) -> int:
 
 # --- entry point ------------------------------------------------------------
 
+# each flag's dest is its RunConfig field
+_FLAGS = {
+    "--ideal": dict(type=int, default=None,
+                    help="quotient level 0..4; omit for the integral base"),
+    "--k": dict(dest="tower", type=int, default=1,
+                help="tower index 0..4 (0 is the 5-adic tower)"),
+    "--page": dict(type=int, default=1),
+    "--source": dict(required=True),
+    "--overlay": dict(default=None),
+    "--smax": dict(dest="s_max", type=int, default=6),
+    "--tmax": dict(dest="t_max", type=int, default=400),
+    "--out": dict(default=None, help="directory for JSON/chart output"),
+}
+
+# subcommand -> (handler, help, the flags its handler reads)
+_COMMANDS = {
+    "axioms": (cmd_axioms, "check the structure-map identities",
+               ("--tmax", "--out")),
+    "verify": (cmd_verify, "run the full identity suite", ("--out",)),
+    "ext": (cmd_ext, "cohomology table over a window",
+            ("--ideal", "--smax", "--tmax", "--out")),
+    "invariants": (cmd_invariants, "H0 ranks and generator census",
+                   ("--tmax", "--out")),
+    "table1": (cmd_table1, "expand and certify all named generators",
+               ("--out",)),
+    "disc": (cmd_disc, "resultant discriminant checks", ("--out",)),
+    "bockstein": (cmd_bockstein, "dump one spectral sequence page",
+                  ("--k", "--page", "--smax", "--tmax", "--out")),
+    "chart": (cmd_chart, "render a chart from a JSON dump",
+              ("--source", "--overlay", "--out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfext",
@@ -294,72 +318,22 @@ def build_parser() -> argparse.ArgumentParser:
         " Hopf algebroid at p=5")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--smax", type=int, default=6)
-        p.add_argument("--tmax", type=int, default=400)
-        p.add_argument("--kpower", type=int, default=4,
-                       help="5-adic torsion precision K")
-        p.add_argument("--out", default=None,
-                       help="directory for JSON/chart output")
-
-    common(sub.add_parser("axioms", help="check the structure-map identities"))
-    p = sub.add_parser("verify", help="run the full identity suite")
-    common(p)
-    p = sub.add_parser("ext", help="cohomology table over a window")
-    common(p)
-    p.add_argument("--ideal", type=int, default=None,
-                   help="quotient level 0..4; omit for the integral base")
-    p = sub.add_parser("invariants", help="H0 ranks and generator census")
-    common(p)
-    p.set_defaults(tmax=H0_T_CEILING)
-    common(sub.add_parser("table1", help="expand and certify all named"
-                          " generators"))
-    common(sub.add_parser("disc", help="resultant discriminant checks"))
-    p = sub.add_parser("bockstein", help="dump one spectral sequence page")
-    common(p)
-    p.add_argument("--k", type=int, default=1,
-                   help="tower index 0..4 (0 is the 5-adic tower)")
-    p.add_argument("--page", type=int, default=1)
-    p = sub.add_parser("chart", help="render a chart from a JSON dump")
-    common(p)
-    p.add_argument("--source", required=True)
-    p.add_argument("--overlay", default=None)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+    sub.choices["invariants"].set_defaults(t_max=H0_T_CEILING)
     return parser
 
 
-_DISPATCH = {
-    "axioms": cmd_axioms,
-    "verify": cmd_verify,
-    "ext": cmd_ext,
-    "invariants": cmd_invariants,
-    "table1": cmd_table1,
-    "disc": cmd_disc,
-    "bockstein": cmd_bockstein,
-    "chart": cmd_chart,
-}
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        ideal=getattr(args, "ideal", None),
-        s_max=getattr(args, "smax", 6),
-        t_max=getattr(args, "tmax", 400),
-        k_power=getattr(args, "kpower", 4),
-        out=getattr(args, "out", None),
-        overlay=getattr(args, "overlay", None),
-        source=getattr(args, "source", None),
-        tower=getattr(args, "k", 1),
-        page=getattr(args, "page", 1),
-    )
+    return RunConfig(**vars(args))
 
 
 def run(config: RunConfig) -> int:
-    handler = _DISPATCH.get(config.command)
-    if handler is None:
+    if config.command not in _COMMANDS:
         return 2
-    return handler(config)
+    return _COMMANDS[config.command][0](config)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

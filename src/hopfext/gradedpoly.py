@@ -1,6 +1,7 @@
 """Graded sparse multivariate polynomials over the coefficient modes used by
-the engine: Z_(5) (exact fractions with 5-unit denominators allowed), F5,
-and Q.  Work mod 5^K runs on integer arrays, not on these polynomials.
+the engine: exact rationals, read inside Z_(5) when their denominators are
+5-units, and F5.  Work mod 5^K runs on integer arrays, not on these
+polynomials.
 
 Monomials are exponent tuples aligned with the ring's generators.  All
 per-degree enumeration is in graded-lexicographic order with the first
@@ -20,7 +21,6 @@ Monomial = Tuple[int, ...]
 
 MODE_LOCAL = "Z_local5"
 MODE_F5 = "F5"
-MODE_Q = "Q"
 
 
 class RingMismatch(ValueError):
@@ -59,7 +59,7 @@ class RingSpec:
             raise ValueError("generator names must be unique")
         if any(d <= 0 for d in self.degrees):
             raise ValueError("generator degrees must be positive")
-        if self.mode not in (MODE_LOCAL, MODE_F5, MODE_Q):
+        if self.mode not in (MODE_LOCAL, MODE_F5):
             raise ValueError(f"unknown coefficient mode {self.mode!r}")
 
     @property
@@ -236,7 +236,7 @@ class Polynomial:
         """Minimum 5-adic valuation over the coefficients."""
         if not self.terms:
             raise ZeroPolynomial("content valuation of 0 is undefined")
-        if self.ring.mode not in (MODE_LOCAL, MODE_Q):
+        if self.ring.mode != MODE_LOCAL:
             raise ValueError("content valuation needs exact rational coefficients")
         return min(c.valuation() for c in self.terms.values())
 

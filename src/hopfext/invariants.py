@@ -23,7 +23,6 @@ from .coefficients import IntMatrix, LocalRational, kernel_saturated
 from .flinalg import rank_mod
 from .gradedpoly import (
     MODE_F5,
-    MODE_Q,
     Monomial,
     Polynomial,
     RingSpec,
@@ -33,7 +32,6 @@ from .gradedpoly import (
 
 SPEC = AlgebroidSpec("full", None)
 A_RING = SPEC.base_ring
-Q_RING = RingSpec(A_RING.names, A_RING.degrees, mode=MODE_Q)
 R_DEG = 8
 # largest degree whose invariant kernels are tractable; the rational rank
 # carries the integral H^0 beyond it
@@ -283,21 +281,20 @@ def table1_expand(name: str) -> GeneratorRecord:
             break
     else:
         raise KeyError(f"unknown generator {name!r}")
-    acc = Polynomial.zero(Q_RING)
+    p = Polynomial.zero(A_RING)
     for names, coeff in terms:
-        term = Polynomial.constant(Q_RING, coeff)
+        term = Polynomial.constant(A_RING, coeff)
         for factor in names:
-            term = term * table1_expand(factor).polynomial.map_coefficients(Q_RING)
-        acc = acc + term
-    acc = acc.scale(LocalRational(1, denom))
+            term = term * table1_expand(factor).polynomial
+        p = p + term
+    p = p.scale(LocalRational(1, denom))
     t = R_DEG * deg_idx
-    if any(Q_RING.monomial_degree(m) != t for m in acc.terms):
+    if any(A_RING.monomial_degree(m) != t for m in p.terms):
         raise AssertionError(f"{name} is not homogeneous of degree {t}")
-    if not acc:
+    if not p:
         raise AssertionError(f"{name} expanded to zero")
-    if acc.content_valuation() < 0:
+    if p.content_valuation() < 0:
         raise IntegralityFailure(f"{name} has a residual 5 in the denominator")
-    p = acc.map_coefficients(A_RING)
     if not is_invariant(p):
         raise InvarianceFailure(f"{name} is not invariant")
     return GeneratorRecord(name, t, _expression_text(denom, terms), p,
@@ -372,6 +369,18 @@ def discriminant() -> Polynomial:
     if not is_invariant(disc):
         raise InvarianceFailure("discriminant moves under the right unit")
     return disc
+
+
+def disc_unit_factor() -> Tuple[LocalRational, bool]:
+    """(lambda, matches): lambda is Table 1's D row over the discriminant
+    at the discriminant's leading monomial, and matches says lambda is a
+    5-unit with lambda * disc = D.  A D row without that monomial gives
+    lambda = 0, a mismatch."""
+    disc = discriminant()
+    d_row = table1_expand("D").polynomial
+    lead_m, lead_c = disc.sorted_terms()[0]
+    lam = d_row.terms.get(lead_m, LocalRational(0)) / lead_c
+    return lam, bool(lam) and lam.valuation() == 0 and disc.scale(lam) == d_row
 
 
 # --- generator census -------------------------------------------------------

@@ -329,54 +329,64 @@ def partitions_2345(n: int) -> int:
     return count
 
 
+# 5-adic working precision K: the integral differentials are read mod 5^K.
+# certified_free_rank trusts valuations up to K - 2, here 2, one more than
+# the exponent-one torsion of H^{s>0} needs; reading at flinalg.K_MAX finds
+# the same valuations (test_kpower_ceiling_agrees_with_default).
+K_POWER = 4
+
+
 class PrecisionExhausted(ValueError):
     """Working mod 5^K can no longer tell torsion from free rank."""
 
 
-def certified_free_rank(dim: int, valuations: Sequence[int], s: int, t: int,
-                        k_power: int) -> int:
+def certified_free_rank(dim: int, valuations: Sequence[int], s: int, t: int
+                        ) -> int:
     """Free rank of H^{s,t} from its cochain dimension and the elementary
     divisor valuations, read mod 5^K, of the differentials into and out of
     it.
 
-    Raises PrecisionExhausted unless K >= 2 and every valuation stays at
-    most K-2, so each torsion exponent is exact, and the free rank equals
-    the rational rank, so no divisor of 5^K read as zero: rationally
-    H^{s>0} = 0, and H^0 is the polynomial ring on c2..c5."""
-    if k_power < 2 or any(v > k_power - 2 for v in valuations):
+    Raises PrecisionExhausted unless every valuation stays at most K-2, so
+    each torsion exponent is exact, and the free rank equals the rational
+    rank, so no divisor of 5^K read as zero: rationally H^{s>0} = 0, and
+    H^0 is the polynomial ring on c2..c5."""
+    if any(v > K_POWER - 2 for v in valuations):
         raise PrecisionExhausted(
-            f"torsion precision exhausted at K = {k_power}; raise K")
+            f"torsion precision exhausted at K = {K_POWER}")
     free = dim - len(valuations)
     rational = partitions_2345(t // R_DEG) if s == 0 else 0
     if free != rational:
         raise PrecisionExhausted(
             f"free rank {free} of H^{(s, t)} is not the rational rank"
-            f" {rational} at K = {k_power}; raise K")
+            f" {rational} at K = {K_POWER}")
     return free
 
 
 @lru_cache(maxsize=None)
-def differential_valuations(spec: AlgebroidSpec, s: int, t: int, k_power: int
+def differential_valuations(spec: AlgebroidSpec, s: int, t: int
                             ) -> Tuple[int, ...]:
     """Elementary divisor valuations, read mod 5^K, of the transferred
     differential out of (s, t)."""
     return tuple(diagonal_valuations(
-        transferred_matrix(spec, s, t, 5 ** k_power), k_power))
+        transferred_matrix(spec, s, t, 5 ** K_POWER), K_POWER))
 
 
-def integral_structure(spec: AlgebroidSpec, s: int, t: int, k_power: int
-                       ) -> Tuple[int, Tuple[int, ...]]:
-    """(free rank, torsion exponents) of H^{s,t} over Z_(5).
-
-    Works mod 5^K on the transferred complex; certified_free_rank checks
-    the answer against the precision and the rational rank."""
+def integral_valuations(spec: AlgebroidSpec, s: int, t: int
+                        ) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """(certified free rank, valuations into, valuations out of) H^{s,t}
+    over Z_(5), read mod 5^K on the transferred complex."""
     if spec.quotient_level is not None:
         raise ValueError("integral structure needs the unquotiented spec")
     dim = len(small_basis(spec, s, t))
     if dim == 0:
-        return 0, ()
-    v_below = differential_valuations(spec, s - 1, t, k_power) if s else ()
-    v_here = differential_valuations(spec, s, t, k_power)
-    free = certified_free_rank(dim, v_below + v_here, s, t, k_power)
-    torsion = tuple(sorted(v for v in v_below if v > 0))
-    return free, torsion
+        return 0, (), ()
+    below = differential_valuations(spec, s - 1, t) if s else ()
+    here = differential_valuations(spec, s, t)
+    return certified_free_rank(dim, below + here, s, t), below, here
+
+
+def integral_structure(spec: AlgebroidSpec, s: int, t: int
+                       ) -> Tuple[int, Tuple[int, ...]]:
+    """(free rank, torsion exponents) of H^{s,t} over Z_(5)."""
+    free, below, _ = integral_valuations(spec, s, t)
+    return free, tuple(sorted(v for v in below if v > 0))

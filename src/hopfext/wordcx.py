@@ -350,13 +350,13 @@ def _resolution_stages(s_max: int, t_max: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(stages)
 
 
-def dual_h_dim(s: int, t: int, t_max: int = 400) -> int:
+def dual_h_dim(s: int, t: int) -> int:
     """Cohomology dimension at (s, t) of the top-quotient cobar complex,
     via the minimal resolution over the dual algebra.  Agrees with
-    reduced_word_h_dim(t // 8, s) wherever both are computed."""
-    if t > t_max:
-        t_max = t
-    stages = _resolution_stages(max(s, 1) if s else 0, t_max)
+    reduced_word_h_dim(t // 8, s) wherever both are computed.  The cached
+    resolution reaches at least degree 400, so the calls of a window share
+    one."""
+    stages = _resolution_stages(max(s, 1) if s else 0, max(t, 400))
     if s >= len(stages):
         return 0
     return sum(1 for d in stages[s] if d == t)

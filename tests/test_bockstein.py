@@ -175,18 +175,17 @@ def _poly_times(spec, poly_text, cobar_text, s):
 def test_five_adic_page_rejects_planted_5K_divisor(monkeypatch):
     # the Z/5 divisor out of (0, 8), scaled to 5^K, reads as zero mod 5^K
     # and would leave a free class where the rational rank is 0
-    k_power = 4
     real = transfer.transferred_matrix
 
     def planted(spec, s, t, mod):
         mat = real(spec, s, t, mod)
-        return mat * 5 ** (k_power - 1) % mod if s == 0 else mat
+        return mat * 5 ** (transfer.K_POWER - 1) % mod if s == 0 else mat
 
     monkeypatch.setattr(transfer, "transferred_matrix", planted)
     # a valuation cached by an earlier test would hide the plant
     transfer.differential_valuations.cache_clear()
     try:
         with pytest.raises(PrecisionExhausted):
-            page_dimensions(F5ADIC, 1, 1, 8, k_power)
+            page_dimensions(F5ADIC, 1, 1, 8)
     finally:
         transfer.differential_valuations.cache_clear()

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 
@@ -5,9 +7,12 @@ import pytest
 
 import hopfext.invariants as inv
 from hopfext import claims
+from hopfext.algebroid import AlgebroidSpec
 from hopfext.claims import CLAIMS
 from hopfext.cli import RunConfig, build_parser, config_from_args, main, run
-from hopfext.flinalg import K_MAX
+from hopfext.flinalg import K_MAX, diagonal_valuations
+from hopfext.gradedpoly import Polynomial
+from hopfext.transfer import differential_valuations, transferred_matrix
 
 
 def _load(tmp_path, name):
@@ -28,34 +33,56 @@ def test_usage_errors():
         RunConfig(command="bockstein", tower=5)
     with pytest.raises(ValueError):
         RunConfig(command="bockstein", page=0)
-    with pytest.raises(ValueError):
-        RunConfig(command="ext", k_power=1)
-    with pytest.raises(ValueError):
-        RunConfig(command="ext", k_power=K_MAX + 1)
-    # an unknown tower, a precision too low to see torsion, and a window
-    # whose torsion exhausts the precision
+    # an unknown tower
     assert main(["bockstein", "--k", "5"]) == 2
     # pages start at r = 1 on both towers
     for k in ("0", "1"):
         for page in ("0", "-1"):
             assert main(["bockstein", "--k", k, "--page", page]) == 2
-    assert main(["ext", "--kpower", "1", "--smax", "1", "--tmax", "8"]) == 2
-    assert main(["ext", "--kpower", "2", "--smax", "1", "--tmax", "8"]) == 2
-    # beyond the exact int64 accumulation bound
-    assert main(["ext", "--kpower", str(K_MAX + 1), "--smax", "3",
-                 "--tmax", "120"]) == 2
 
 
-def test_kpower_ceiling_agrees_with_default(tmp_path):
-    # all torsion in this integral window is Z/5, so every precision from
-    # the default up to the ceiling gives the same JSON
-    texts = []
-    for k in (4, K_MAX):
-        out = tmp_path / str(k)
-        assert run(RunConfig(command="ext", s_max=3, t_max=120, k_power=k,
-                             out=str(out))) == 0
-        texts.append((out / "ext.json").read_text(encoding="utf-8"))
-    assert texts[0] == texts[1]
+def test_each_command_declares_the_flags_it_reads():
+    want = {
+        "axioms": {"--tmax", "--out"},
+        "verify": {"--out"},
+        "ext": {"--ideal", "--smax", "--tmax", "--out"},
+        "invariants": {"--tmax", "--out"},
+        "table1": {"--out"},
+        "disc": {"--out"},
+        "bockstein": {"--k", "--page", "--smax", "--tmax", "--out"},
+        "chart": {"--source", "--overlay", "--out"},
+    }
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {s for a in p._actions for s in a.option_strings} -
+           {"-h", "--help"} for name, p in sub.choices.items()}
+    assert got == want
+    assert sum(map(len, got.values())) == 19
+
+
+@pytest.mark.parametrize("argv", [
+    ["disc", "--kpower", "4"],
+    ["table1", "--tmax", "8"],
+    ["ext", "--kpower", "4", "--smax", "1", "--tmax", "8"],
+    ["invariants", "--smax", "2"],
+])
+def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
+
+
+def test_kpower_ceiling_agrees_with_default():
+    # all torsion in this integral window is Z/5, so reading the
+    # differentials at the int64 ceiling K_MAX finds the same elementary
+    # divisors as the fixed working precision
+    spec = AlgebroidSpec("reduced")
+    for s in range(4):
+        for t in range(0, 121, 8):
+            mat = transferred_matrix(spec, s, t, 5 ** K_MAX)
+            assert diagonal_valuations(mat, K_MAX) == \
+                list(differential_valuations(spec, s, t)), (s, t)
 
 
 def test_ext_h0_only_window(tmp_path):
@@ -166,6 +193,28 @@ def test_disc_payload(tmp_path):
     assert payload["degree"] == 160
 
 
+def test_disc_table_mismatch_is_a_failed_check(tmp_path, monkeypatch):
+    # a D row without the discriminant's leading monomial is a failed
+    # match (exit 1, ClaimFailed), not an undefined valuation
+    real = inv.table1_expand
+    lead = inv.discriminant().sorted_terms()[0][0]
+
+    def planted(name):
+        rec = real(name)
+        if name != "D":
+            return rec
+        p = rec.polynomial
+        return dataclasses.replace(rec, polynomial=Polynomial(
+            p.ring, {m: c for m, c in p.terms.items() if m != lead}))
+
+    monkeypatch.setattr(inv, "table1_expand", planted)
+    assert main(["disc", "--out", str(tmp_path)]) == 1
+    payload = json.loads(_load(tmp_path, "disc.json"))
+    assert payload["pass"] is False and payload["matches_table"] is False
+    with pytest.raises(claims.ClaimFailed):
+        claims._disc_table()
+
+
 @pytest.mark.parametrize("argv,digest", [
     (["axioms", "--tmax", "120"], "ffbf9c518500"),
     (["table1"], "eb65db233380"),
@@ -233,9 +282,10 @@ def test_chart_malformed_source_is_usage_error(tmp_path, capsys, data):
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args(["verify"])
-    cfg = config_from_args(args)
-    assert (cfg.s_max, cfg.t_max, cfg.k_power) == (6, 400, 4)
+    cfg = config_from_args(build_parser().parse_args(["ext"]))
+    assert (cfg.ideal, cfg.s_max, cfg.t_max, cfg.out) == (None, 6, 400, None)
+    cfg = config_from_args(build_parser().parse_args(["bockstein"]))
+    assert (cfg.tower, cfg.page, cfg.s_max, cfg.t_max) == (1, 1, 6, 400)
 
 
 def test_verify_suite_passes(tmp_path):

@@ -306,19 +306,18 @@ def test_planted_5K_divisor_raises(monkeypatch):
     # H^{1,8} = Z/5: scaling the differential out of degree 0 by 5^(K-1)
     # makes its divisor 5^K, which reads as zero mod 5^K and would turn
     # the torsion class into free rank
-    k_power = 4
     real = transfer.transferred_matrix
 
     def planted(spec, s, t, mod):
         mat = real(spec, s, t, mod)
-        return mat * 5 ** (k_power - 1) % mod if s == 0 else mat
+        return mat * 5 ** (transfer.K_POWER - 1) % mod if s == 0 else mat
 
     monkeypatch.setattr(transfer, "transferred_matrix", planted)
     # a valuation cached by an earlier test would hide the plant
     transfer.differential_valuations.cache_clear()
     try:
         with pytest.raises(PrecisionExhausted):
-            integral_structure(RED, 1, 8, k_power=k_power)
+            integral_structure(RED, 1, 8)
     finally:
         transfer.differential_valuations.cache_clear()
 
@@ -326,7 +325,7 @@ def test_planted_5K_divisor_raises(monkeypatch):
 @pytest.mark.parametrize("s,t", [(s, t) for s in range(5)
                                  for t in range(0, 73, 8)])
 def test_integral_structure_matches_cobar(s, t):
-    got_free, got_tors = integral_structure(RED, s, t, k_power=4)
+    got_free, got_tors = integral_structure(RED, s, t)
     g = cohomology(RED, s, t)
     assert got_free == g.free_rank
     assert list(got_tors) == sorted(g.torsion)
@@ -343,7 +342,7 @@ def test_integral_structure_matches_cobar(s, t):
 
 def test_integral_first_line():
     # H^{1,8} = Z/5 on the weight-1 word; no free part above filtration 0
-    free, tors = integral_structure(RED, 1, 8, k_power=4)
+    free, tors = integral_structure(RED, 1, 8)
     assert (free, tors) == (0, (1,))
 
 
