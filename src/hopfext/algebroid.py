@@ -8,10 +8,12 @@ I_k = (5, a1, ..., ak).  Structure maps are exact; elements of Gamma are
 kept in a left-coefficient normal form with r-exponents below 5 in the
 reduced variant.
 
-The right unit is built once, as the integer table eta_R_int with the
-normal form of r^e from _r_power_int.  eta_R, reduce_gamma,
-push_coefficient, the cobar differential and the numeric layers read
-those two, and check_axioms certifies the table.
+The right unit is built once per weight, as the integer matrix eta_block
+on the whole coefficient piece (exact or mod 5^K), by the generator
+recursion eta_R(m * a_i) = eta_R(m) * eta_R(a_i); eta_R_int reads one
+monomial's column of it, and _r_power_int gives the normal form of r^e.
+eta_R, reduce_gamma, push_coefficient, the cobar differential and the
+numeric layers read those, and check_axioms certifies the table.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from functools import lru_cache
 from math import comb
 from operator import add, itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .gradedpoly import (
     MODE_F5,
@@ -347,30 +351,136 @@ def _r_times_eta_generator(spec: AlgebroidSpec, e: int, i: int,
     return _int_terms(acc, mod)
 
 
+# --- the right-unit block ----------------------------------------------------
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+@lru_cache(maxsize=None)
+def piece_index(spec: AlgebroidSpec, d: int) -> Dict[Monomial, int]:
+    """Position of each monomial in coefficient_piece(spec, d)."""
+    return {m: i for i, m in enumerate(coefficient_piece(spec, d))}
+
+
+@lru_cache(maxsize=None)
+def eta_block_offsets(spec: AlgebroidSpec, n: int) -> Tuple[int, ...]:
+    """Row offsets of eta_block(spec, n, mod) by r-exponent, then its
+    height: exponent e owns rows offsets[e]:offsets[e + 1], one per
+    monomial of coefficient_piece(spec, 8 (n - e)), in that order."""
+    top = n if spec.max_r_power is None else min(n, spec.max_r_power)
+    offsets = [0]
+    for e in range(top + 1):
+        offsets.append(offsets[-1]
+                       + len(coefficient_piece(spec, R_DEGREE * (n - e))))
+    return tuple(offsets)
+
+
+@lru_cache(maxsize=None)
+def _row_labels(spec: AlgebroidSpec, n: int) -> Tuple[Tuple[int, Monomial], ...]:
+    """(r-exponent, monomial) of each row of eta_block(spec, n, mod)."""
+    top = len(eta_block_offsets(spec, n)) - 2
+    return tuple((e, m) for e in range(top + 1)
+                 for m in coefficient_piece(spec, R_DEGREE * (n - e)))
+
+
+def _last_generator_columns(spec: AlgebroidSpec, n: int
+                            ) -> Tuple[Tuple[int, np.ndarray, np.ndarray], ...]:
+    """(i, columns, sources) per generator a_i: the columns of the weight-n
+    piece whose last live generator is a_i, and the columns of the
+    weight-(n - i) piece that hold them divided by a_i; none at n = 0."""
+    groups: Dict[int, Tuple[List[int], List[int]]] = {}
+    for j, mono in enumerate(coefficient_piece(spec, R_DEGREE * n) if n else ()):
+        g = max(k for k, x in enumerate(mono) if x)
+        rest = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
+        cols, srcs = groups.setdefault(g + 1, ([], []))
+        cols.append(j)
+        srcs.append(piece_index(spec, R_DEGREE * (n - g - 1))[rest])
+    return tuple((i, np.array(cols), np.array(srcs))
+                 for i, (cols, srcs) in sorted(groups.items()))
+
+
+@lru_cache(maxsize=None)
+def eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None) -> np.ndarray:
+    """The right unit on the whole weight-n coefficient piece, as one matrix.
+
+    Column j is eta_R of coefficient_piece(spec, 8n)[j]; its rows are
+    r-exponent-major (see eta_block_offsets), each exponent's rows in
+    coefficient_piece order, so the nonzero entries of a column, read down,
+    are its (r-exponent, monomial, coefficient) terms in sort_terms order.
+
+    The columns whose last live generator is a_i are eta_R(a_i) times
+    columns of the weight-(n - i) block: each nonzero exponent-e1 run of
+    rows there moves by each term (e, m2, c2) of r^e1 eta_R(a_i) to the
+    exponent-e rows, monomial m1 to m1 * m2, times c2.
+
+    mod = 5^K gives residues in the smallest unsigned dtype that holds
+    one, summed in int64 and refused (ValueError) where a sum could pass
+    2^63; mod = None gives exact integers in an object array (the largest
+    passes 2^63 at weight 24 reduced, 26 full).  A quotient spec always
+    works mod 5 (see coefficient_modulus).  This is the one construction
+    of the right unit; check_axioms certifies it through eta_R_int."""
+    mod = coefficient_modulus(spec, mod)
+    cmod = coefficient_modulus(spec, None)
+    high = eta_block_offsets(spec, n)
+    dtype = object if mod is None else np.int64
+    out = np.zeros((high[-1], len(coefficient_piece(spec, R_DEGREE * n))), dtype)
+    if n == 0:
+        out[0, 0] = 1
+    for i, cols, srcs in _last_generator_columns(spec, n):
+        low = eta_block_offsets(spec, n - i)
+        src = eta_block(spec, n - i, mod)[:, srcs].astype(dtype, copy=False)
+        live = src.any(axis=1).tolist()
+        # the terms on one exponent may hit one row; terms on different
+        # exponents never do, so layer k gathers the k-th term on each
+        # exponent and is one indexed add
+        layers: List[Tuple[List[int], List[int], List[int]]] = []
+        depth = [0] * len(high)
+        for e1 in range(len(low) - 1):
+            run = [(r, m1) for r, m1 in zip(
+                range(low[e1], low[e1 + 1]),
+                coefficient_piece(spec, R_DEGREE * (n - i - e1))) if live[r]]
+            if not run:
+                continue
+            for e, m2, c2 in _r_times_eta_generator(spec, e1, i, cmod):
+                if depth[e] == len(layers):
+                    layers.append(([], [], []))
+                rows, src_rows, coefs = layers[depth[e]]
+                depth[e] += 1
+                index = piece_index(spec, R_DEGREE * (n - e))
+                rows += [high[e] + index[_mono_add(m1, m2)] for _, m1 in run]
+                src_rows += [r for r, _ in run]
+                coefs += [c2] * len(run)
+        # each layer adds one product below (mod - 1)^2 to an entry
+        if mod is not None and len(layers) * (mod - 1) ** 2 > _INT64_MAX:
+            raise ValueError("modulus too large for exact int64 accumulation")
+        acc = np.zeros((high[-1], len(cols)), dtype)
+        for rows, src_rows, coefs in layers:
+            factor = np.array(coefs, dtype)[:, None]
+            acc[rows] += (factor if mod is None else factor % mod) * src[src_rows]
+        out[:, cols] = acc if mod is None else acc % mod
+    if mod is not None:
+        out = out.astype(np.min_scalar_type(mod - 1))
+    out.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=None)
 def eta_R_int(spec: AlgebroidSpec, mono: Monomial, mod: Optional[int] = None) -> IntTerms:
     """Right unit of a base monomial with integer coefficients, as
     (r-exponent, monomial, coefficient) triples in normal form, in
-    sort_terms order.
+    sort_terms order: the monomial's column of eta_block (empty for a
+    monomial the quotient kills).
 
     mod = 5^K gives residues and None exact integers (see
-    coefficient_modulus for quotient specs).  The image of mono with one
-    factor of its last generator removed, times that generator's image, so
-    monomials share their partial products.  This is the one construction
-    of the right unit, and check_axioms certifies it."""
+    coefficient_modulus for quotient specs)."""
     mod = coefficient_modulus(spec, mod)
-    for i in range(len(mono) - 1, -1, -1):
-        if mono[i]:
-            break
-    else:
-        return ((0, mono, 1),)
-    rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-    acc: Dict[Tuple[int, Monomial], int] = {}
-    for e1, m1, c1 in eta_R_int(spec, rest, mod):
-        for e, m2, c2 in _r_times_eta_generator(spec, e1, i + 1, mod):
-            key = (e, _mono_add(m1, m2))
-            acc[key] = acc.get(key, 0) + c1 * c2
-    return _int_terms(acc, mod)
+    if any(mono[:spec.quotient_level or 0]):
+        return ()
+    n = spec.base_ring.monomial_degree(mono) // R_DEGREE
+    col = eta_block(spec, n, mod)[:, piece_index(spec, R_DEGREE * n)[mono]]
+    rows = np.flatnonzero(col)
+    labels = _row_labels(spec, n)
+    return tuple((*labels[r], c) for r, c in zip(rows.tolist(), col[rows].tolist()))
 
 
 def eta_L(spec: AlgebroidSpec, x: Polynomial) -> GammaElement:

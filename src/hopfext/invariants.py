@@ -1,9 +1,10 @@
 """The ring of translation invariants of the base, degree by degree.
 
 An element of A is invariant when the right unit fixes it; per degree this
-is the integer kernel, saturated over Z_(5), of the "coefficient of r in
-eta_R(x)" map, certified against every "coefficient of r^k in eta_R(x) - x"
-map.  On top of the raw kernels the module
+is the integer kernel, saturated over Z_(5), of the r^1 rows of the exact
+right-unit block (algebroid.eta_block), certified against all of its
+r^(>=1) rows once its r^0 rows are checked to be the identity.  On top of
+the raw kernels the module
 builds the named generators (c classes, the Delta table, the discriminant),
 runs the generator census with the depth heuristic, and reports Hilbert
 data.
@@ -18,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebroid import AlgebroidSpec, eta_R, eta_R_int
+from .algebroid import AlgebroidSpec, coefficient_piece, eta_block, eta_R
 from .coefficients import IntMatrix, LocalRational, kernel_saturated
 from .flinalg import rank_mod
 from .gradedpoly import (
@@ -62,25 +63,17 @@ def is_invariant(p: Polynomial) -> bool:
 
 @lru_cache(maxsize=None)
 def _eta_minus_id_matrix(t: int) -> Tuple[IntMatrix, Tuple[Monomial, ...]]:
-    cols = tuple(graded_piece_basis(A_RING, t))
-    row_offset: Dict[int, int] = {}
-    row_index: Dict[int, Dict[Monomial, int]] = {}
-    nrows = 0
-    for k in range(1, t // R_DEG + 1):
-        tgt = graded_piece_basis(A_RING, t - R_DEG * k)
-        row_offset[k] = nrows
-        row_index[k] = {m: i for i, m in enumerate(tgt)}
-        nrows += len(tgt)
-    entries: Dict[Tuple[int, int], int] = {}
-    for j, mono in enumerate(cols):
-        terms = eta_R_int(SPEC, mono)
-        if [(m2, c) for k, m2, c in terms if k == 0] != [(mono, 1)]:
-            raise InvarianceFailure(f"the r^0 term of eta_R({mono}) is not"
-                                    " the monomial itself")
-        for k, m2, c in terms:
-            if k:
-                entries[(row_offset[k] + row_index[k][m2], j)] = c
-    return IntMatrix(nrows, len(cols), entries), cols
+    """eta_R - id on the degree-t piece: the r^(>=1) rows of eta_block,
+    after a check that its r^0 rows are the identity."""
+    block = eta_block(SPEC, t // R_DEG)
+    cols = coefficient_piece(SPEC, t)
+    if not (block[:len(cols)] == np.eye(len(cols), dtype=np.int64)).all():
+        raise InvarianceFailure(f"the r^0 part of eta_R in degree {t} is not"
+                                " the identity")
+    moved = block[len(cols):]
+    cells = np.nonzero(moved.T)
+    entries = {(i, j): c for j, i, c in zip(*cells, moved.T[cells])}
+    return IntMatrix(len(moved), len(cols), entries), cols
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +101,7 @@ def invariant_basis(t: int) -> Tuple[Polynomial, ...]:
     for v in vecs:
         p = Polynomial(A_RING, {m: c for m, c in zip(cols, v) if c})
         lead_c = p.sorted_terms()[0][1]
-        if (lead_c.num if isinstance(lead_c, LocalRational) else lead_c) < 0:
+        if lead_c.num < 0:
             p = -p
         polys.append(p)
     polys.sort(key=lambda p: tuple(-e for e in p.sorted_terms()[0][0]))
@@ -189,9 +182,7 @@ def c_formula_discrepancy(i: int) -> LocalRational:
     top = closed.terms.get(lead_m)
     if top is None:
         raise AssertionError("formulas have different supports")
-    lam = LocalRational(int(top.num if isinstance(top, LocalRational) else top),
-                        int(lead_c.num if isinstance(lead_c, LocalRational)
-                            else lead_c))
+    lam = LocalRational(top.num, lead_c.num)
     if closed != listed.scale(lam):
         raise AssertionError("closed formula is not proportional to the list")
     return lam
@@ -356,14 +347,12 @@ def discriminant() -> Polynomial:
     lead = killed.get(a4_5)
     if lead is None:
         raise NormalizationFailure("no a4^5 term modulo (a1, a2, a3)")
-    lead = lead if isinstance(lead, LocalRational) else LocalRational(int(lead))
     if lead.valuation() != 0:
         raise NormalizationFailure("a4^5 coefficient is not a 5-unit")
     disc = res.scale(LocalRational(1) / lead)
     extra = [(m, c) for m, c in disc.terms.items()
              if not (m[0] or m[1] or m[2]) and m != a4_5
-             and (c.valuation() if isinstance(c, LocalRational) else
-                  LocalRational(int(c)).valuation()) == 0]
+             and c.valuation() == 0]
     if extra:
         raise NormalizationFailure("residual unit terms modulo I_3")
     if not is_invariant(disc):
@@ -393,10 +382,7 @@ def _mod5(p: Polynomial) -> Polynomial:
     basis has 5-unit content."""
     terms = {}
     for m, c in p.terms.items():
-        if isinstance(c, LocalRational):
-            v = c.num * pow(c.den, -1, 5) % 5
-        else:
-            v = int(c) % 5
+        v = c.num * pow(c.den, -1, 5) % 5
         if v:
             terms[m] = v
     return Polynomial(F5_RING, terms)

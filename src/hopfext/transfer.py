@@ -15,10 +15,13 @@ blocks: a chain at internal degree t is one int64 array per bar word, whose
 rows are the base monomials of degree t - 8 * weight(word) (the coefficient
 piece, in graded-lex order) and whose columns are the source basis.  delta
 touches only coefficients, so it is one matrix per piece degree and slot
-weight, applied through float64 BLAS (flinalg.matmul_mod, exact under its
-bound); h touches only words, so it is one scalar multiple of a block per
-word image; and the small basis is label-major over the same pieces, so pi
-adds each block to one run of rows.  Its labels are the critical words.
+weight (in the reduced presentation, rows of algebroid.eta_block), and the
+blocks of all words of one weight share its row piece: they stand side by
+side in one product per (weight, slot weight) through float64 BLAS
+(flinalg.matmul_mod, exact under its bound).  h touches only words, so it
+is one scalar multiple of a block per word image; and the small basis is
+label-major over the same pieces, so pi adds each block to one run of
+rows.  Its labels are the critical words.
 
 For the full presentation, cochains are written in the extended letter
 alphabet, where the right-unit image of the top base generator occupies
@@ -30,6 +33,7 @@ presentations share one path.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +42,10 @@ from .algebroid import (
     AlgebroidSpec,
     coefficient_modulus,
     coefficient_piece,
+    eta_block,
+    eta_block_offsets,
     eta_R_int,
+    piece_index,
     sort_terms,
 )
 from .flinalg import diagonal_valuations, matmul_mod, rank_gf5
@@ -206,11 +213,6 @@ Blocks = Dict[Word, np.ndarray]
 
 
 @lru_cache(maxsize=None)
-def _piece_index(spec: AlgebroidSpec, d: int) -> Dict[Monomial, int]:
-    return {m: i for i, m in enumerate(coefficient_piece(spec, d))}
-
-
-@lru_cache(maxsize=None)
 def _eta_matrices(spec: AlgebroidSpec, d: int, mod: int
                   ) -> Tuple[Tuple[int, np.ndarray], ...]:
     """delta on the coefficient piece of degree d, one matrix per slot weight.
@@ -218,16 +220,22 @@ def _eta_matrices(spec: AlgebroidSpec, d: int, mod: int
     Returns (w, T) pairs: T maps the piece of degree d to the piece of
     degree d - 8w by the weight-w part of the right-unit tail, so delta
     sends the block of a word to T times it at (w,) + word.  T is kept in
-    the smallest unsigned dtype that holds a residue."""
-    items = eta_items_L if spec.variant == "full" else eta_items
+    the smallest unsigned dtype that holds a residue.  In the reduced
+    presentation T is the exponent-w rows of eta_block, a view."""
+    if spec.variant == "reduced":
+        block = eta_block(spec, d // R_DEG, mod)
+        offsets = eta_block_offsets(spec, d // R_DEG)
+        mats = ((w, block[offsets[w]:offsets[w + 1]])
+                for w in range(1, len(offsets) - 1))
+        return tuple((w, mat) for w, mat in mats if mat.any())
     piece = coefficient_piece(spec, d)
     entries: Dict[int, List[Tuple[Monomial, int, int]]] = {}
     for col, mono in enumerate(piece):
-        for w, mono2, cf in items(spec, mono, mod):
+        for w, mono2, cf in eta_items_L(spec, mono, mod):
             entries.setdefault(w, []).append((mono2, col, cf))
     out = []
     for w in sorted(entries):
-        index = _piece_index(spec, d - R_DEG * w)
+        index = piece_index(spec, d - R_DEG * w)
         mat = np.zeros((len(index), len(piece)), np.min_scalar_type(mod - 1))
         monos, cols, cfs = zip(*entries[w])
         mat[[index[m] for m in monos], cols] = cfs
@@ -238,19 +246,29 @@ def _eta_matrices(spec: AlgebroidSpec, d: int, mod: int
 
 def _delta_blocks(spec: AlgebroidSpec, blocks: Blocks, t: int, mod: int
                   ) -> Blocks:
-    # (w,) + word names its source, so every output block has one term;
-    # the products run on the block's nonzero rows and columns only
+    # (w,) + word names its source, so every output block has one term.
+    # The blocks of words of one weight share their row piece, so they
+    # stand side by side, cut to their nonzero rows and columns, in one
+    # product per (weight, slot weight)
+    by_weight: Dict[int, List[Word]] = {}
+    for word in blocks:
+        by_weight.setdefault(sum(word), []).append(word)
     out: Blocks = {}
-    for word, blk in blocks.items():
-        rows = np.flatnonzero(blk.any(axis=1))
-        cols = np.flatnonzero(blk.any(axis=0))
-        sub = blk[np.ix_(rows, cols)]
-        for w, mat in _eta_matrices(spec, t - R_DEG * sum(word), mod):
-            prod = matmul_mod(mat[:, rows], sub, mod)
-            if prod.any():
-                new = np.zeros((len(mat), blk.shape[1]), dtype=np.int64)
-                new[:, cols] = prod
-                out[(w,) + word] = new
+    for n, words in by_weight.items():
+        cols = [np.flatnonzero(blocks[word].any(axis=0)) for word in words]
+        wide = np.concatenate([blocks[word][:, c] for word, c in zip(words, cols)],
+                              axis=1)
+        rows = np.flatnonzero(wide.any(axis=1))
+        wide = wide[rows]
+        ends = list(accumulate(len(c) for c in cols))
+        for w, mat in _eta_matrices(spec, t - R_DEG * n, mod):
+            prod = matmul_mod(mat[:, rows], wide, mod)
+            for word, c, lo, hi in zip(words, cols, [0] + ends, ends):
+                part = prod[:, lo:hi]
+                if part.any():
+                    new = np.zeros((len(mat), blocks[word].shape[1]), np.int64)
+                    new[:, c] = part
+                    out[(w,) + word] = new
     return out
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import hopfext.algebroid as algebroid
@@ -130,13 +131,14 @@ def test_check_axioms_pass(spec):
 
 @pytest.fixture
 def plant_eta_row(monkeypatch):
-    """Replace one row of the integer right-unit table for FULL.  The table
-    builds products from its own rows, so its memo and the push memo that
-    reads it are cleared before and after."""
+    """Replace one row of the integer right-unit table for FULL.  The
+    table's memo, the block memo it reads its columns from and the push
+    memo that reads it are cleared before and after."""
     real = algebroid.eta_R_int
 
     def clear():
         real.cache_clear()
+        algebroid.eta_block.cache_clear()
         algebroid._push_prefix_mono.cache_clear()
 
     def plant(mono, terms):
@@ -167,6 +169,27 @@ def test_check_axioms_ring_map_negative_control(plant_eta_row):
     plant_eta_row(a1a2, terms[:-1] + ((e, m, c + 1),))
     with pytest.raises(AxiomViolation, match=r"eta_R\(a1\*a2\)"):
         check_axioms(FULL, 40)
+
+
+@pytest.mark.parametrize("spec", [FULL, RED])
+def test_eta_block_residues_are_exact_residues(spec):
+    # mod 5^K the block is the exact block reduced, in the smallest
+    # unsigned dtype that holds a residue
+    for n in range(13):
+        exact = algebroid.eta_block(spec, n)
+        assert exact.dtype == object
+        for mod in (5, 625, 5 ** 9):
+            block = algebroid.eta_block(spec, n, mod)
+            assert block.dtype == np.min_scalar_type(mod - 1)
+            assert (block.astype(object) == exact % mod).all(), (n, mod)
+
+
+def test_eta_block_refuses_modulus_past_int64_bound():
+    # one product of two residues mod 5^14 already passes 2^63, so the
+    # int64 sums could wrap; K_MAX = 9 stays inside the bound
+    assert algebroid.eta_block(RED, 6, 5 ** 9).any()
+    with pytest.raises(ValueError, match="int64"):
+        algebroid.eta_block(RED, 6, 5 ** 14)
 
 
 def test_gamma_text_roundtrip():

@@ -228,6 +228,23 @@ def test_symbolic_outputs_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(text).hexdigest()[:12] == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["ext", "--smax", "4", "--tmax", "112"], "27f28f28fcbd"),
+    (["ext", "--ideal", "1", "--smax", "6", "--tmax", "88"], "ef8f73962a00"),
+    (["ext", "--ideal", "2", "--smax", "6", "--tmax", "200"], "21accf68e2b0"),
+    (["invariants", "--tmax", "112"], "b67c7fd7344c"),
+    (["bockstein", "--k", "2", "--page", "2", "--smax", "4", "--tmax", "160"],
+     "286d64d08631"),
+])
+def test_numeric_outputs_pinned(tmp_path, argv, digest):
+    # these commands read the right unit as matrices (the transfer and the
+    # invariant kernels); their JSON is pinned byte for byte by the sha256
+    # prefix of the file
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    text = (tmp_path / f"{argv[0]}.json").read_bytes()
+    assert hashlib.sha256(text).hexdigest()[:12] == digest
+
+
 def test_bockstein_dump(tmp_path):
     cfg = RunConfig(command="bockstein", tower=2, page=1, s_max=2, t_max=48,
                     out=str(tmp_path))

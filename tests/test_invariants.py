@@ -92,22 +92,24 @@ def test_r1_block_kernel_matches_full_kernel(monkeypatch):
 
 @pytest.mark.parametrize("corrupt", ["scale", "extra"])
 def test_identity_term_guard(monkeypatch, corrupt):
-    # _eta_minus_id_matrix drops the r^0 part of eta_R, which is only
-    # right when that part is the monomial itself
+    # _eta_minus_id_matrix drops the r^0 rows of eta_block, which is only
+    # right when they are the identity: plant a doubled diagonal entry, or
+    # the second monomial of the piece in the first one's image
     t = 32
-    target = graded_piece_basis(A_RING, t)[0]
-    other = graded_piece_basis(A_RING, t)[1]
-    real = inv.eta_R_int
+    real = inv.eta_block
 
-    def wrong(spec, mono, mod=None):
-        terms = real(spec, mono, mod)
-        if mono != target:
-            return terms
+    def wrong(spec, n, mod=None):
+        block = real(spec, n, mod)
+        if n != t // R_DEG:
+            return block
+        block = block.copy()
         if corrupt == "scale":
-            return tuple((e, m, 2 * c if e == 0 else c) for e, m, c in terms)
-        return ((0, other, 1),) + terms
+            block[0, 0] *= 2
+        else:
+            block[1, 0] = 1
+        return block
 
-    monkeypatch.setattr(inv, "eta_R_int", wrong)
+    monkeypatch.setattr(inv, "eta_block", wrong)
     with pytest.raises(InvarianceFailure):
         inv._eta_minus_id_matrix.__wrapped__(t)
 

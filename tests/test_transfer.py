@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import hopfext.transfer as transfer
-from hopfext.algebroid import AlgebroidSpec, eta_R_int, quotient, reduce_base
+from hopfext.algebroid import (
+    AlgebroidSpec,
+    eta_block,
+    eta_block_offsets,
+    eta_R_int,
+    quotient,
+    reduce_base,
+)
 from hopfext.cobar import cohomology, differential, is_coboundary
 from hopfext.coefficients import LocalRational
 from hopfext.flinalg import matmul_mod, rank_gf5
@@ -419,6 +426,48 @@ def test_transferred_matrix_matches_reference(variant, level, mod, t_max):
             assert got.dtype == want.dtype, (s, t)
             assert np.array_equal(got, want), (s, t)
             assert small_basis(spec, s, t) == _small_basis_reference(spec, s, t)
+
+
+@pytest.mark.parametrize("spec,mod", [(RI[1], 5), (RED, 625)])
+def test_reduced_delta_matrices_are_block_views(spec, mod):
+    # delta reads the right-unit block in place: its exponent-w rows
+    for n in range(16):
+        block = eta_block(spec, n, mod)
+        offsets = eta_block_offsets(spec, n)
+        for w, mat in transfer._eta_matrices.__wrapped__(spec, 8 * n, mod):
+            assert np.shares_memory(mat, block)
+            assert np.array_equal(mat, block[offsets[w]:offsets[w + 1]])
+
+
+@pytest.mark.parametrize("spec,mod", [(RI[1], 5), (RED, 625), (FI[0], 5)])
+def test_delta_makes_one_product_per_weight_and_slot_weight(spec, mod,
+                                                            monkeypatch):
+    # the blocks of the words of one weight share one product per slot
+    # weight, however many words there are
+    real_delta, real_matmul = transfer._delta_blocks, transfer.matmul_mod
+    counts = []
+
+    def counted_matmul(a, b, m):
+        counts[-1][0] += 1
+        return real_matmul(a, b, m)
+
+    def counted_delta(spec_, blocks, t, m):
+        def products(weights):
+            return sum(len(transfer._eta_matrices(spec_, t - 8 * n, m))
+                       for n in weights)
+        # made, one per (weight, slot weight), one per (word, slot weight)
+        counts.append([0, products({sum(w) for w in blocks}),
+                       products([sum(w) for w in blocks])])
+        return real_delta(spec_, blocks, t, m)
+
+    monkeypatch.setattr(transfer, "matmul_mod", counted_matmul)
+    monkeypatch.setattr(transfer, "_delta_blocks", counted_delta)
+    for s in range(4):
+        for t in range(8, 121, 8):
+            transferred_matrix.__wrapped__(spec, s, t, mod)
+    assert counts and all(made == want for made, want, _ in counts)
+    made = sum(made for made, _, _ in counts)
+    assert made < sum(per_word for _, _, per_word in counts)
 
 
 def test_projection_outside_small_basis_raises(monkeypatch):
