@@ -14,6 +14,13 @@ recursion eta_R(m * a_i) = eta_R(m) * eta_R(a_i); eta_R_int reads one
 monomial's column of it, and _r_power_int gives the normal form of r^e.
 eta_R, reduce_gamma, push_coefficient, the cobar differential and the
 numeric layers read those, and check_axioms certifies the table.
+
+For the full presentation, letter_block rewrites the block's rows into
+the extended letter alphabet that the transfer layer works in, where the
+letter of weight w is z^(w div 5) r^(w mod 5) and z = eta_R(a5): each
+exponent-e run of rows moves by the terms of the letter normal form of
+r^e (_letter_form).  Both blocks are built by one step, _move_runs, which
+moves whole runs of rows by a table of terms.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add, itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +68,11 @@ class AlgebroidSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.quotient_level is not None and not 0 <= self.quotient_level <= P - 1:
             raise IndexError(f"quotient level {self.quotient_level} outside 0..{P - 1}")
+        # every memo lookup hashes the spec: hash its fields once
+        object.__setattr__(self, "_hash", hash((self.variant, self.quotient_level)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def num_generators(self) -> int:
@@ -240,16 +252,11 @@ class GammaElement:
 
 @lru_cache(maxsize=None)
 def _relation_tail(spec: AlgebroidSpec) -> Tuple[Tuple[int, Monomial], ...]:
-    # r^5 = - (a1 r^4 + a2 r^3 + a3 r^2 + a4 r), with killed generators dropped
-    ring = spec.base_ring
-    out = []
-    k = spec.quotient_level or 0
-    for j in range(1, P):
-        if j <= k:
-            continue
-        mono = tuple(1 if ring.names[i] == f"a{j}" else 0 for i in range(len(ring.names)))
-        out.append((P - j, mono))
-    return tuple(out)
+    # (5 - j, a_j) over the live generators: r^5 = - (a1 r^4 + ... + a4 r)
+    # reduced, and r^5 = z - (a1 r^4 + ... + a4 r + a5) in the letters
+    n, k = spec.num_generators, spec.quotient_level or 0
+    return tuple((P - j, tuple(int(g == j - 1) for g in range(n)))
+                 for j in range(k + 1, n + 1))
 
 
 def reduce_gamma(g: GammaElement) -> GammaElement:
@@ -335,6 +342,24 @@ def _r_power_int(spec: AlgebroidSpec, e: int, mod: Optional[int]) -> IntTerms:
 
 
 @lru_cache(maxsize=None)
+def _letter_form(spec: AlgebroidSpec, e: int, mod: Optional[int]) -> IntTerms:
+    """Letter normal form of r^e in the full presentation, as (letter
+    weight, monomial, coefficient) triples.  The letter of weight w is
+    z^(w div 5) r^(w mod 5), with z = eta_R(a5) = r^5 + a1 r^4 + ... + a4 r
+    + a5; for e >= 5, r^e = z r^(e-5) - sum_j a_j r^(e-j) over the live
+    a_j, and z adds 5 to the letter weight.  The weight-0 terms are kept,
+    since the next z carries them to weight 5."""
+    if e < P:
+        return _r_power_int(spec, e, mod)
+    acc = {(w + P, m): c for w, m, c in _letter_form(spec, e - P, mod)}
+    for exp, mono in _relation_tail(spec):
+        for w, m2, c2 in _letter_form(spec, e - P + exp, mod):
+            key = (w, _mono_add(mono, m2))
+            acc[key] = acc.get(key, 0) - c2
+    return _int_terms(acc, mod)
+
+
+@lru_cache(maxsize=None)
 def _r_times_eta_generator(spec: AlgebroidSpec, e: int, i: int,
                            mod: Optional[int]) -> IntTerms:
     """Normal form of r^e * eta_R(a_i), where
@@ -399,6 +424,48 @@ def _last_generator_columns(spec: AlgebroidSpec, n: int
                  for i, (cols, srcs) in sorted(groups.items()))
 
 
+def _move_runs(spec: AlgebroidSpec, src: np.ndarray, n_src: int, n: int,
+               terms: Callable[[int], IntTerms], mod: Optional[int]) -> np.ndarray:
+    """Rows of the weight-n layout (eta_block_offsets(spec, n)) from src,
+    whose rows are laid out as the weight-n_src block: each nonzero
+    exponent-e1 run of src moves by each term (e, m2, c2) of terms(e1) to
+    the exponent-e rows, monomial m1 to m1 * m2, times c2, and the moves
+    are summed (mod `mod` unless it is None).
+
+    src is int64 residues or an object array of exact integers.  A sum
+    that could pass 2^63 in int64 is refused (ValueError)."""
+    high, low = eta_block_offsets(spec, n), eta_block_offsets(spec, n_src)
+    live = src.any(axis=1).tolist()
+    # the terms on one exponent may hit one row; terms on different
+    # exponents never do, so layer k gathers the k-th term on each
+    # exponent and is one indexed add
+    layers: List[Tuple[List[int], List[int], List[int]]] = []
+    depth = [0] * len(high)
+    for e1 in range(len(low) - 1):
+        run = [(r, m1) for r, m1 in zip(
+            range(low[e1], low[e1 + 1]),
+            coefficient_piece(spec, R_DEGREE * (n_src - e1))) if live[r]]
+        if not run:
+            continue
+        for e, m2, c2 in terms(e1):
+            if depth[e] == len(layers):
+                layers.append(([], [], []))
+            rows, src_rows, coefs = layers[depth[e]]
+            depth[e] += 1
+            index = piece_index(spec, R_DEGREE * (n - e))
+            rows += [high[e] + index[_mono_add(m1, m2)] for _, m1 in run]
+            src_rows += [r for r, _ in run]
+            coefs += [c2] * len(run)
+    # each layer adds one product below (mod - 1)^2 to an entry
+    if mod is not None and len(layers) * (mod - 1) ** 2 > _INT64_MAX:
+        raise ValueError("modulus too large for exact int64 accumulation")
+    acc = np.zeros((high[-1], src.shape[1]), src.dtype)
+    for rows, src_rows, coefs in layers:
+        factor = np.array(coefs, src.dtype)[:, None]
+        acc[rows] += (factor if mod is None else factor % mod) * src[src_rows]
+    return acc if mod is None else acc % mod
+
+
 @lru_cache(maxsize=None)
 def eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None) -> np.ndarray:
     """The right unit on the whole weight-n coefficient piece, as one matrix.
@@ -409,9 +476,8 @@ def eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None) -> np.ndar
     are its (r-exponent, monomial, coefficient) terms in sort_terms order.
 
     The columns whose last live generator is a_i are eta_R(a_i) times
-    columns of the weight-(n - i) block: each nonzero exponent-e1 run of
-    rows there moves by each term (e, m2, c2) of r^e1 eta_R(a_i) to the
-    exponent-e rows, monomial m1 to m1 * m2, times c2.
+    columns of the weight-(n - i) block: _move_runs moves them by the
+    terms of r^e1 eta_R(a_i).
 
     mod = 5^K gives residues in the smallest unsigned dtype that holds
     one, summed in int64 and refused (ValueError) where a sum could pass
@@ -421,45 +487,38 @@ def eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None) -> np.ndar
     of the right unit; check_axioms certifies it through eta_R_int."""
     mod = coefficient_modulus(spec, mod)
     cmod = coefficient_modulus(spec, None)
-    high = eta_block_offsets(spec, n)
     dtype = object if mod is None else np.int64
-    out = np.zeros((high[-1], len(coefficient_piece(spec, R_DEGREE * n))), dtype)
+    out = np.zeros((eta_block_offsets(spec, n)[-1],
+                    len(coefficient_piece(spec, R_DEGREE * n))), dtype)
     if n == 0:
         out[0, 0] = 1
     for i, cols, srcs in _last_generator_columns(spec, n):
-        low = eta_block_offsets(spec, n - i)
         src = eta_block(spec, n - i, mod)[:, srcs].astype(dtype, copy=False)
-        live = src.any(axis=1).tolist()
-        # the terms on one exponent may hit one row; terms on different
-        # exponents never do, so layer k gathers the k-th term on each
-        # exponent and is one indexed add
-        layers: List[Tuple[List[int], List[int], List[int]]] = []
-        depth = [0] * len(high)
-        for e1 in range(len(low) - 1):
-            run = [(r, m1) for r, m1 in zip(
-                range(low[e1], low[e1 + 1]),
-                coefficient_piece(spec, R_DEGREE * (n - i - e1))) if live[r]]
-            if not run:
-                continue
-            for e, m2, c2 in _r_times_eta_generator(spec, e1, i, cmod):
-                if depth[e] == len(layers):
-                    layers.append(([], [], []))
-                rows, src_rows, coefs = layers[depth[e]]
-                depth[e] += 1
-                index = piece_index(spec, R_DEGREE * (n - e))
-                rows += [high[e] + index[_mono_add(m1, m2)] for _, m1 in run]
-                src_rows += [r for r, _ in run]
-                coefs += [c2] * len(run)
-        # each layer adds one product below (mod - 1)^2 to an entry
-        if mod is not None and len(layers) * (mod - 1) ** 2 > _INT64_MAX:
-            raise ValueError("modulus too large for exact int64 accumulation")
-        acc = np.zeros((high[-1], len(cols)), dtype)
-        for rows, src_rows, coefs in layers:
-            factor = np.array(coefs, dtype)[:, None]
-            acc[rows] += (factor if mod is None else factor % mod) * src[src_rows]
-        out[:, cols] = acc if mod is None else acc % mod
+        out[:, cols] = _move_runs(
+            spec, src, n - i, n,
+            lambda e1: _r_times_eta_generator(spec, e1, i, cmod), mod)
     if mod is not None:
         out = out.astype(np.min_scalar_type(mod - 1))
+    out.setflags(write=False)
+    return out
+
+
+def letter_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None
+                 ) -> np.ndarray:
+    """eta_block(spec, n, mod) with its rows in letter normal form
+    (_letter_form): each exponent-e run moves by the terms of the letter
+    form of r^e, and the rows of letter weight w sit where the exponent-w
+    rows do, on the same piece.  Same dtype; a block with no exponent
+    >= 5 (every reduced block, every full block below weight 5) is
+    returned as it is."""
+    block = eta_block(spec, n, mod)
+    if len(eta_block_offsets(spec, n)) - 2 < P:
+        return block
+    mod = coefficient_modulus(spec, mod)
+    src = block if mod is None else block.astype(np.int64)
+    out = _move_runs(spec, src, n, n,
+                     lambda e: _letter_form(spec, e, mod), mod)
+    out = out.astype(block.dtype)
     out.setflags(write=False)
     return out
 

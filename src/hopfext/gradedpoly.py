@@ -27,14 +27,6 @@ class RingMismatch(ValueError):
     pass
 
 
-class DegreeMismatch(ValueError):
-    pass
-
-
-class MissingAssignment(KeyError):
-    pass
-
-
 class ZeroPolynomial(ValueError):
     pass
 
@@ -224,14 +216,6 @@ class Polynomial:
             raise InhomogeneousInput(f"degrees {sorted(degs)} present")
         return degs.pop()
 
-    def is_homogeneous(self) -> bool:
-        return len({self.ring.monomial_degree(m) for m in self.terms}) <= 1
-
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no leading monomial")
-        return min(self.terms, key=_mono_sort_key)
-
     def content_valuation(self) -> int:
         """Minimum 5-adic valuation over the coefficients."""
         if not self.terms:
@@ -279,43 +263,6 @@ def graded_piece_basis(ring: RingSpec, t: int) -> List[Monomial]:
     if t < 0:
         return []
     return list(_graded_basis_cached(ring.degrees, t))
-
-
-def substitute(p: Polynomial, assignments: Mapping[str, Polynomial],
-               target: Optional[RingSpec] = None) -> Polynomial:
-    """Image of p under the ring map sending each generator to its assignment.
-
-    Assignments must cover every generator appearing in p and must be
-    homogeneous of the generator's degree.
-    """
-    ring = p.ring
-    used = [i for i in range(len(ring.names)) if any(m[i] for m in p.terms)]
-    if target is None:
-        some = next(iter(assignments.values()), None)
-        target = some.ring if some is not None else ring
-    for i in used:
-        name = ring.names[i]
-        if name not in assignments:
-            raise MissingAssignment(name)
-        img = assignments[name]
-        if img.ring != target:
-            raise RingMismatch(f"assignment for {name} lives in the wrong ring")
-        d = img.degree()
-        if d is not None and d != ring.degrees[i]:
-            raise DegreeMismatch(f"{name}: degree {d} != {ring.degrees[i]}")
-    out = Polynomial.zero(target)
-    pow_cache: Dict[Tuple[int, int], Polynomial] = {}
-    for mono, c in p.terms.items():
-        term = Polynomial.constant(target, c)
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = assignments[ring.names[i]] ** e
-            term = term * pow_cache[key]
-        out = out + term
-    return out
 
 
 # --- canonical text form and parsing -------------------------------------

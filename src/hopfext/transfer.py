@@ -15,19 +15,22 @@ blocks: a chain at internal degree t is one int64 array per bar word, whose
 rows are the base monomials of degree t - 8 * weight(word) (the coefficient
 piece, in graded-lex order) and whose columns are the source basis.  delta
 touches only coefficients, so it is one matrix per piece degree and slot
-weight (in the reduced presentation, rows of algebroid.eta_block), and the
-blocks of all words of one weight share its row piece: they stand side by
-side in one product per (weight, slot weight) through float64 BLAS
-(flinalg.matmul_mod, exact under its bound).  h touches only words, so it
-is one scalar multiple of a block per word image; and the small basis is
-label-major over the same pieces, so pi adds each block to one run of
-rows.  Its labels are the critical words.
+weight (rows of algebroid.letter_block), and the blocks of all words of
+one weight share its row piece: they stand side by side in one product
+per (weight, slot weight) through float64 BLAS (flinalg.matmul_mod, exact
+under its bound).  h touches only words, so it is one scalar multiple of
+a block per word image; and the small basis is label-major over the same
+pieces, so pi adds each block to one run of rows.  Its labels are the
+critical words.
 
 For the full presentation, cochains are written in the extended letter
-alphabet, where the right-unit image of the top base generator occupies
-its own letter and the transfer data assembles tensorially from block and
-tail contractions.  A reduced word is a letter word with no blocks, so both
-presentations share one path.
+alphabet, where z = eta_R(a5), the right-unit image of the top base
+generator, occupies its own letter: the letter of weight w is
+z^(w div 5) r^(w mod 5).  delta's matrices are the right-unit block with
+its rows rewritten through r^5 = z - a5 - a4 r - ... - a1 r^4, and the
+transfer data assembles tensorially from block and tail contractions.  A
+reduced word is a letter word with no blocks and a reduced block needs no
+rewrite, so both presentations share one path.
 """
 
 from __future__ import annotations
@@ -40,13 +43,9 @@ import numpy as np
 
 from .algebroid import (
     AlgebroidSpec,
-    coefficient_modulus,
     coefficient_piece,
-    eta_block,
     eta_block_offsets,
-    eta_R_int,
-    piece_index,
-    sort_terms,
+    letter_block,
 )
 from .flinalg import diagonal_valuations, matmul_mod, rank_gf5
 from .gradedpoly import Monomial
@@ -60,52 +59,6 @@ from .wordcx import (
 
 Word = Tuple[int, ...]
 R_DEG = 8
-
-
-# --- coefficient tails ------------------------------------------------------
-
-def eta_items(spec: AlgebroidSpec, mono: Monomial, mod: int
-              ) -> Tuple[Tuple[int, Monomial, int], ...]:
-    """Right-unit tail of a base monomial as (slot weight, monomial, coeff).
-
-    Reduced presentation: the right-unit image is already in normal form
-    with slot weights 1..4."""
-    return tuple(item for item in eta_R_int(spec, mono, mod) if item[0])
-
-
-def eta_items_L(spec: AlgebroidSpec, mono: Monomial, mod: int
-                ) -> Tuple[Tuple[int, Monomial, int], ...]:
-    """Right-unit tail in the extended letter alphabet (full presentation).
-
-    Rewrites high r powers through r^5 = z - a5 - a4 r - ... so every term
-    is a single letter of weight 5m + j.  Each exponent is rewritten once,
-    highest first, since every rewrite lands on lower exponents."""
-    if spec.variant != "full":
-        raise ValueError("extended alphabet applies to the full presentation")
-    mod = coefficient_modulus(spec, mod)
-    # r^5 = z - sum_j a_j r^(5-j) over the live a_j, as (5 - j, index of a_j)
-    tail = [(5 - j, j - 1) for j in range((spec.quotient_level or 0) + 1, 6)]
-    # levels[e][(m, monomial)] = coefficient of z^m r^e
-    levels: Dict[int, Dict[Tuple[int, Monomial], int]] = {}
-    for e, m2, c in eta_R_int(spec, mono, mod):
-        levels.setdefault(e, {})[(0, m2)] = c
-    for e in range(max(levels, default=0), 4, -1):
-        up = levels.setdefault(e - 5, {})
-        lows = [(levels.setdefault(e - 5 + j, {}), g) for j, g in tail]
-        for (m, m2), c in levels.pop(e, {}).items():
-            up[(m + 1, m2)] = up.get((m + 1, m2), 0) + c
-            for low, g in lows:
-                key = (m, m2[:g] + (m2[g] + 1,) + m2[g + 1:])
-                low[key] = low.get(key, 0) - c
-    out = []
-    for e, terms in levels.items():
-        for (m, m2), c in terms.items():
-            w, v = 5 * m + e, c % mod
-            # the weight-0 part dies in Gamma / (left unit image)
-            if w and v:
-                out.append((w, m2, v))
-    sort_terms(out)
-    return tuple(out)
 
 
 # --- per-word contraction actions ------------------------------------------
@@ -219,29 +172,15 @@ def _eta_matrices(spec: AlgebroidSpec, d: int, mod: int
 
     Returns (w, T) pairs: T maps the piece of degree d to the piece of
     degree d - 8w by the weight-w part of the right-unit tail, so delta
-    sends the block of a word to T times it at (w,) + word.  T is kept in
-    the smallest unsigned dtype that holds a residue.  In the reduced
-    presentation T is the exponent-w rows of eta_block, a view."""
-    if spec.variant == "reduced":
-        block = eta_block(spec, d // R_DEG, mod)
-        offsets = eta_block_offsets(spec, d // R_DEG)
-        mats = ((w, block[offsets[w]:offsets[w + 1]])
-                for w in range(1, len(offsets) - 1))
-        return tuple((w, mat) for w, mat in mats if mat.any())
-    piece = coefficient_piece(spec, d)
-    entries: Dict[int, List[Tuple[Monomial, int, int]]] = {}
-    for col, mono in enumerate(piece):
-        for w, mono2, cf in eta_items_L(spec, mono, mod):
-            entries.setdefault(w, []).append((mono2, col, cf))
-    out = []
-    for w in sorted(entries):
-        index = piece_index(spec, d - R_DEG * w)
-        mat = np.zeros((len(index), len(piece)), np.min_scalar_type(mod - 1))
-        monos, cols, cfs = zip(*entries[w])
-        mat[[index[m] for m in monos], cols] = cfs
-        mat.setflags(write=False)
-        out.append((w, mat))
-    return tuple(out)
+    sends the block of a word to T times it at (w,) + word.  T is the
+    letter-weight-w rows of algebroid.letter_block, a view, kept in the
+    smallest unsigned dtype that holds a residue; the weight-0 rows die in
+    Gamma / (left unit image)."""
+    block = letter_block(spec, d // R_DEG, mod)
+    offsets = eta_block_offsets(spec, d // R_DEG)
+    mats = ((w, block[offsets[w]:offsets[w + 1]])
+            for w in range(1, len(offsets) - 1))
+    return tuple((w, mat) for w, mat in mats if mat.any())
 
 
 def _delta_blocks(spec: AlgebroidSpec, blocks: Blocks, t: int, mod: int

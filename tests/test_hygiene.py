@@ -66,22 +66,45 @@ def _references(path):
     return out
 
 
-def test_no_unreferenced_definitions():
-    files = [p for d in ("src", "tests", "scripts", "perfbench")
-             for p in sorted((ROOT / d).rglob("*.py"))]
+def _unreferenced(dirs):
+    """Definitions in src/hopfext that no file under `dirs` references
+    outside the definition itself (so recursion does not count)."""
     refs = {}
-    for path in files:
+    for path in (p for d in dirs for p in sorted((ROOT / d).rglob("*.py"))):
         for name, line in _references(path):
             refs.setdefault(name, []).append((path, line))
-    unreferenced = []
+    out = []
     for path in sorted(SRC.glob("*.py")):
         for qualname, first, last in _definitions(path):
-            # a use inside its own definition (recursion) does not count
             name = qualname.split(".")[-1]
             if not any(p != path or not first <= line <= last
                        for p, line in refs.get(name, ())):
-                unreferenced.append(f"{path.stem}.{qualname}")
+                out.append(f"{path.stem}.{qualname}")
+    return out
+
+
+def test_no_unreferenced_definitions():
+    unreferenced = _unreferenced(("src", "tests", "scripts", "perfbench"))
     assert not unreferenced, f"defined and never referenced: {unreferenced}"
+
+
+# reached from tests alone, on purpose
+TEST_ONLY = {
+    # the documented ceiling of the 5-adic precision, which a test reads
+    "flinalg.K_MAX",
+    # a paper statement, as stated, that an acceptance test checks
+    "invariants.c_formula_discrepancy",
+    # the chart-lines API that the report tests drive
+    "report.build_chart",
+}
+
+
+def test_definitions_reach_beyond_tests():
+    # library code that only its own tests reach is dead code with tests
+    unreached = set(_unreferenced(("src", "scripts", "perfbench")))
+    assert unreached == TEST_ONLY, \
+        (f"reached from tests alone: {sorted(unreached - TEST_ONLY)};"
+         f" listed but reached: {sorted(TEST_ONLY - unreached)}")
 
 
 def _traced_names():

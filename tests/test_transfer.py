@@ -8,28 +8,28 @@ import pytest
 import hopfext.transfer as transfer
 from hopfext.algebroid import (
     AlgebroidSpec,
+    coefficient_piece,
     eta_block,
     eta_block_offsets,
     eta_R_int,
+    piece_index,
     quotient,
     reduce_base,
 )
-from hopfext.cobar import cohomology, differential, is_coboundary
+from hopfext.cobar import cohomology, compositions, differential, is_coboundary
 from hopfext.coefficients import LocalRational
 from hopfext.flinalg import matmul_mod, rank_gf5
 from hopfext.gradedpoly import Polynomial, graded_piece_basis
 from hopfext.transfer import (
     PrecisionExhausted,
     diagonal_valuations,
-    eta_items,
-    eta_items_L,
     ext_dim,
     integral_structure,
     small_basis,
     small_word_labels,
     transferred_matrix,
 )
-from hopfext.wordcx import reduced_word_h_dim
+from hopfext.wordcx import reduced_word_h_dim, word_d_entries
 
 import echelon
 
@@ -86,8 +86,10 @@ def _eta_R_reference(spec, mono):
     return _reduce_reference(spec, out)
 
 
+@lru_cache(maxsize=None)
 def _eta_items_reference(spec, mono, mod):
-    """eta_items read off the symbolic right unit."""
+    """The right-unit tail (positive r-exponents) read off the symbolic
+    right unit, as (r-exponent, monomial, coefficient) triples."""
     out = []
     for e, p in sorted(_eta_R_reference(spec, mono).items()):
         if e == 0:
@@ -99,9 +101,12 @@ def _eta_items_reference(spec, mono, mod):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _eta_items_L_reference(spec, mono, mod):
-    """eta_items_L by rewriting the symbolic right unit's top r power
-    through r^5 = z - a5 - a4 r - ... until every exponent is below 5."""
+    """The letter-alphabet tail (full presentation) by rewriting the
+    symbolic right unit's top r power through r^5 = z - a5 - a4 r - ...
+    until every exponent is below 5, as (letter weight, monomial,
+    coefficient) triples."""
     ring = spec.base_ring
     tail = [(i, Polynomial.generator(ring, name))
             for i, name in enumerate(("a5", "a4", "a3", "a2", "a1"))
@@ -130,6 +135,24 @@ def _eta_items_L_reference(spec, mono, mod):
     return tuple(out)
 
 
+def _eta_tail(spec, mono, mod):
+    """A base monomial's right-unit tail: its eta_R_int terms of positive
+    r-exponent."""
+    return tuple(item for item in eta_R_int(spec, mono, mod) if item[0])
+
+
+def _letter_tail(spec, mono, mod):
+    """A base monomial's tail as delta applies it: its column of the
+    letter-weight-w matrices of transfer._eta_matrices, w >= 1, read as
+    (letter weight, monomial, coefficient) triples."""
+    d = spec.base_ring.monomial_degree(mono)
+    col = piece_index(spec, d)[mono]
+    return tuple((w, m2, c)
+                 for w, mat in transfer._eta_matrices(spec, d, mod)
+                 for m2, c in zip(coefficient_piece(spec, d - 8 * w),
+                                  mat[:, col].tolist()) if c)
+
+
 def _monomials_of_degree(spec, t):
     killed = len(spec.killed)
     return [m for m in graded_piece_basis(spec.base_ring, t)
@@ -144,14 +167,15 @@ def _monomials(spec, t_max):
 @pytest.mark.parametrize("variant,t_max", [("reduced", 160), ("full", 120)])
 @pytest.mark.parametrize("level", [None, 0, 1, 2, 3, 4])
 def test_eta_table_matches_symbolic(variant, t_max, level):
-    # the integer table emits the symbolic right unit's tuples, in order
+    # the integer table emits the symbolic right unit's tuples, in order,
+    # and in the full presentation delta's letter rows emit its letter form
     spec = AlgebroidSpec(variant, level)
     for mono in _monomials(spec, t_max):
         for mod in (5, 625, 5 ** 9):
-            assert eta_items(spec, mono, mod) == \
+            assert _eta_tail(spec, mono, mod) == \
                 _eta_items_reference(spec, mono, mod), (mono, mod)
             if variant == "full":
-                assert eta_items_L(spec, mono, mod) == \
+                assert _letter_tail(spec, mono, mod) == \
                     _eta_items_L_reference(spec, mono, mod), (mono, mod)
 
 
@@ -169,9 +193,9 @@ def test_eta_items_reduced_examples():
     i1 = RI[1]
     a3 = (0, 0, 1, 0)
     # eta(a3) = a3 + 3 a2 r mod I1
-    assert eta_items(i1, a3, 5) == ((1, (0, 1, 0, 0), 3),)
+    assert _eta_tail(i1, a3, 5) == ((1, (0, 1, 0, 0), 3),)
     a4 = (0, 0, 0, 1)
-    assert eta_items(i1, a4, 5) == (
+    assert _eta_tail(i1, a4, 5) == (
         (1, (0, 0, 1, 0), 2), (2, (0, 1, 0, 0), 3))
 
 
@@ -179,13 +203,13 @@ def test_eta_items_letter_alphabet():
     # the top generator's tail is exactly the weight-5 letter minus itself,
     # and the weight-0 residue dies in the quotient by the left unit
     a5 = (0, 0, 0, 0, 1)
-    items = eta_items_L(FI[0], a5, 5)
+    items = _letter_tail(FI[0], a5, 5)
     assert items == ((5, (0, 0, 0, 0, 0), 1),)
     a1 = (1, 0, 0, 0, 0)
     # eta(a1) = a1 + 5r, so mod 5 the tail vanishes
-    assert eta_items_L(FI[0], a1, 5) == ()
+    assert _letter_tail(FI[0], a1, 5) == ()
     one = (0, 0, 0, 0, 0)
-    assert eta_items_L(FI[0], one, 5) == ()
+    assert _letter_tail(FI[0], one, 5) == ()
 
 
 def test_letter_tail_degree_homogeneous():
@@ -193,7 +217,7 @@ def test_letter_tail_degree_homogeneous():
     ring = spec.base_ring
     mono = (0, 0, 1, 1, 0)  # a3 a4
     deg = ring.monomial_degree(mono)
-    for w, m2, c in eta_items_L(spec, mono, 5):
+    for w, m2, c in _letter_tail(spec, mono, 5):
         assert ring.monomial_degree(m2) + 8 * w == deg
 
 
@@ -353,6 +377,30 @@ def test_integral_first_line():
     assert (free, tors) == (0, (1,))
 
 
+@pytest.mark.parametrize("mod", [5, 625])
+def test_extended_word_homotopy_identities(mod):
+    # d h + h d = 1 - iota pi on every extended word of weight <= 14, with
+    # h, pi and iota assembled tensorially from the block and tail maps
+    def add(acc, terms, cf):
+        for w, c in terms:
+            acc[w] = (acc.get(w, 0) + cf * c) % mod
+
+    words = [w for n in range(1, 15) for s in range(1, n + 1)
+             for w in compositions(n, s, None)]
+    assert len(words) == 2 ** 14 - 1
+    for word in words:
+        got = {}
+        for y, c in transfer._h_word(word, mod):
+            add(got, word_d_entries(y).items(), c)
+        for y, c in word_d_entries(word).items():
+            add(got, transfer._h_word(y, mod), c)
+        want = {word: 1}
+        for label, c in transfer._pi_word(word, mod):
+            add(want, transfer._iota_label(label, mod), -c)
+        assert {w: c for w, c in got.items() if c} == \
+            {w: c for w, c in want.items() if c}, word
+
+
 def test_small_basis_deterministic():
     a = small_basis(RI[1], 2, 96)
     b = small_basis(RI[1], 2, 96)
@@ -369,8 +417,10 @@ def _small_basis_reference(spec, s, t):
 
 def _transferred_reference(spec, s, t, mod):
     """transferred_matrix by the per-(monomial, word) loop: one int64 row
-    per key, delta one right-unit item and h one word image at a time."""
-    items = eta_items_L if spec.variant == "full" else eta_items
+    per key, delta one item of the symbolic right unit's tail and h one
+    word image at a time."""
+    items = (_eta_items_L_reference if spec.variant == "full"
+             else _eta_items_reference)
 
     def delta(data):
         out = {}
