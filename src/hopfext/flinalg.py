@@ -18,15 +18,14 @@ import numpy as np
 
 # Largest 5-adic precision K the int64/float64 kernels keep exact.  One
 # product of entries is below 5^(2K), so each echelon update stays below
-# 2^63 (at K = 14 one product overflows).  The transfer's int64 sums reduce
-# late: h adds one product per source word of the same weight and length
-# before it reduces, and 2^63 / 5^18 leaves room for about 2.4e6 of them at
-# K = 9, against at most 4^7 = 16,384 reduced words (s <= 7) and
-# C(29, 4) = 23,751 letter-alphabet words (t <= 240, s <= 5); pi reduces
-# after every block add.  delta goes through matmul_mod, whose float64 sums
-# stay exact while inner * (5^K - 1)^2 < 2^53: at K = 9 that is 2,361
-# terms, and the largest coefficient piece the transfer reaches at t <= 400
-# has 1,154 monomials (a longer inner dimension is summed in chunks).
+# 2^63 (at K = 14 one product overflows).  The transfer reduces every sum
+# as it goes: its word-side scalars are reduced on every dict add, and
+# each block add is c * P with c and every entry of P below 5^K, reduced
+# after the add, so no int64 sum there holds more than one product.  Its
+# delta products go through matmul_mod, whose float64 sums stay exact
+# while inner * (5^K - 1)^2 < 2^53: at K = 9 that is 2,361 terms, and the
+# largest coefficient piece the transfer reaches at t <= 400 has 1,154
+# monomials (a longer inner dimension is summed in chunks).
 K_MAX = 9
 
 

@@ -10,18 +10,18 @@ the differential, giving a small complex with the same cohomology.  All
 the large-window computations (Ext tables, integral structure, spectral
 sequence pages) run here.
 
-The perturbation series pi delta sum_k (h delta)^k iota runs on word
-blocks: a chain at internal degree t is one int64 array per bar word, whose
-rows are the base monomials of degree t - 8 * weight(word) (the coefficient
-piece, in graded-lex order) and whose columns are the source basis.  delta
-touches only coefficients, so it is one matrix per piece degree and slot
-weight (rows of algebroid.letter_block), and the blocks of all words of
-one weight share its row piece: they stand side by side in one product
-per (weight, slot weight) through float64 BLAS (flinalg.matmul_mod, exact
-under its bound).  h touches only words, so it is one scalar multiple of
-a block per word image; and the small basis is label-major over the same
-pieces, so pi adds each block to one run of rows.  Its labels are the
-critical words.
+The perturbation series pi delta sum_k (h delta)^k iota factors (Crainic,
+arXiv math/0403266).  delta touches only coefficients: it multiplies a
+chain on a word by a slot matrix T_w (rows of algebroid.letter_block) and
+prepends the slot weight w to the word.  h, pi and iota only take scalar
+combinations across words.  So the block of the transferred matrix from a
+source label to a target label is a sum of c * T_seq over sequences seq of
+slot weights, T_seq applying their matrices in order.  The scalars c come
+from running the series on words alone, with no coefficient arrays; each
+T_seq is memoised per piece degree, so cells that share a piece share it,
+and is one float64 BLAS product (flinalg.matmul_mod, exact under its
+bound) on its prefix.  The small basis is label-major over the coefficient
+pieces, and its labels are the critical words.
 
 For the full presentation, cochains are written in the extended letter
 alphabet, where z = eta_R(a5), the right-unit image of the top base
@@ -36,7 +36,6 @@ rewrite, so both presentations share one path.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -160,9 +159,9 @@ def small_basis(spec: AlgebroidSpec, s: int, t: int
                  for mono in coefficient_piece(spec, d))
 
 
-# --- perturbation series on word blocks (see the module docstring) --------
+# --- perturbation series, factored (see the module docstring) -------------
 
-Blocks = Dict[Word, np.ndarray]
+Seq = Tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -172,10 +171,10 @@ def _eta_matrices(spec: AlgebroidSpec, d: int, mod: int
 
     Returns (w, T) pairs: T maps the piece of degree d to the piece of
     degree d - 8w by the weight-w part of the right-unit tail, so delta
-    sends the block of a word to T times it at (w,) + word.  T is the
+    sends a chain on a word to T times it at (w,) + word.  T is the
     letter-weight-w rows of algebroid.letter_block, a view, kept in the
     smallest unsigned dtype that holds a residue; the weight-0 rows die in
-    Gamma / (left unit image)."""
+    Gamma / (left unit image), and a zero T is left out."""
     block = letter_block(spec, d // R_DEG, mod)
     offsets = eta_block_offsets(spec, d // R_DEG)
     mats = ((w, block[offsets[w]:offsets[w + 1]])
@@ -183,83 +182,84 @@ def _eta_matrices(spec: AlgebroidSpec, d: int, mod: int
     return tuple((w, mat) for w, mat in mats if mat.any())
 
 
-def _delta_blocks(spec: AlgebroidSpec, blocks: Blocks, t: int, mod: int
-                  ) -> Blocks:
-    # (w,) + word names its source, so every output block has one term.
-    # The blocks of words of one weight share their row piece, so they
-    # stand side by side, cut to their nonzero rows and columns, in one
-    # product per (weight, slot weight)
-    by_weight: Dict[int, List[Word]] = {}
-    for word in blocks:
-        by_weight.setdefault(sum(word), []).append(word)
-    out: Blocks = {}
-    for n, words in by_weight.items():
-        cols = [np.flatnonzero(blocks[word].any(axis=0)) for word in words]
-        wide = np.concatenate([blocks[word][:, c] for word, c in zip(words, cols)],
-                              axis=1)
-        rows = np.flatnonzero(wide.any(axis=1))
-        wide = wide[rows]
-        ends = list(accumulate(len(c) for c in cols))
-        for w, mat in _eta_matrices(spec, t - R_DEG * n, mod):
-            prod = matmul_mod(mat[:, rows], wide, mod)
-            for word, c, lo, hi in zip(words, cols, [0] + ends, ends):
-                part = prod[:, lo:hi]
-                if part.any():
-                    new = np.zeros((len(mat), blocks[word].shape[1]), np.int64)
-                    new[:, c] = part
-                    out[(w,) + word] = new
+@lru_cache(maxsize=None)
+def _delta_product(spec: AlgebroidSpec, d: int, seq: Seq, mod: int
+                   ) -> np.ndarray:
+    """T_seq on the piece of degree d: the slot matrices of seq applied in
+    order, each on the piece its predecessors reach, where _word_scalars
+    has checked it is nonzero."""
+    *head, w = seq
+    mat = dict(_eta_matrices(spec, d - R_DEG * sum(head), mod))[w]
+    if not head:
+        return mat
+    prev = _delta_product(spec, d, tuple(head), mod)
+    return matmul_mod(mat, prev, mod).astype(mat.dtype)
+
+
+def _word_scalars(spec: AlgebroidSpec, label: Word, d: int, mod: int
+                  ) -> Dict[Tuple[Word, Seq], int]:
+    """c(target label, seq) of the series from one source label on the
+    piece of degree d, run on a scalar per (word, seq): delta prepends a
+    slot weight w to the word and appends it to seq, trying only the
+    weights whose slot matrix on the piece reached is nonzero, so the
+    series ends once the piece is spent."""
+    out: Dict[Tuple[Word, Seq], int] = {}
+    chains: Dict[Seq, Dict[Word, int]] = {(): dict(_iota_label(label, mod))}
+    while chains:
+        chains = {seq + (w,): {(w,) + word: c for word, c in words.items()}
+                  for seq, words in chains.items()
+                  for w, _ in _eta_matrices(spec, d - R_DEG * sum(seq), mod)}
+        nxt: Dict[Seq, Dict[Word, int]] = {}
+        for seq, words in chains.items():
+            low: Dict[Word, int] = {}
+            for word, c in words.items():
+                for target, cf in _pi_word(word, mod):
+                    key = (target, seq)
+                    out[key] = (out.get(key, 0) + c * cf) % mod
+                for w2, cf in _h_word(word, mod):
+                    low[w2] = (low.get(w2, 0) + c * cf) % mod
+            low = {w2: c for w2, c in low.items() if c}
+            if low:
+                nxt[seq] = low
+        chains = nxt
     return out
-
-
-def _h_blocks(blocks: Blocks, mod: int) -> Blocks:
-    out: Blocks = {}
-    for word, blk in blocks.items():
-        for w2, cf in _h_word(word, mod):
-            if w2 in out:
-                out[w2] += cf * blk
-            else:
-                out[w2] = cf * blk
-    out = {w: v % mod for w, v in out.items()}
-    return {w: v for w, v in out.items() if v.any()}
 
 
 @lru_cache(maxsize=None)
 def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, mod: int
                        ) -> np.ndarray:
     """Matrix of the perturbed differential small(s, t) -> small(s+1, t),
-    the sum pi delta (h delta)^k iota over k >= 0."""
-    offsets: Dict[Tuple, int] = {}
+    the sum pi delta (h delta)^k iota over k >= 0, as sums of c * T_seq
+    reduced after every add."""
+    offsets: Dict[Word, int] = {}
     height = 0
     for label, d in _label_runs(spec, s + 1, t):
         offsets[label] = height
         height += len(coefficient_piece(spec, d))
-    src = [(label, len(coefficient_piece(spec, d)))
-           for label, d in _label_runs(spec, s, t)]
-    width = sum(size for _, size in src)
+    src = _label_runs(spec, s, t)
+    width = sum(len(coefficient_piece(spec, d)) for _, d in src)
     out = np.zeros((height, width), dtype=np.int64)
     if not width or not height:
         return out
-    blocks: Blocks = {}
     col = 0
-    for label, size in src:
-        diag = (np.arange(size), col + np.arange(size))
-        for word, cf in _iota_label(label, mod):
-            if word not in blocks:
-                blocks[word] = np.zeros((size, width), dtype=np.int64)
-            blocks[word][diag] += cf
-        col += size
-    blocks = {w: v % mod for w, v in blocks.items()}
-    while blocks:
-        blocks = _delta_blocks(spec, blocks, t, mod)
-        for word, blk in blocks.items():
-            for label, cf in _pi_word(word, mod):
-                row = offsets.get(label)
-                if row is None:
-                    raise AssertionError("projection left the small basis")
-                part = out[row:row + len(blk)]
-                part[:] = (part + cf * blk) % mod
-        blocks = _h_blocks(blocks, mod)
+    for label, d in src:
+        for (target, seq), c in _word_scalars(spec, label, d, mod).items():
+            row = offsets.get(target)
+            if row is None:
+                raise AssertionError("projection left the small basis")
+            if c:
+                prod = _delta_product(spec, d, seq, mod)
+                part = out[row:row + prod.shape[0], col:col + prod.shape[1]]
+                part += np.int64(c) * prod
+                part %= mod
+        col += len(coefficient_piece(spec, d))
     return out
+
+
+@lru_cache(maxsize=None)
+def _rank_f5(spec: AlgebroidSpec, s: int, t: int) -> int:
+    """F5 rank of the transferred differential out of (s, t)."""
+    return rank_gf5(transferred_matrix(spec, s, t, 5))
 
 
 def ext_dim(spec: AlgebroidSpec, s: int, t: int) -> int:
@@ -267,9 +267,8 @@ def ext_dim(spec: AlgebroidSpec, s: int, t: int) -> int:
     dim = len(small_basis(spec, s, t))
     if dim == 0:
         return 0
-    r_below = rank_gf5(transferred_matrix(spec, s - 1, t, 5)) if s else 0
-    r_here = rank_gf5(transferred_matrix(spec, s, t, 5))
-    return dim - r_below - r_here
+    r_below = _rank_f5(spec, s - 1, t) if s else 0
+    return dim - r_below - _rank_f5(spec, s, t)
 
 
 # --- integral structure -----------------------------------------------------

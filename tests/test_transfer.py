@@ -467,7 +467,8 @@ TRANSFER_GRID = (
 
 @pytest.mark.parametrize("variant,level,mod,t_max", TRANSFER_GRID)
 def test_transferred_matrix_matches_reference(variant, level, mod, t_max):
-    # the word-block series equals the per-key loop in value and dtype
+    # the factored series (word-side scalars times delta products)
+    # equals the per-key loop in value and dtype
     spec = AlgebroidSpec(variant, level)
     for s in range(5):
         for t in range(8, t_max + 1, 8):
@@ -490,34 +491,39 @@ def test_reduced_delta_matrices_are_block_views(spec, mod):
 
 
 @pytest.mark.parametrize("spec,mod", [(RI[1], 5), (RED, 625), (FI[0], 5)])
-def test_delta_makes_one_product_per_weight_and_slot_weight(spec, mod,
-                                                            monkeypatch):
-    # the blocks of the words of one weight share one product per slot
-    # weight, however many words there are
-    real_delta, real_matmul = transfer._delta_blocks, transfer.matmul_mod
-    counts = []
+def test_delta_makes_one_product_per_piece_and_sequence(spec, mod,
+                                                        monkeypatch):
+    # a delta product T_seq is made once per (piece, sequence), however
+    # many cells, source labels and longer sequences read it
+    real_product, real_matmul = transfer._delta_product, transfer.matmul_mod
+    real_product.cache_clear()
+    made, keys, per_cell = [0], set(), []
+    depth = [0]
 
     def counted_matmul(a, b, m):
-        counts[-1][0] += 1
+        made[0] += 1
         return real_matmul(a, b, m)
 
-    def counted_delta(spec_, blocks, t, m):
-        def products(weights):
-            return sum(len(transfer._eta_matrices(spec_, t - 8 * n, m))
-                       for n in weights)
-        # made, one per (weight, slot weight), one per (word, slot weight)
-        counts.append([0, products({sum(w) for w in blocks}),
-                       products([sum(w) for w in blocks])])
-        return real_delta(spec_, blocks, t, m)
+    def counted_product(spec_, d, seq, m):
+        if len(seq) >= 2:
+            keys.add((spec_, d, seq, m))
+            if not depth[0]:
+                # the products a build from scratch would make for this read
+                per_cell[-1].update((d, seq[:k]) for k in range(2, len(seq) + 1))
+        depth[0] += 1
+        try:
+            return real_product(spec_, d, seq, m)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(transfer, "matmul_mod", counted_matmul)
-    monkeypatch.setattr(transfer, "_delta_blocks", counted_delta)
+    monkeypatch.setattr(transfer, "_delta_product", counted_product)
     for s in range(4):
         for t in range(8, 121, 8):
+            per_cell.append(set())
             transferred_matrix.__wrapped__(spec, s, t, mod)
-    assert counts and all(made == want for made, want, _ in counts)
-    made = sum(made for made, _, _ in counts)
-    assert made < sum(per_word for _, _, per_word in counts)
+    assert made[0] == len(keys) > 0
+    assert made[0] < sum(len(reads) for reads in per_cell)
 
 
 def test_projection_outside_small_basis_raises(monkeypatch):
