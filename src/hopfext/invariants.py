@@ -3,25 +3,27 @@
 An element of A is invariant when the right unit fixes it; per degree this
 is the integer kernel, saturated over Z_(5), of the r^1 rows of the exact
 right-unit block (algebroid.eta_block), certified against all of its
-r^(>=1) rows once its r^0 rows are checked to be the identity.  On top of
-the raw kernels the module
-builds the named generators (c classes, the Delta table, the discriminant),
-runs the generator census with the depth heuristic, and reports Hilbert
-data.
+r^(>=1) rows once its r^0 rows are checked to be the identity.  The
+certificate is an exact multimodular product: moved @ v = 0 is checked
+modulo primes below 2^21 until their product exceeds a bound on every entry
+(see _annihilates).  On top of the raw kernels the module builds the named
+generators (c classes, the Delta table, the discriminant), runs the
+generator census (one F5 echelon per degree) with the depth heuristic, and
+reports Hilbert data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .algebroid import AlgebroidSpec, coefficient_piece, eta_block, eta_R
 from .coefficients import IntMatrix, LocalRational, kernel_saturated
-from .flinalg import rank_mod
+from .flinalg import matmul_mod, rref_mod
 from .gradedpoly import (
     MODE_F5,
     Monomial,
@@ -71,9 +73,54 @@ def _eta_minus_id_matrix(t: int) -> Tuple[IntMatrix, Tuple[Monomial, ...]]:
         raise InvarianceFailure(f"the r^0 part of eta_R in degree {t} is not"
                                 " the identity")
     moved = block[len(cols):]
-    cells = np.nonzero(moved.T)
-    entries = {(i, j): c for j, i, c in zip(*cells, moved.T[cells])}
+    js, rows = np.nonzero(moved.T)
+    entries = dict(zip(zip(rows.tolist(), js.tolist()),
+                       moved.T[js, rows].tolist()))
     return IntMatrix(len(moved), len(cols), entries), cols
+
+
+# Certificate primes stay below 2^21: then (p - 1)^2 < 2^42, so matmul_mod
+# sums at least 2^53 / 2^42 = 2,048 products exactly in one float64 pass
+# (the degree-176 piece, the largest below H0_T_CEILING, has 255 columns).
+_PRIME_CEILING = 1 << 21
+
+
+@lru_cache(maxsize=None)
+def _certificate_prime(i: int) -> int:
+    """The i-th prime below 2^21, counting down from the largest (i = 0)."""
+    p = _certificate_prime(i - 1) - 2 if i else _PRIME_CEILING - 1
+    while any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        p -= 2
+    return p
+
+
+def _certificate_primes(bound: int) -> List[int]:
+    """The fewest successive certificate primes whose product exceeds bound."""
+    primes: List[int] = []
+    product = 1
+    while product <= bound:
+        primes.append(_certificate_prime(len(primes)))
+        product *= primes[-1]
+    return primes
+
+
+def _annihilates(moved: np.ndarray, vecs: Sequence[Sequence[int]]) -> bool:
+    """Whether moved @ v = 0 over Z for every v in vecs, exactly.
+
+    moved holds exact integers (an object array may pass 2^63).  Every
+    entry x of a product has |x| <= B, the largest absolute row sum of
+    moved times the largest |v_k|, taken in Python ints.  The product is
+    reduced modulo successive primes p < 2^21 until their product exceeds
+    B; if x = 0 mod every p, then by the Chinese remainder theorem x = 0
+    mod their product, which exceeds |x|, so x = 0.  The block is reduced
+    by `moved % p`, never cast to int64."""
+    if not vecs:
+        return True
+    v = np.array(vecs, dtype=object).T
+    bound = (max(np.abs(moved).sum(axis=1).tolist())
+             * max(abs(c) for vec in vecs for c in vec))
+    return all(not matmul_mod(moved % p, v % p, p).any()
+               for p in _certificate_primes(bound))
 
 
 @lru_cache(maxsize=None)
@@ -91,11 +138,9 @@ def invariant_basis(t: int) -> Tuple[Polynomial, ...]:
     vecs = kernel_saturated(IntMatrix(r1_rows, mat.cols, {
         (i, j): c for (i, j), c in mat.entries.items() if i < r1_rows}))
     # the r^0 part of eta_R is the identity (checked column by column in
-    # _eta_minus_id_matrix), so eta_R fixes v exactly when mat * v = 0
-    kernel = IntMatrix(len(cols), len(vecs),
-                       {(i, j): c for j, v in enumerate(vecs)
-                        for i, c in enumerate(v)})
-    if mat.matmul(kernel).entries:
+    # _eta_minus_id_matrix), so eta_R fixes v exactly when moved @ v = 0
+    # over Z on all r^(>=1) rows, which the multimodular product decides
+    if not _annihilates(eta_block(SPEC, t // R_DEG)[len(cols):], vecs):
         raise InvarianceFailure("kernel vector moves under the right unit")
     polys = []
     for v in vecs:
@@ -407,6 +452,13 @@ def _census_upto(t: int) -> Tuple[Tuple[int, Tuple[Polynomial, ...]], ...]:
     with ranks in the invariants mod 5 because the basis is saturated, so
     its mod-5 reduction stays independent in the ambient ring.
 
+    The pick is greedy and comes from one echelon per degree: the mod-5
+    products, then the basis, are the columns of one matrix, and a column
+    is a pivot of its F5 row echelon form exactly when it is independent
+    of the columns before it.  So the pivots past the products are the
+    basis elements that each raise the rank over the products and the
+    elements picked before them, in basis order.
+
     Each degree is computed once: the census through t extends the cached
     census through t - 8 by degree t alone.
     """
@@ -421,26 +473,19 @@ def _census_upto(t: int) -> Tuple[Tuple[int, Tuple[Polynomial, ...]], ...]:
     mod5_registry = tuple((deg, _mod5(p)) for deg, reps in earlier
                           for p in reps)
     products = _products_of_degree(mod5_registry, t)
-    stacked = list(_mod5_rows(products, t)) if products else []
-    rank = rank_mod(np.array(stacked, dtype=np.int64), 5) if stacked else 0
-    new_reps: List[Polynomial] = []
-    if rank < len(basis):
-        eye = _mod5_rows([_mod5(b) for b in basis], t)
-        for cand_row, cand in zip(eye, basis):
-            trial = np.array(stacked + [cand_row], dtype=np.int64)
-            if rank_mod(trial, 5) > rank:
-                stacked.append(cand_row)
-                rank += 1
-                new_reps.append(cand)
-            if rank == len(basis):
-                break
-    if rank != len(basis):
+    rows = _mod5_rows(products + [_mod5(b) for b in basis], t)
+    _, pivots = rref_mod(rows.T, 5)
+    if len(pivots) != len(basis):
         raise AssertionError("generators fail to span a graded piece")
-    return earlier + ((t, tuple(new_reps)),)
+    new_reps = tuple(basis[c - len(products)] for c in pivots
+                     if c >= len(products))
+    return earlier + ((t, new_reps),)
 
 
 def _products_of_degree(registry: Tuple[Tuple[int, Polynomial], ...],
                         t: int) -> List[Polynomial]:
+    """Every product of registry entries, with repetition, of total degree
+    t > 0: nonempty products of nonzero polynomials, so none is zero."""
     out: List[Polynomial] = []
 
     def rec(i: int, remaining: int, acc: Polynomial):
@@ -456,7 +501,7 @@ def _products_of_degree(registry: Tuple[Tuple[int, Polynomial], ...],
 
     ring = registry[0][1].ring if registry else A_RING
     rec(0, t, Polynomial.constant(ring, 1))
-    return [p for p in out if p.sorted_terms()[0][0] != (0,) * 5]
+    return out
 
 
 def new_generators(t: int) -> Tuple[int, Tuple[Polynomial, ...]]:

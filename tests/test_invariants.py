@@ -1,10 +1,13 @@
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfext.algebroid import eta_block
 from hopfext.coefficients import LocalRational, kernel_saturated
-from hopfext.flinalg import rank_mod
+from hopfext.flinalg import matmul_mod, rank_mod
 from hopfext.gradedpoly import graded_piece_basis, parse_polynomial
 from hopfext.transfer import partitions_2345
 import hopfext.invariants as inv
@@ -71,6 +74,48 @@ def test_kernel_certificate_catches_a_moved_vector(monkeypatch):
     monkeypatch.setattr(inv, "kernel_saturated", perturbed)
     with pytest.raises(InvarianceFailure):
         invariant_basis.__wrapped__(t)
+
+
+@pytest.mark.parametrize("primes_missed", [1, 3])
+def test_kernel_certificate_catches_a_prime_multiple(monkeypatch,
+                                                     primes_missed):
+    # plant v0 + P e_0 for a kernel vector v0, so that moved @ v moves by
+    # P * moved[:, 0]: zero modulo every prime dividing P.  P is the first
+    # certificate prime, then the product of all primes the bound needs but
+    # the last; the second planted vector passes 2^63
+    t = 32
+    _, cols = inv._eta_minus_id_matrix(t)
+    moved = eta_block(inv.SPEC, t // R_DEG)[len(cols):]
+    assert moved[:, 0].any()
+    missed = [inv._certificate_prime(i) for i in range(primes_missed)]
+    real = inv.kernel_saturated
+    planted = []
+
+    def perturbed(mat):
+        vecs = real(mat)
+        planted[:] = [(vecs[0][0] + prod(missed),) + vecs[0][1:]] + vecs[1:]
+        return list(planted)
+
+    monkeypatch.setattr(inv, "kernel_saturated", perturbed)
+    with pytest.raises(InvarianceFailure):
+        invariant_basis.__wrapped__(t)
+    bound = (max(np.abs(moved).sum(axis=1))
+             * max(abs(c) for v in planted for c in v))
+    assert inv._certificate_primes(bound)[:-1] == missed
+    v = np.array(planted, dtype=object).T
+    for p in missed:
+        assert not matmul_mod(moved % p, v % p, p).any()
+
+
+def test_certificate_is_exact_past_int64():
+    # object blocks past 2^63 are reduced exactly, never cast to int64: a
+    # product of 2^64 would wrap to 0 in int64 arithmetic
+    big = 2 ** 70
+    moved = np.array([[big, -1, 0], [3, 0, -3 * big]], dtype=object)
+    assert inv._annihilates(moved, [(big, big * big, 1)])
+    assert not inv._annihilates(moved, [(big, big * big + 1, 1)])
+    assert not inv._annihilates(moved[:1], [(1, big - 2 ** 64, 0)])
+    assert inv._annihilates(moved, [])
 
 
 def test_r1_block_kernel_matches_full_kernel(monkeypatch):
@@ -238,6 +283,52 @@ def test_table_generators_span_every_graded_piece():
         polys = _products_of_degree(lower, t) + \
             [p for d, p in registry5 if d == t]
         assert rank_mod(_mod5_rows(polys, t), 5) == len(basis), t
+
+
+def test_products_are_nonzero_of_their_degree():
+    census = inv._census_upto(176)
+    for t in range(R_DEG, 177, R_DEG):
+        registry = tuple((d, _mod5(p)) for d, reps in census if d < t
+                         for p in reps)
+        for p in _products_of_degree(registry, t):
+            assert p and all(A_RING.monomial_degree(m) == t for m in p.terms)
+
+
+def _greedy_new_reps(products, basis, t):
+    """The census pick by one F5 re-rank per candidate: the reference the
+    one-echelon pick of _census_upto is checked against.  Also returns the
+    rank of the products alone."""
+    stacked = list(_mod5_rows(products, t)) if products else []
+    rank = rank_mod(np.array(stacked, dtype=np.int64), 5) if stacked else 0
+    product_rank = rank
+    new_reps = []
+    if rank < len(basis):
+        eye = _mod5_rows([_mod5(b) for b in basis], t)
+        for cand_row, cand in zip(eye, basis):
+            trial = np.array(stacked + [cand_row], dtype=np.int64)
+            if rank_mod(trial, 5) > rank:
+                stacked.append(cand_row)
+                rank += 1
+                new_reps.append(cand)
+            if rank == len(basis):
+                break
+    assert rank == len(basis), t
+    return tuple(new_reps), product_rank
+
+
+def test_census_pick_matches_greedy_reranks():
+    census = inv._census_upto(176)
+    partly_spanned = []
+    for t, reps in census:
+        basis = invariant_basis(t)
+        registry = tuple((d, _mod5(p)) for d, earlier in census if d < t
+                         for p in earlier)
+        products = _products_of_degree(registry, t) if basis else []
+        want, product_rank = _greedy_new_reps(products, basis, t)
+        assert reps == want, t
+        if 0 < product_rank < len(basis):
+            partly_spanned.append(t)
+    assert 120 in partly_spanned
 
 
 def test_depth():
