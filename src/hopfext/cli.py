@@ -186,7 +186,7 @@ def cmd_bockstein(config: RunConfig) -> int:
 
 def _source_cells(data) -> Dict[Tuple[int, int], int]:
     """Nonzero (s, t) -> dimension cells of an ext or bockstein JSON dump."""
-    entries = data.get("entries", []) if isinstance(data, dict) else None
+    entries = data.get("entries") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValueError("chart source must be a JSON object with an"
                          " 'entries' list")
@@ -194,15 +194,19 @@ def _source_cells(data) -> Dict[Tuple[int, int], int]:
     for i, e in enumerate(entries):
         try:
             key = (e["s"], e["t"])
-            dim = e.get("dim")
+            dim = count = e.get("dim")
+            torsion = e.get("torsion", [])
             if dim is None:
-                dim = e.get("free", 0) + len(e.get("torsion", []))
-            valid = all(isinstance(v, int) for v in key + (dim,))
+                count = e.get("free", 0)
+                dim = count + len(torsion)
+            # bool is a subclass of int, and JSON true is not a count
+            valid = (isinstance(torsion, list) and
+                     all(type(v) is int and v >= 0 for v in key + (count,)))
         except (KeyError, TypeError):
             valid = False
         if not valid:
-            raise ValueError(f"chart source entry {i} needs integer 's',"
-                             " 't' and dimension")
+            raise ValueError(f"chart source entry {i} needs nonnegative"
+                             " integer 's', 't' and dimension")
         if dim:
             cells[key] = cells.get(key, 0) + dim
     return cells

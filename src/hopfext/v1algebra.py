@@ -8,9 +8,17 @@ modulo the relations
   y^5 - z^2 - a2^3*y^4 - a2^6*y^3 - 2*a2^5*D,
   2*a*y - a2*x1.
 Only the two odd classes square to zero, so a plain commutative monomial
-model is adequate.  Each bigraded piece of the quotient is computed by
-linear algebra: span of (relation * monomial) inside the span of all
-monomials of that bidegree.
+model is adequate.
+
+All but two relations are single monomials, and the multiples of a
+monomial span exactly the coordinate vectors of the monomials it
+divides.  So each bigraded piece is counted in two steps: the monomials
+of that bidegree that no monomial relation divides are the live ones,
+and the multiples of the two polynomial relations, restricted to the
+live monomials, are ranked over F5.  The dimension is the number of live
+monomials minus that rank (the standard-monomial count of Cox, Little
+and O'Shea, Ideals, Varieties, and Algorithms, ch. 9 sec. 3, plus the
+two polynomial relations).
 
 The stated relation list leaves a few products alive that are exact in
 the cobar complex; the completed list adds the three monomial relations
@@ -21,8 +29,9 @@ presented_dim's `completed` flag).
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -81,6 +90,11 @@ def _monomials(s: int, t: int, i: int = 0) -> Tuple[Mono, ...]:
                  for rest in _monomials(s - e * gs, t - e * gt, i + 1))
 
 
+def _is_monomial(rel: Dict[Mono, int]) -> bool:
+    """One term, with a coefficient that is a unit mod 5."""
+    return len(rel) == 1 and next(iter(rel.values())) % 5 != 0
+
+
 @lru_cache(maxsize=None)
 def presented_dim(s: int, t: int, completed: bool = False) -> int:
     """Dimension of the (s, t) piece of the presented algebra.
@@ -91,17 +105,34 @@ def presented_dim(s: int, t: int, completed: bool = False) -> int:
     monos = _monomials(s, t)
     if not monos:
         return 0
-    idx = {m: i for i, m in enumerate(monos)}
-    rows: List[np.ndarray] = []
     relations = RELATIONS + COMPLETION if completed else RELATIONS
+    kills = [m for rel in relations if _is_monomial(rel) for m in rel]
+    # column of each monomial among the live ones, those that no monomial
+    # relation divides; -1 for a dead one
+    col = {}
+    live = 0
+    for m in monos:
+        if any(all(map(operator.ge, m, k)) for k in kills):
+            col[m] = -1
+        else:
+            col[m] = live
+            live += 1
+    if not live:
+        return 0
+    rows = []
     for rel in relations:
+        if _is_monomial(rel):
+            continue
         rs, rt = _bidegree(next(iter(rel)))
         for m in _monomials(s - rs, t - rt):
-            row = np.zeros(len(monos), dtype=np.int64)
+            row = [0] * live
             for rm, c in rel.items():
-                shifted = tuple(a + b for a, b in zip(rm, m))
-                row[idx[shifted]] = c % 5
-            rows.append(row)
+                # a term off the piece raises: rel is not bihomogeneous
+                j = col[tuple(a + b for a, b in zip(rm, m))]
+                if j >= 0:
+                    row[j] = c % 5
+            if any(row):
+                rows.append(row)
     if not rows:
-        return len(monos)
-    return len(monos) - rank_mod(np.array(rows, dtype=np.int64), 5)
+        return live
+    return live - rank_mod(np.array(rows, dtype=np.int64), 5)

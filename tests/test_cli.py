@@ -289,8 +289,17 @@ def test_chart_missing_source_is_usage_error(tmp_path):
     {"entries": [{"t": 8, "dim": 1}]},
     {"entries": [{"s": 1, "t": 8, "dim": "1"}]},
     {"entries": [[1, 8, 1]]},
+    {"schema": "x"},
+    {"entries": [{"s": True, "t": 8, "dim": 1}]},
+    {"entries": [{"s": 1, "t": 8, "dim": -1}]},
+    {"entries": [{"s": -1, "t": 8, "dim": 1}]},
+    {"entries": [{"s": 1, "t": -8, "dim": 1}]},
+    {"entries": [{"s": 1, "t": 8, "free": False, "torsion": []}]},
+    {"entries": [{"s": 1, "t": 8, "torsion": "abc"}]},
 ], ids=["top-level-list", "entry-without-t", "entry-without-s",
-        "string-dim", "entry-not-an-object"])
+        "string-dim", "entry-not-an-object", "no-entries-key", "bool-s",
+        "negative-dim", "negative-s", "negative-t", "bool-free",
+        "string-torsion"])
 def test_chart_malformed_source_is_usage_error(tmp_path, capsys, data):
     src = tmp_path / "ext.json"
     src.write_text(json.dumps(data), encoding="utf-8")

@@ -2,6 +2,9 @@ import hashlib
 import json
 from itertools import product
 
+import pytest
+
+from hopfext import v1algebra
 from hopfext.algebroid import AlgebroidSpec, quotient
 from hopfext.transfer import ext_dim
 from hopfext.v1algebra import (
@@ -13,6 +16,8 @@ from hopfext.v1algebra import (
     _monomials,
     presented_dim,
 )
+
+from presented_reference import presented_dim_dense
 
 I1 = quotient(AlgebroidSpec("reduced"), 1)
 
@@ -86,3 +91,68 @@ def test_completed_hilbert_window_digest():
              for s in range(7) for t in range(0, 401, 8)]
     digest = hashlib.sha256(json.dumps(cells).encode()).hexdigest()
     assert digest.startswith("436ac589eb6c")
+
+
+def test_presented_dim_matches_the_dense_oracle():
+    for completed in (False, True):
+        for s in range(10):
+            for t in range(0, 401, 8):
+                assert presented_dim(s, t, completed) == \
+                    presented_dim_dense(s, t, completed), (s, t, completed)
+
+
+def test_relations_are_bihomogeneous_with_unit_coefficients():
+    for rel in RELATIONS + COMPLETION:
+        assert len({_bidegree(m) for m in rel}) == 1, rel
+        assert all(c % 5 for c in rel.values()), rel
+
+
+@pytest.fixture
+def fresh_cache():
+    """An empty presented_dim memo, emptied again after the test, so
+    values under patched relations neither come from nor leak into it."""
+    presented_dim.cache_clear()
+    yield
+    presented_dim.cache_clear()
+
+
+def test_a_single_term_that_is_zero_mod_5_kills_nothing(monkeypatch,
+                                                        fresh_cache):
+    # 5 * a2 is the zero relation; read as a monomial it would kill a2
+    monkeypatch.setattr(v1algebra, "RELATIONS",
+                        RELATIONS + ({(0, 0, 0, 1, 0, 0, 0): 5},))
+    assert presented_dim(0, 16) == 1
+    for completed in (False, True):
+        for s in range(5):
+            for t in range(0, 281, 8):
+                assert presented_dim(s, t, completed) == \
+                    presented_dim_dense(s, t, completed), (s, t, completed)
+
+
+def test_a_term_off_the_relation_bidegree_raises(monkeypatch, fresh_cache):
+    # a has bidegree (1, 8) and a2 (0, 16): a + a2 is not bihomogeneous
+    monkeypatch.setattr(v1algebra, "RELATIONS", RELATIONS + (
+        {(1, 0, 0, 0, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 0): 1},))
+    for completed in (False, True):
+        with pytest.raises(KeyError):
+            presented_dim_dense(1, 8, completed)
+        with pytest.raises(KeyError):
+            presented_dim(1, 8, completed)
+
+
+def test_cells_below_the_polynomial_relations_need_no_rank(monkeypatch,
+                                                           fresh_cache):
+    # the polynomial relations sit in bidegrees (1, 56) and (0, 240), so
+    # below t = 56 only monomial relations have multiples
+    assert {_bidegree(next(iter(rel))) for rel in RELATIONS
+            if len(rel) > 1} == {(1, 56), (0, 240)}
+    expected = {(s, t, completed): presented_dim_dense(s, t, completed)
+                for completed in (False, True)
+                for s in range(3) for t in range(0, 56, 8)}
+
+    def no_rank(*args):
+        raise AssertionError("rank_mod called below the polynomial relations")
+
+    monkeypatch.setattr(v1algebra, "rank_mod", no_rank)
+    for (s, t, completed), dim in expected.items():
+        assert presented_dim(s, t, completed) == dim, (s, t, completed)
