@@ -432,8 +432,12 @@ def _move_runs(spec: AlgebroidSpec, src: np.ndarray, n_src: int, n: int,
     the exponent-e rows, monomial m1 to m1 * m2, times c2, and the moves
     are summed (mod `mod` unless it is None).
 
-    src is int64 residues or an object array of exact integers.  A sum
-    that could pass 2^63 in int64 is refused (ValueError)."""
+    src holds residues or exact integers (an object array may pass 2^63).
+    Each layer adds one product to an entry, so no partial sum passes
+    layers * max|c2| * max|src|: mod 5^K sums in int64 and is refused
+    (ValueError) where that bound, with residues below mod, could pass
+    2^63; exact sums run in int64 where the bound stays below 2^63 and in
+    an object array past it."""
     high, low = eta_block_offsets(spec, n), eta_block_offsets(spec, n_src)
     live = src.any(axis=1).tolist()
     # the terms on one exponent may hit one row; terms on different
@@ -441,6 +445,7 @@ def _move_runs(spec: AlgebroidSpec, src: np.ndarray, n_src: int, n: int,
     # exponent and is one indexed add
     layers: List[Tuple[List[int], List[int], List[int]]] = []
     depth = [0] * len(high)
+    c2_max = 0
     for e1 in range(len(low) - 1):
         run = [(r, m1) for r, m1 in zip(
             range(low[e1], low[e1 + 1]),
@@ -452,16 +457,23 @@ def _move_runs(spec: AlgebroidSpec, src: np.ndarray, n_src: int, n: int,
                 layers.append(([], [], []))
             rows, src_rows, coefs = layers[depth[e]]
             depth[e] += 1
+            c2_max = max(c2_max, abs(c2))
             index = piece_index(spec, R_DEGREE * (n - e))
             rows += [high[e] + index[_mono_add(m1, m2)] for _, m1 in run]
             src_rows += [r for r, _ in run]
             coefs += [c2] * len(run)
-    # each layer adds one product below (mod - 1)^2 to an entry
-    if mod is not None and len(layers) * (mod - 1) ** 2 > _INT64_MAX:
-        raise ValueError("modulus too large for exact int64 accumulation")
-    acc = np.zeros((high[-1], src.shape[1]), src.dtype)
+    if mod is not None:
+        if len(layers) * (mod - 1) ** 2 > _INT64_MAX:
+            raise ValueError("modulus too large for exact int64 accumulation")
+        dtype = np.int64
+    else:
+        src_max = int(np.abs(src).max()) if src.size else 0
+        dtype = (np.int64 if len(layers) * c2_max * src_max <= _INT64_MAX
+                 else object)
+    src = src.astype(dtype, copy=False)
+    acc = np.zeros((high[-1], src.shape[1]), dtype)
     for rows, src_rows, coefs in layers:
-        factor = np.array(coefs, src.dtype)[:, None]
+        factor = np.array(coefs, dtype)[:, None]
         acc[rows] += (factor if mod is None else factor % mod) * src[src_rows]
     return acc if mod is None else acc % mod
 
@@ -481,22 +493,26 @@ def eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None) -> np.ndar
 
     mod = 5^K gives residues in the smallest unsigned dtype that holds
     one, summed in int64 and refused (ValueError) where a sum could pass
-    2^63; mod = None gives exact integers in an object array (the largest
-    passes 2^63 at weight 24 reduced, 26 full).  A quotient spec always
-    works mod 5 (see coefficient_modulus).  This is the one construction
-    of the right unit; check_axioms certifies it through eta_R_int."""
+    2^63.  mod = None gives exact integers: int64 where _move_runs proves
+    that no sum can pass 2^63, and an object array past that bound (the
+    first entries past 2^63 are at weight 24 reduced, 26 full).  A
+    quotient spec always works mod 5 (see coefficient_modulus).  This is
+    the one construction of the right unit; check_axioms certifies it
+    through eta_R_int."""
     mod = coefficient_modulus(spec, mod)
     cmod = coefficient_modulus(spec, None)
-    dtype = object if mod is None else np.int64
+    parts = [(cols, _move_runs(
+        spec, eta_block(spec, n - i, mod)[:, srcs], n - i, n,
+        lambda e1: _r_times_eta_generator(spec, e1, i, cmod), mod))
+        for i, cols, srcs in _last_generator_columns(spec, n)]
+    dtype = object if any(part.dtype == object for _, part in parts) \
+        else np.int64
     out = np.zeros((eta_block_offsets(spec, n)[-1],
                     len(coefficient_piece(spec, R_DEGREE * n))), dtype)
     if n == 0:
         out[0, 0] = 1
-    for i, cols, srcs in _last_generator_columns(spec, n):
-        src = eta_block(spec, n - i, mod)[:, srcs].astype(dtype, copy=False)
-        out[:, cols] = _move_runs(
-            spec, src, n - i, n,
-            lambda e1: _r_times_eta_generator(spec, e1, i, cmod), mod)
+    for cols, part in parts:
+        out[:, cols] = part
     if mod is not None:
         out = out.astype(np.min_scalar_type(mod - 1))
     out.setflags(write=False)
@@ -508,17 +524,19 @@ def letter_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None
     """eta_block(spec, n, mod) with its rows in letter normal form
     (_letter_form): each exponent-e run moves by the terms of the letter
     form of r^e, and the rows of letter weight w sit where the exponent-w
-    rows do, on the same piece.  Same dtype; a block with no exponent
-    >= 5 (every reduced block, every full block below weight 5) is
-    returned as it is."""
+    rows do, on the same piece.  Residues keep the block's dtype; exact
+    entries take the dtype _move_runs sums them in, since the letter form
+    can carry an int64 block past 2^63.  A block with no exponent >= 5
+    (every reduced block, every full block below weight 5) is returned as
+    it is."""
     block = eta_block(spec, n, mod)
     if len(eta_block_offsets(spec, n)) - 2 < P:
         return block
     mod = coefficient_modulus(spec, mod)
-    src = block if mod is None else block.astype(np.int64)
-    out = _move_runs(spec, src, n, n,
+    out = _move_runs(spec, block, n, n,
                      lambda e: _letter_form(spec, e, mod), mod)
-    out = out.astype(block.dtype)
+    if mod is not None:
+        out = out.astype(block.dtype)
     out.setflags(write=False)
     return out
 

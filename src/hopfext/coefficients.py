@@ -6,8 +6,10 @@ extraction) reduces to the primitives here: reduced fractions with a tracked
 transforms L, R and the inverse of L, and saturated integer kernels.  Smith
 normal form is the one exact routine of the symbolic cobar layer;
 `kernel_saturated` serves `invariants` only, whose census prints leading
-monomials of its exact basis.  No floating point is used; the generator
-table requires exact cancellation of powers of 5 up to 5^15.
+monomials of its exact basis: it eliminates on the matrix alone and
+recovers the kernel columns of its unimodular transform by replaying the
+logged column operations backwards.  No floating point is used; the
+generator table requires exact cancellation of powers of 5 up to 5^15.
 """
 
 from __future__ import annotations
@@ -326,10 +328,18 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 def kernel_saturated(m: IntMatrix) -> List[Tuple[int, ...]]:
     """Basis of ker(m) ∩ Z^cols, saturated.
 
-    Column elimination with unimodular operations, tracking the transform;
-    columns of the transform hitting zeroed-out columns form the kernel
-    lattice, which is automatically saturated because the transform is
-    unimodular.
+    Column elimination with unimodular operations: for each row in turn,
+    the columns live there are reduced by Euclid's algorithm until one is
+    left, which leaves the active set.  The elimination runs on the matrix
+    alone and logs each operation (dst, src, q), column dst += q * column
+    src.  With E_i the i-th operation's elementary matrix, the transform is
+    T = E_1 ... E_k, m T has its active columns zero, and since T is
+    unimodular the columns T[:, active] are a saturated kernel basis.
+    They are T S with S = I[:, active], found by replaying the log
+    backwards on the rows of S: E_i X adds q * row dst of X to row src,
+    a no-op where row dst is zero.  Every decision reads the matrix
+    alone, so the basis is the one the forward-tracked transform gives,
+    without carrying all cols columns of T through every operation.
     """
     rows, cols = m.rows, m.cols
     if cols == 0:
@@ -337,22 +347,8 @@ def kernel_saturated(m: IntMatrix) -> List[Tuple[int, ...]]:
     col_data: List[Dict[int, int]] = [dict() for _ in range(cols)]
     for (i, j), val in m.entries.items():
         col_data[j][i] = val
-    transform: List[Dict[int, int]] = [{j: 1} for j in range(cols)]
     active = list(range(cols))
-
-    def addmul(dst: int, src: int, q: int):
-        for i, val in col_data[src].items():
-            new = col_data[dst].get(i, 0) + q * val
-            if new:
-                col_data[dst][i] = new
-            else:
-                col_data[dst].pop(i, None)
-        for i, val in transform[src].items():
-            new = transform[dst].get(i, 0) + q * val
-            if new:
-                transform[dst][i] = new
-            else:
-                transform[dst].pop(i, None)
+    log: List[Tuple[int, int, int]] = []
 
     for r in range(rows):
         live = [j for j in active if col_data[j].get(r, 0) != 0]
@@ -365,17 +361,34 @@ def kernel_saturated(m: IntMatrix) -> List[Tuple[int, ...]]:
             rest = []
             for j in live[1:]:
                 q = -(col_data[j][r] // col_data[j0][r])
-                addmul(j, j0, q)
-                if col_data[j].get(r, 0) != 0:
+                dst = col_data[j]
+                for i, val in col_data[j0].items():
+                    new = dst.get(i, 0) + q * val
+                    if new:
+                        dst[i] = new
+                    else:
+                        dst.pop(i, None)
+                log.append((j, j0, q))
+                if dst.get(r, 0) != 0:
                     rest.append(j)
             live = [j0] + rest
         active.remove(live[0])
 
-    out = []
-    for j in active:
-        if col_data[j]:
-            # nonzero column that dodged every pivot row cannot happen
-            raise AssertionError("column elimination left a nonzero active column")
-        vec = tuple(transform[j].get(i, 0) for i in range(cols))
-        out.append(vec)
-    return out
+    if any(col_data[j] for j in active):
+        # a nonzero column that dodged every pivot row cannot happen
+        raise AssertionError("column elimination left a nonzero active column")
+    # the nonzero rows of T S by row index, each as {k: entry in column k}
+    ts_rows: Dict[int, Dict[int, int]] = {j: {k: 1} for k, j in enumerate(active)}
+    for dst, src, q in reversed(log):
+        row = ts_rows.get(dst)
+        if not row:
+            continue
+        target = ts_rows.setdefault(src, {})
+        for k, val in row.items():
+            new = target.get(k, 0) + q * val
+            if new:
+                target[k] = new
+            else:
+                del target[k]
+    return [tuple(ts_rows.get(i, {}).get(k, 0) for i in range(cols))
+            for k in range(len(active))]

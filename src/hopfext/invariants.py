@@ -2,14 +2,16 @@
 
 An element of A is invariant when the right unit fixes it; per degree this
 is the integer kernel, saturated over Z_(5), of the r^1 rows of the exact
-right-unit block (algebroid.eta_block), certified against all of its
-r^(>=1) rows once its r^0 rows are checked to be the identity.  The
-certificate is an exact multimodular product: moved @ v = 0 is checked
-modulo primes below 2^21 until their product exceeds a bound on every entry
+right-unit block (algebroid.eta_block, int64 in every degree up to
+H0_T_CEILING), certified against all of its r^(>=1) rows once its r^0
+rows are checked to be the identity.  The certificate is an exact
+multimodular product: moved @ v = 0 is checked modulo primes below 2^21
+until their product exceeds a bound on every entry, taken in Python ints
 (see _annihilates).  On top of the raw kernels the module builds the named
 generators (c classes, the Delta table, the discriminant), runs the
-generator census (one F5 echelon per degree) with the depth heuristic, and
-reports Hilbert data.
+generator census (one F5 echelon per degree, over products of the earlier
+generators memoised across degrees) with the depth heuristic, and reports
+Hilbert data.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,19 +66,19 @@ def is_invariant(p: Polynomial) -> bool:
 # --- degreewise kernels -----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _eta_minus_id_matrix(t: int) -> Tuple[IntMatrix, Tuple[Monomial, ...]]:
-    """eta_R - id on the degree-t piece: the r^(>=1) rows of eta_block,
-    after a check that its r^0 rows are the identity."""
+def _eta_minus_id_matrix(t: int) -> Tuple[np.ndarray, Tuple[Monomial, ...]]:
+    """eta_R - id on the degree-t piece: the r^(>=1) rows of eta_block, a
+    read-only view of the exact block (int64 at every degree up to
+    H0_T_CEILING), after one array comparison checks that its r^0 rows
+    are the identity; and the monomials of the piece, one per column."""
     block = eta_block(SPEC, t // R_DEG)
     cols = coefficient_piece(SPEC, t)
     if not (block[:len(cols)] == np.eye(len(cols), dtype=np.int64)).all():
         raise InvarianceFailure(f"the r^0 part of eta_R in degree {t} is not"
                                 " the identity")
     moved = block[len(cols):]
-    js, rows = np.nonzero(moved.T)
-    entries = dict(zip(zip(rows.tolist(), js.tolist()),
-                       moved.T[js, rows].tolist()))
-    return IntMatrix(len(moved), len(cols), entries), cols
+    moved.setflags(write=False)
+    return moved, cols
 
 
 # Certificate primes stay below 2^21: then (p - 1)^2 < 2^42, so matmul_mod
@@ -107,17 +109,18 @@ def _certificate_primes(bound: int) -> List[int]:
 def _annihilates(moved: np.ndarray, vecs: Sequence[Sequence[int]]) -> bool:
     """Whether moved @ v = 0 over Z for every v in vecs, exactly.
 
-    moved holds exact integers (an object array may pass 2^63).  Every
-    entry x of a product has |x| <= B, the largest absolute row sum of
-    moved times the largest |v_k|, taken in Python ints.  The product is
-    reduced modulo successive primes p < 2^21 until their product exceeds
-    B; if x = 0 mod every p, then by the Chinese remainder theorem x = 0
-    mod their product, which exceeds |x|, so x = 0.  The block is reduced
-    by `moved % p`, never cast to int64."""
+    moved holds exact integers, in int64 or (past 2^63) in an object
+    array.  Every entry x of a product has |x| <= B, the largest absolute
+    row sum of moved times the largest |v_k|, taken in Python ints (an
+    int64 row sum could wrap).  The product is reduced modulo successive
+    primes p < 2^21 until their product exceeds B; if x = 0 mod every p,
+    then by the Chinese remainder theorem x = 0 mod their product, which
+    exceeds |x|, so x = 0.  The block is reduced by `moved % p`, natively
+    on int64 and exactly on an object array, never cast to int64."""
     if not vecs:
         return True
     v = np.array(vecs, dtype=object).T
-    bound = (max(np.abs(moved).sum(axis=1).tolist())
+    bound = (max(sum(map(abs, row)) for row in moved.tolist())
              * max(abs(c) for vec in vecs for c in vec))
     return all(not matmul_mod(moved % p, v % p, p).any()
                for p in _certificate_primes(bound))
@@ -130,17 +133,18 @@ def invariant_basis(t: int) -> Tuple[Polynomial, ...]:
         return ()
     if t == 0:
         return (Polynomial.constant(A_RING, 1),)
-    mat, cols = _eta_minus_id_matrix(t)
+    moved, cols = _eta_minus_id_matrix(t)
     # eta_R is a G_a-coaction, over Q equal to exp(rD) with D its r^1
     # coefficient, so D v = 0 already forces invariance: the kernel is taken
     # on the r^1 rows, which come first
-    r1_rows = len(graded_piece_basis(A_RING, t - R_DEG))
-    vecs = kernel_saturated(IntMatrix(r1_rows, mat.cols, {
-        (i, j): c for (i, j), c in mat.entries.items() if i < r1_rows}))
+    r1 = moved[:len(graded_piece_basis(A_RING, t - R_DEG))]
+    js, rows = np.nonzero(r1.T)
+    vecs = kernel_saturated(IntMatrix(len(r1), len(cols), dict(zip(
+        zip(rows.tolist(), js.tolist()), r1.T[js, rows].tolist()))))
     # the r^0 part of eta_R is the identity (checked column by column in
     # _eta_minus_id_matrix), so eta_R fixes v exactly when moved @ v = 0
     # over Z on all r^(>=1) rows, which the multimodular product decides
-    if not _annihilates(eta_block(SPEC, t // R_DEG)[len(cols):], vecs):
+    if not _annihilates(moved, vecs):
         raise InvarianceFailure("kernel vector moves under the right unit")
     polys = []
     for v in vecs:
@@ -460,7 +464,10 @@ def _census_upto(t: int) -> Tuple[Tuple[int, Tuple[Polynomial, ...]], ...]:
     elements picked before them, in basis order.
 
     Each degree is computed once: the census through t extends the cached
-    census through t - 8 by degree t alone.
+    census through t - 8 by degree t alone, and the products of earlier
+    generators come from one memo shared by every degree (see
+    _products_of_degree), since each degree's registry extends the one
+    before it by appending.
     """
     if t % R_DEG:
         return _census_upto(t - t % R_DEG)
@@ -472,7 +479,7 @@ def _census_upto(t: int) -> Tuple[Tuple[int, Tuple[Polynomial, ...]], ...]:
         return earlier + ((t, ()),)
     mod5_registry = tuple((deg, _mod5(p)) for deg, reps in earlier
                           for p in reps)
-    products = _products_of_degree(mod5_registry, t)
+    products = _products_of_degree(mod5_registry, t, _CENSUS_PRODUCTS)
     rows = _mod5_rows(products + [_mod5(b) for b in basis], t)
     _, pivots = rref_mod(rows.T, 5)
     if len(pivots) != len(basis):
@@ -482,26 +489,39 @@ def _census_upto(t: int) -> Tuple[Tuple[int, Tuple[Polynomial, ...]], ...]:
     return earlier + ((t, new_reps),)
 
 
+Products = Dict[Tuple[int, int], List[Polynomial]]
+
+# the census's memo of Q(j, d) (see _products_of_degree), shared by every
+# degree of _census_upto
+_CENSUS_PRODUCTS: Products = {}
+
+
 def _products_of_degree(registry: Tuple[Tuple[int, Polynomial], ...],
-                        t: int) -> List[Polynomial]:
+                        t: int, memo: Optional[Products] = None
+                        ) -> List[Polynomial]:
     """Every product of registry entries, with repetition, of total degree
-    t > 0: nonempty products of nonzero polynomials, so none is zero."""
-    out: List[Polynomial] = []
+    t > 0: nonempty products of nonzero polynomials, so none is zero.
 
-    def rec(i: int, remaining: int, acc: Polynomial):
-        if remaining == 0:
-            out.append(acc)
-            return
-        if i >= len(registry):
-            return
-        deg, p = registry[i]
-        rec(i + 1, remaining, acc)
-        if deg <= remaining:
-            rec(i, remaining - deg, acc * p)
+    Q(j, d), the products of degree d over registry[:j], is Q(j - 1, d)
+    followed by g_j * Q(j, d - deg g_j), where g_j = registry[j - 1]: the
+    products without g_j, then those with it at least once.  So each
+    multiset of generators appears exactly once.  memo holds Q by (j, d);
+    calls may share one when each registry extends the earlier ones by
+    appending, since Q(j, d) reads registry[:j] alone."""
+    memo = {} if memo is None else memo
+    one = Polynomial.constant(registry[0][1].ring if registry else A_RING, 1)
 
-    ring = registry[0][1].ring if registry else A_RING
-    rec(0, t, Polynomial.constant(ring, 1))
-    return out
+    def q(j: int, d: int) -> List[Polynomial]:
+        if d == 0:
+            return [one]
+        if j == 0 or d < 0:
+            return []
+        if (j, d) not in memo:
+            deg, g = registry[j - 1]
+            memo[j, d] = q(j - 1, d) + [g * p for p in q(j, d - deg)]
+        return memo[j, d]
+
+    return list(q(len(registry), t))
 
 
 def new_generators(t: int) -> Tuple[int, Tuple[Polynomial, ...]]:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from hopfext.algebroid import (
     quotient,
     reduce_gamma,
 )
-from hopfext.gradedpoly import Polynomial
+from hopfext.gradedpoly import Polynomial, graded_piece_basis
 
 FULL = AlgebroidSpec("full")
 RED = AlgebroidSpec("reduced")
@@ -172,16 +174,71 @@ def test_check_axioms_ring_map_negative_control(plant_eta_row):
 
 
 @pytest.mark.parametrize("spec", [FULL, RED])
-def test_eta_block_residues_are_exact_residues(spec):
-    # mod 5^K the block is the exact block reduced, in the smallest
-    # unsigned dtype that holds a residue
-    for n in range(13):
-        exact = algebroid.eta_block(spec, n)
-        assert exact.dtype == object
+def test_eta_block_residues_are_exact_residues(spec, monkeypatch):
+    # an exact block sums in int64 only under a bound proved before the
+    # sum: it equals, value for value, the block built with the int64
+    # ceiling at 0, where every sum runs on Python ints in an object array,
+    # and so does its letter form.  Mod 5^K the block is the exact block
+    # reduced, in the smallest unsigned dtype that holds a residue
+    weights = range(13)
+    exact = {n: (algebroid.eta_block(spec, n), algebroid.letter_block(spec, n))
+             for n in weights}
+    algebroid.eta_block.cache_clear()
+    monkeypatch.setattr(algebroid, "_INT64_MAX", 0)
+    try:
+        for n in weights:
+            slow = (algebroid.eta_block(spec, n), algebroid.letter_block(spec, n))
+            for fast, ref in zip(exact[n], slow):
+                assert fast.dtype == np.int64 and fast.shape == ref.shape
+                assert ref.dtype == (object if n else np.int64)
+                assert (fast == ref).all(), n
+    finally:
+        monkeypatch.undo()
+        algebroid.eta_block.cache_clear()
+    for n in weights:
         for mod in (5, 625, 5 ** 9):
             block = algebroid.eta_block(spec, n, mod)
             assert block.dtype == np.min_scalar_type(mod - 1)
-            assert (block.astype(object) == exact % mod).all(), (n, mod)
+            assert (block.astype(object) == exact[n][0] % mod).all(), (n, mod)
+
+
+@pytest.mark.parametrize("spec, n, bits", [(FULL, 26, 65), (RED, 24, 66)])
+def test_first_blocks_past_int64_are_object(spec, n, bits):
+    # entries first pass 2^63 at full weight 26 and reduced weight 24;
+    # those blocks hold exact integers in an object array that reduce to
+    # the residue block, while every block the H^0 path reads (weight <= 22)
+    # sums in int64
+    def top_bits(block):
+        return max(abs(int(x)) for x in block.flat).bit_length()
+
+    block = algebroid.eta_block(spec, n)
+    assert block.dtype == object and top_bits(block) == bits
+    assert all(top_bits(algebroid.eta_block(spec, k)) < 64 for k in range(n))
+    assert all(algebroid.eta_block(spec, k).dtype == np.int64
+               for k in range(23))
+    assert (block % 5 ** 9 == algebroid.eta_block(spec, n, 5 ** 9)).all()
+
+
+def test_letter_block_keeps_the_dtype_of_its_sums():
+    # the letter form carries larger coefficients than the block: at full
+    # weight 19 the block sums in int64 but its letter rows do not provably
+    # fit, so they stay exact integers in an object array, not cast back
+    block, letters = algebroid.eta_block(FULL, 19), algebroid.letter_block(FULL, 19)
+    assert block.dtype == np.int64 and letters.dtype == object
+    assert (letters % 5 ** 9 == algebroid.letter_block(FULL, 19, 5 ** 9)).all()
+
+
+def test_eta_r_int_pinned_through_degree_200():
+    # every (r-exponent, monomial, coefficient) tuple of eta_R_int on the
+    # monomials of degree <= 200, in both presentations, printed in order:
+    # pinned by the sha256 prefix they had when every exact block summed in
+    # Python ints, so the int64 sums change no coefficient and no type
+    digest = hashlib.sha256()
+    for spec in (FULL, RED):
+        for t in range(0, 201, 8):
+            for mono in graded_piece_basis(spec.base_ring, t):
+                digest.update(repr(algebroid.eta_R_int(spec, mono)).encode())
+    assert digest.hexdigest()[:12] == "27107e61751f"
 
 
 def test_eta_block_refuses_modulus_past_int64_bound():

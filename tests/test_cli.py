@@ -235,6 +235,7 @@ def test_symbolic_outputs_pinned(tmp_path, argv, digest):
     (["invariants", "--tmax", "112"], "b67c7fd7344c"),
     (["bockstein", "--k", "2", "--page", "2", "--smax", "4", "--tmax", "160"],
      "286d64d08631"),
+    (["invariants"], "518f2560c19e"),
 ])
 def test_numeric_outputs_pinned(tmp_path, argv, digest):
     # these commands read the right unit as matrices (the transfer and the

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfext.algebroid import eta_block
-from hopfext.coefficients import LocalRational, kernel_saturated
+from hopfext.coefficients import IntMatrix, LocalRational, kernel_saturated
 from hopfext.flinalg import matmul_mod, rank_mod
 from hopfext.gradedpoly import graded_piece_basis, parse_polynomial
 from hopfext.transfer import partitions_2345
@@ -33,6 +33,7 @@ from hopfext.invariants import (
     table1_expand,
     table1_records,
 )
+from kernel_reference import kernel_saturated_tracked
 
 
 def test_low_degree_kernels():
@@ -84,9 +85,8 @@ def test_kernel_certificate_catches_a_prime_multiple(monkeypatch,
     # certificate prime, then the product of all primes the bound needs but
     # the last; the second planted vector passes 2^63
     t = 32
-    _, cols = inv._eta_minus_id_matrix(t)
-    moved = eta_block(inv.SPEC, t // R_DEG)[len(cols):]
-    assert moved[:, 0].any()
+    moved, _ = inv._eta_minus_id_matrix(t)
+    assert moved.dtype == np.int64 and moved[:, 0].any()
     missed = [inv._certificate_prime(i) for i in range(primes_missed)]
     real = inv.kernel_saturated
     planted = []
@@ -99,7 +99,8 @@ def test_kernel_certificate_catches_a_prime_multiple(monkeypatch,
     monkeypatch.setattr(inv, "kernel_saturated", perturbed)
     with pytest.raises(InvarianceFailure):
         invariant_basis.__wrapped__(t)
-    bound = (max(np.abs(moved).sum(axis=1))
+    # the bound in Python ints: as numpy int64 scalars it would wrap
+    bound = (max(sum(map(abs, row)) for row in moved.tolist())
              * max(abs(c) for v in planted for c in v))
     assert inv._certificate_primes(bound)[:-1] == missed
     v = np.array(planted, dtype=object).T
@@ -118,6 +119,16 @@ def test_certificate_is_exact_past_int64():
     assert inv._annihilates(moved, [])
 
 
+def test_certificate_bound_does_not_wrap_in_int64():
+    # the absolute row sum 2^63 wraps to -2^63 as an int64 sum, and a
+    # negative bound needs no prime at all, so every vector would pass
+    moved = np.array([[2 ** 62, 2 ** 62, 0]], dtype=np.int64)
+    assert np.abs(moved).sum(axis=1)[0] < 0
+    assert not inv._annihilates(moved, [(1, 0, 0)])
+    assert not inv._annihilates(moved, [(1, 0, 5)])
+    assert inv._annihilates(moved, [(1, -1, 7)])
+
+
 def test_r1_block_kernel_matches_full_kernel(monkeypatch):
     # invariant_basis takes the kernel of the r^1 rows alone; it is the
     # kernel of every stacked r^k row, vector for vector
@@ -131,8 +142,27 @@ def test_r1_block_kernel_matches_full_kernel(monkeypatch):
     for t in range(8, 129, 8):
         seen.clear()
         invariant_basis.__wrapped__(t)
-        mat, _ = inv._eta_minus_id_matrix(t)
-        assert seen == [kernel_saturated(mat)], t
+        moved, cols = inv._eta_minus_id_matrix(t)
+        full = IntMatrix.from_rows(moved.tolist())
+        assert (full.rows, full.cols) == (len(moved), len(cols))
+        assert seen == [kernel_saturated(full)], t
+
+
+def test_kernel_matches_tracked_transform_on_r1_blocks():
+    # the backward replay gives the tracked transform's vectors on every
+    # kernel the H^0 path takes up to degree 128
+    for t in range(8, 129, 8):
+        moved, _ = inv._eta_minus_id_matrix(t)
+        r1 = moved[:len(graded_piece_basis(A_RING, t - R_DEG))]
+        mat = IntMatrix.from_rows(r1.tolist())
+        assert kernel_saturated(mat) == kernel_saturated_tracked(mat), t
+
+
+def test_moved_rows_are_a_read_only_view():
+    moved, cols = inv._eta_minus_id_matrix(96)
+    block = eta_block(inv.SPEC, 96 // R_DEG)
+    assert moved.dtype == np.int64 and not moved.flags.writeable
+    assert (moved == block[len(cols):]).all()
 
 
 @pytest.mark.parametrize("corrupt", ["scale", "extra"])
