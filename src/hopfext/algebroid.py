@@ -182,34 +182,6 @@ class GammaElement:
         res.terms = out
         return res
 
-    def __neg__(self):
-        res = GammaElement.__new__(GammaElement)
-        res.spec = self.spec
-        res.terms = {e: -p for e, p in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "GammaElement":
-        if isinstance(c, Polynomial):
-            c = reduce_base(self.spec, c)
-            out = {}
-            for e, p in self.terms.items():
-                q = reduce_base(self.spec, p * c)
-                if q:
-                    out[e] = q
-        else:
-            out = {}
-            for e, p in self.terms.items():
-                q = p.scale(c)
-                if q:
-                    out[e] = q
-        res = GammaElement.__new__(GammaElement)
-        res.spec = self.spec
-        res.terms = out
-        return res
-
     def __mul__(self, other: "GammaElement") -> "GammaElement":
         if self.spec != other.spec:
             raise ValueError("spec mismatch")
@@ -220,12 +192,6 @@ class GammaElement:
                 acc = out.get(e1 + e2)
                 out[e1 + e2] = q if acc is None else acc + q
         return reduce_gamma(GammaElement(self.spec, out))
-
-    def __pow__(self, k: int) -> "GammaElement":
-        out = GammaElement.from_base(self.spec, Polynomial.constant(self.spec.base_ring, 1))
-        for _ in range(k):
-            out = out * self
-        return out
 
     def degree(self) -> Optional[int]:
         degs = set()
@@ -242,9 +208,6 @@ class GammaElement:
     def counit(self) -> Polynomial:
         """epsilon: kill r, keep the exponent-0 coefficient."""
         return self.terms.get(0, Polynomial.zero(self.spec.base_ring))
-
-    def text(self) -> str:
-        return format_gamma(self)
 
     def __repr__(self):
         return f"GammaElement({format_gamma(self)})"
@@ -604,18 +567,6 @@ class TensorElement:
         res.spec, res.s, res.terms = self.spec, self.s, out
         return res
 
-    def __neg__(self):
-        res = TensorElement.__new__(TensorElement)
-        res.spec, res.s = self.spec, self.s
-        res.terms = {w: -p for w, p in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __repr__(self):
         if not self.terms:
             return "TensorElement(0)"
@@ -795,15 +746,11 @@ def check_axioms(spec: AlgebroidSpec, t_max: int) -> Dict[str, int]:
         if R_DEGREE * i > t_max:
             break
         img = eta(i)
-        lhs = TensorElement(spec, 2, {})
-        for e, p in img.terms.items():
-            for k in range(e + 1):
-                lhs = lhs + TensorElement(spec, 2, {(k, e - k): p.scale(comb(e, k))})
         rhs = TensorElement(spec, 2, {})
         for e, p in img.terms.items():
             pushed = push_coefficient(spec, (0, e), 1, p)
             rhs = rhs + TensorElement(spec, 2, pushed)
-        _check(lhs == rhs, f"psi(eta_R(a{i})) != 1 x eta_R(a{i})")
+        _check(psi(img) == rhs, f"psi(eta_R(a{i})) != 1 x eta_R(a{i})")
         counts["psi_eta_r"] += 1
 
     # invariance of the ideal chain: eta_R(a_i) has all coefficients in I_k

@@ -24,10 +24,11 @@ from .cobar import (
     differential,
     differential_matrix_mod,
     element_to_vector,
+    is_coboundary,
     vector_to_element,
 )
 from .coefficients import LocalRational
-from .flinalg import rank_gf5, solve_mod
+from .flinalg import nullspace_mod, rank_gf5, solve_mod
 from .transfer import (
     K_POWER,
     R_DEG,
@@ -165,7 +166,6 @@ def _vec(x: CobarElement, t: int) -> np.ndarray:
 def _zr_subspace(fspec: FiltrationSpec, s: int, t: int, u: int, r: int
                  ) -> np.ndarray:
     """Columns spanning Z_r^u at cochain level s (embedded coordinates)."""
-    from .flinalg import nullspace_mod
     filt = _symbolic_filtration(fspec, s, t)
     cols = np.nonzero(filt >= u)[0]
     dim = filt.size
@@ -266,7 +266,6 @@ def _verify_five_adic(source: CobarElement, target: CobarElement, r: int
     5^r; the value d(source)/5^r mod 5 is compared to a unit multiple of
     the target modulo mod-5 coboundaries (the page-r identification for the
     one page the tower needs is the E_1 one, torsion being exponent one)."""
-    from .cobar import is_coboundary
     spec_int = AlgebroidSpec("reduced", None)
     spec_f5 = AlgebroidSpec("reduced", 0)
     if source.spec != spec_int or target.spec != spec_f5:

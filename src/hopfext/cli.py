@@ -22,7 +22,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebroid import AlgebroidSpec, AxiomViolation, check_axioms
-from .invariants import H0_T_CEILING
+from .invariants import (H0_T_CEILING, TABLE1_NAMES, NormalizationFailure,
+                         disc_unit_factor, discriminant, hilbert_h0,
+                         new_generators, table1_expand)
 
 SCHEMA_PREFIX = "hopfext"
 
@@ -108,7 +110,6 @@ def cmd_ext(config: RunConfig) -> int:
 # --- invariants -------------------------------------------------------------
 
 def cmd_invariants(config: RunConfig) -> int:
-    from .invariants import hilbert_h0, new_generators
     ranks = hilbert_h0(config.t_max)
     census = []
     for t in range(8, config.t_max + 1, 8):
@@ -125,7 +126,6 @@ def cmd_invariants(config: RunConfig) -> int:
 # --- table1 -----------------------------------------------------------------
 
 def cmd_table1(config: RunConfig) -> int:
-    from .invariants import TABLE1_NAMES, table1_expand
     rows = []
     failed = None
     for name in TABLE1_NAMES:
@@ -149,8 +149,6 @@ def cmd_table1(config: RunConfig) -> int:
 # --- disc -------------------------------------------------------------------
 
 def cmd_disc(config: RunConfig) -> int:
-    from .invariants import (NormalizationFailure, disc_unit_factor,
-                             discriminant)
     payload = {"schema": f"{SCHEMA_PREFIX}/disc/1"}
     try:
         disc = discriminant()
@@ -225,7 +223,7 @@ def cmd_chart(config: RunConfig) -> int:
         with open(config.overlay, "r", encoding="utf-8") as fh:
             arrows = parse_overlay(fh.read())
         s_max = max([s_max] + [a.end[0] for a in arrows])
-        t_max = max([t_max] + [a.start[1] for a in arrows])
+        t_max = max([t_max] + [max(a.start[1], a.end[1]) for a in arrows])
     chart = ChartSpec(s_max, t_max, tuple(
         sorted(Dot(s, t, m) for (s, t), m in cells.items())))
     chart = with_overlay(chart, arrows)

@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coefficients import (IntMatrix, LocalRational, SmithDecomposition,
+from .coefficients import (LocalRational, SmithDecomposition,
                            smith_normal_form, v5)
 from .flinalg import nullspace_mod, rank_mod, rref_mod, solve_mod
 from .gradedpoly import (
@@ -33,6 +33,7 @@ from .algebroid import (
     AlgebroidSpec,
     coefficient_piece,
     eta_R_int,
+    parse_word,
     psi_reduced,
     push_coefficient,
 )
@@ -153,9 +154,6 @@ class CobarElement:
             raise InhomogeneousInput(f"mixed internal degrees {sorted(degs)}")
         return degs.pop()
 
-    def text(self) -> str:
-        return format_cobar(self)
-
     def __repr__(self):
         return f"CobarElement({format_cobar(self)})"
 
@@ -232,28 +230,26 @@ def vector_to_element(spec: AlgebroidSpec, s: int, t: int, vec) -> CobarElement:
 
 
 @lru_cache(maxsize=None)
-def differential_matrix_int(spec: AlgebroidSpec, s: int, t: int) -> IntMatrix:
-    """Integer matrix of d on the (s,t) piece (columns index the source)."""
+def differential_matrix_int(spec: AlgebroidSpec, s: int, t: int) -> np.ndarray:
+    """Integer matrix of d on the (s,t) piece (columns index the source),
+    a read-only object array."""
     src = cochain_basis(spec, s, t)
     dst = cochain_basis(spec, s + 1, t)
     idx = _index(dst)
-    entries = {}
+    out = np.zeros((len(dst), len(src)), dtype=object)
     for j, key in enumerate(src):
         img = differential(CobarElement(spec, s, {key: 1}))
         for k, c in img.terms.items():
             val = c.num if isinstance(c, LocalRational) else int(c)
             if isinstance(c, LocalRational) and c.den != 1:
                 raise AssertionError("differential structure constant not integral")
-            entries[(idx[k], j)] = val
-    return IntMatrix(len(dst), len(src), entries)
+            out[idx[k], j] = val
+    out.flags.writeable = False
+    return out
 
 
 def differential_matrix_mod(spec: AlgebroidSpec, s: int, t: int, mod: int) -> np.ndarray:
-    m = differential_matrix_int(spec, s, t)
-    out = np.zeros((m.rows, m.cols), dtype=np.int64)
-    for (i, j), v in m.entries.items():
-        out[i, j] = v % mod
-    return out
+    return (differential_matrix_int(spec, s, t) % mod).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +258,8 @@ def _image_smith(spec: AlgebroidSpec, s: int, t: int) -> SmithDecomposition:
     a matrix with no columns at s = 0); cohomology and is_coboundary share
     it."""
     if s == 0:
-        return smith_normal_form(IntMatrix(len(cochain_basis(spec, 0, t)), 0))
+        return smith_normal_form(np.zeros((len(cochain_basis(spec, 0, t)), 0),
+                                          dtype=object))
     return smith_normal_form(differential_matrix_int(spec, s - 1, t))
 
 
@@ -273,10 +270,6 @@ class CohomologyGroup:
     free_rank: int
     torsion: Tuple[int, ...] = ()
     representatives: List[CobarElement] = field(default_factory=list)
-
-    @property
-    def dimension(self) -> int:
-        return self.free_rank + len(self.torsion)
 
 
 def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
@@ -309,24 +302,22 @@ def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
         return CohomologyGroup(s, t, len(free), (), reps)
 
     a = differential_matrix_int(spec, s, t)
-    n = a.cols
     image = _image_smith(spec, s, t)
     rank = len(image.diagonal)
-    saturated = image.left_inverse.columns(0, rank)
-    if a.matmul(saturated).entries:
+    saturated = image.left_inverse[:, :rank]
+    if (a @ saturated).any():
         raise AssertionError("image does not lie in kernel (d*d != 0?)")
-    complement = image.left_inverse.columns(rank, n)
-    restricted = smith_normal_form(a.matmul(complement))
-    kernel = complement.matmul(restricted.right_transform.columns(
-        len(restricted.diagonal), complement.cols))
+    complement = image.left_inverse[:, rank:]
+    restricted = smith_normal_form(a @ complement)
+    kernel = complement @ restricted.right_transform[:, len(restricted.diagonal):]
 
-    def column(m: IntMatrix, j: int) -> CobarElement:
-        return vector_to_element(spec, s, t, [m.get(i, j) for i in range(n)])
+    def column(m: np.ndarray, j: int) -> CobarElement:
+        return vector_to_element(spec, s, t, m[:, j].tolist())
 
     torsion = [(v5(d), j) for j, d in enumerate(image.diagonal) if v5(d) > 0]
     reps = [column(saturated, j) for _, j in torsion] + \
-        [column(kernel, j) for j in range(kernel.cols)]
-    return CohomologyGroup(s, t, kernel.cols, tuple(v for v, _ in torsion), reps)
+        [column(kernel, j) for j in range(kernel.shape[1])]
+    return CohomologyGroup(s, t, kernel.shape[1], tuple(v for v, _ in torsion), reps)
 
 
 def product(x: CobarElement, y: CobarElement) -> CobarElement:
@@ -377,7 +368,6 @@ def is_coboundary(z: CobarElement) -> Optional[CobarElement]:
         if sol is None:
             return None
         return vector_to_element(spec, s - 1, t, sol)
-    a = differential_matrix_int(spec, s - 1, t)
     raw = element_to_vector(z, t)
     den = 1
     for c in raw:
@@ -385,23 +375,19 @@ def is_coboundary(z: CobarElement) -> Optional[CobarElement]:
             den = den * c.den // math.gcd(den, c.den)
     vec = [(c * den).num if isinstance(c, LocalRational) else int(c) * den for c in raw]
     snf = _image_smith(spec, s, t)
-    lz = [sum(snf.left_transform.get(i, j) * vec[j] for j in range(a.rows))
-          for i in range(a.rows)]
+    lz = snf.left_transform.dot(np.array(vec, dtype=object)).tolist()
     diag = snf.diagonal
-    y = [LocalRational(0)] * a.cols
-    for i in range(a.rows):
-        if i < len(diag) and diag[i] != 0:
-            q = LocalRational(lz[i], diag[i])
+    y = np.array([LocalRational(0)] * snf.right_transform.shape[0], dtype=object)
+    for i, v in enumerate(lz):
+        if i < len(diag):
+            q = LocalRational(v, diag[i])
             if not q.is_5_integral():
                 return None
             y[i] = q
-        elif lz[i] != 0:
+        elif v != 0:
             return None
-    w = [LocalRational(0)] * a.cols
-    for i in range(a.cols):
-        w[i] = sum((LocalRational(snf.right_transform.get(i, j)) * y[j]
-                    for j in range(a.cols)), LocalRational(0)) / den
-    return vector_to_element(spec, s - 1, t, w)
+    return vector_to_element(spec, s - 1, t,
+                             (snf.right_transform.dot(y) / den).tolist())
 
 
 def triple_massey(u: CobarElement, v: CobarElement, w: CobarElement
@@ -499,7 +485,6 @@ def format_cobar(x: CobarElement) -> str:
 def parse_cobar(spec: AlgebroidSpec, s: int, text: str) -> CobarElement:
     """Parse sums like "a2*[r^3|r] - 2*[r|r]" (s >= 1) or plain polynomials
     (s = 0)."""
-    from .algebroid import parse_word
     ring = spec.base_ring
     if s == 0:
         p = parse_polynomial(ring, text)

@@ -2,21 +2,26 @@
 
 Everything downstream (cobar differentials, invariant kernels, torsion
 extraction) reduces to the primitives here: reduced fractions with a tracked
-5-adic valuation, sparse integer matrices, Smith normal form with unimodular
-transforms L, R and the inverse of L, and saturated integer kernels.  Smith
-normal form is the one exact routine of the symbolic cobar layer;
-`kernel_saturated` serves `invariants` only, whose census prints leading
-monomials of its exact basis: it eliminates on the matrix alone and
-recovers the kernel columns of its unimodular transform by replaying the
-logged column operations backwards.  No floating point is used; the
-generator table requires exact cancellation of powers of 5 up to 5^15.
+5-adic valuation, Smith normal form with unimodular transforms L, R and
+the inverse of L, and saturated integer kernels.  Matrices are numpy
+arrays, int64 or `object` (Python ints, past 2^63); both eliminations
+read them into Python ints before any arithmetic, since int64 wraps
+silently.  Smith normal form is the one exact routine of the symbolic
+cobar layer; `kernel_saturated` serves `invariants` only, whose census
+prints leading monomials of its exact basis: it eliminates on the matrix
+alone and recovers the kernel columns of its unimodular transform by
+replaying the logged column operations backwards.  No floating point is
+used; the generator table requires exact cancellation of powers of 5 up
+to 5^15.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 
 class ZeroDenominator(ZeroDivisionError):
@@ -141,76 +146,26 @@ def _coerce(x):
 
 
 @dataclass
-class IntMatrix:
-    """Sparse integer matrix; absent entries are zero."""
-
-    rows: int
-    cols: int
-    entries: Dict[Tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for (i, j), val in list(self.entries.items()):
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-            if val == 0:
-                del self.entries[(i, j)]
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {(i, j): val for i, row in enumerate(data)
-                   for j, val in enumerate(row) if val != 0}
-        return cls(rows, cols, entries)
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
-
-    def columns(self, start: int, stop: int) -> "IntMatrix":
-        """The columns start..stop-1 as a matrix of their own."""
-        return IntMatrix(self.rows, stop - start,
-                         {(i, j - start): val for (i, j), val in self.entries.items()
-                          if start <= j < stop})
-
-    def to_rows(self) -> List[List[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), val in self.entries.items():
-            out[i][j] = val
-        return out
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        by_row: Dict[int, Dict[int, int]] = {}
-        for (i, k), val in self.entries.items():
-            by_row.setdefault(i, {})[k] = val
-        other_by_row: Dict[int, Dict[int, int]] = {}
-        for (k, j), val in other.entries.items():
-            other_by_row.setdefault(k, {})[j] = val
-        entries: Dict[Tuple[int, int], int] = {}
-        for i, row in by_row.items():
-            acc: Dict[int, int] = {}
-            for k, val in row.items():
-                for j, w in other_by_row.get(k, {}).items():
-                    acc[j] = acc.get(j, 0) + val * w
-            for j, val in acc.items():
-                if val != 0:
-                    entries[(i, j)] = val
-        return IntMatrix(self.rows, other.cols, entries)
-
-
-@dataclass
 class SmithDecomposition:
-    """left_transform * original * right_transform is diagonal, and
-    left_inverse is the inverse of left_transform."""
+    """left_transform @ original @ right_transform is diagonal, and
+    left_inverse is the inverse of left_transform; the transforms are
+    read-only object arrays."""
 
-    left_transform: IntMatrix
+    left_transform: np.ndarray
     diagonal: Tuple[int, ...]
-    right_transform: IntMatrix
-    left_inverse: IntMatrix
+    right_transform: np.ndarray
+    left_inverse: np.ndarray
 
 
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+def _frozen(rows: List[List[int]], n: int) -> np.ndarray:
+    """The n x n list of rows as a read-only object array."""
+    out = np.empty((n, n), dtype=object)
+    out[...] = rows
+    out.flags.writeable = False
+    return out
+
+
+def smith_normal_form(m: np.ndarray) -> SmithDecomposition:
     """Smith normal form with unimodular transforms.
 
     Diagonal entries are the (nonnegative) elementary divisors, each dividing
@@ -219,8 +174,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     mirrored on the left inverse as the inverse column operation, so the
     inverse is never solved for.
     """
-    a = m.to_rows()
-    rows, cols = m.rows, m.cols
+    rows, cols = m.shape
+    a = m.tolist()
     left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     linv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
@@ -319,13 +274,11 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                 linv[j][i] = -linv[j][i]
             d = -d
         diag.append(d)
-    return SmithDecomposition(IntMatrix.from_rows(left) if rows else IntMatrix(0, 0),
-                              tuple(diag),
-                              IntMatrix.from_rows(right) if cols else IntMatrix(0, 0),
-                              IntMatrix.from_rows(linv) if rows else IntMatrix(0, 0))
+    return SmithDecomposition(_frozen(left, rows), tuple(diag),
+                              _frozen(right, cols), _frozen(linv, rows))
 
 
-def kernel_saturated(m: IntMatrix) -> List[Tuple[int, ...]]:
+def kernel_saturated(m: np.ndarray) -> List[Tuple[int, ...]]:
     """Basis of ker(m) ∩ Z^cols, saturated.
 
     Column elimination with unimodular operations: for each row in turn,
@@ -341,11 +294,12 @@ def kernel_saturated(m: IntMatrix) -> List[Tuple[int, ...]]:
     alone, so the basis is the one the forward-tracked transform gives,
     without carrying all cols columns of T through every operation.
     """
-    rows, cols = m.rows, m.cols
+    rows, cols = m.shape
     if cols == 0:
         return []
     col_data: List[Dict[int, int]] = [dict() for _ in range(cols)]
-    for (i, j), val in m.entries.items():
+    js, rs = np.nonzero(m.T)
+    for j, i, val in zip(js.tolist(), rs.tolist(), m.T[js, rs].tolist()):
         col_data[j][i] = val
     active = list(range(cols))
     log: List[Tuple[int, int, int]] = []

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebroid import AlgebroidSpec, coefficient_piece, eta_block, eta_R
-from .coefficients import IntMatrix, LocalRational, kernel_saturated
+from .coefficients import LocalRational, kernel_saturated
 from .flinalg import matmul_mod, rref_mod
 from .gradedpoly import (
     MODE_F5,
@@ -138,9 +138,7 @@ def invariant_basis(t: int) -> Tuple[Polynomial, ...]:
     # coefficient, so D v = 0 already forces invariance: the kernel is taken
     # on the r^1 rows, which come first
     r1 = moved[:len(graded_piece_basis(A_RING, t - R_DEG))]
-    js, rows = np.nonzero(r1.T)
-    vecs = kernel_saturated(IntMatrix(len(r1), len(cols), dict(zip(
-        zip(rows.tolist(), js.tolist()), r1.T[js, rows].tolist()))))
+    vecs = kernel_saturated(r1)
     # the r^0 part of eta_R is the identity (checked column by column in
     # _eta_minus_id_matrix), so eta_R fixes v exactly when moved @ v = 0
     # over Z on all r^(>=1) rows, which the multimodular product decides

@@ -1,9 +1,7 @@
 """Chart rendering for cohomology tables and spectral sequence pages.
 
 Charts follow a fixed visual idiom: the horizontal axis is t/8, the
-vertical axis is s, one glyph per basis class.  Multiplicative structure
-lines are found by cobar-level probing (is the product of a class with a
-fixed cocycle nonzero in the target group?).  Differential arrows are
+vertical axis is s, one dot per basis class.  Differential arrows are
 never computed here; they come from a user-supplied overlay file.
 
 Output is deterministic: identical inputs give byte-identical SVG and
@@ -14,12 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from .cobar import CobarElement, is_coboundary, product
-
-DOT_STYLES = ("solid-dot", "open-circle", "circled-star", "box")
-LINE_STYLES = ("a-mult", "a_k-mult", "dashed")
+from typing import Iterable, Tuple
 
 
 class IoFailure(OSError):
@@ -31,14 +24,6 @@ class Dot:
     s: int
     t: int
     multiplicity: int
-    style: str = "solid-dot"
-
-
-@dataclass(frozen=True, order=True)
-class Line:
-    start: Tuple[int, int]
-    end: Tuple[int, int]
-    style: str = "a-mult"
 
 
 @dataclass(frozen=True, order=True)
@@ -54,7 +39,6 @@ class ChartSpec:
     s_max: int
     t_max: int
     dots: Tuple[Dot, ...] = ()
-    lines: Tuple[Line, ...] = ()
     overlays: Tuple[Arrow, ...] = ()
 
     def __post_init__(self):
@@ -63,71 +47,21 @@ class ChartSpec:
                 raise ValueError(f"dot ({d.s},{d.t}) outside window")
             if d.t % 8:
                 raise ValueError("internal degrees must be multiples of 8")
-            if d.style not in DOT_STYLES:
-                raise ValueError(f"unknown dot style {d.style!r}")
-        for ln in self.lines:
-            if ln.style not in LINE_STYLES:
-                raise ValueError(f"unknown line style {ln.style!r}")
 
     def cell(self, s: int, t: int) -> int:
         """Total multiplicity drawn at (s, t)."""
         return sum(d.multiplicity for d in self.dots if (d.s, d.t) == (s, t))
 
 
-def _class_is_nonzero(x: CobarElement) -> bool:
-    if x.is_zero():
-        return False
-    return is_coboundary(x) is None
-
-
-def build_chart(groups: Sequence, multiplications: Sequence[Tuple[str, CobarElement]] = (),
-                s_max: Optional[int] = None, t_max: Optional[int] = None,
-                style: str = "solid-dot") -> ChartSpec:
-    """One dot per basis class; structure lines from product probing.
-
-    `groups` may mix anything with integer fields s, t and either a
-    `dimension`/`dim` count plus optional cocycle `representatives`.
-    Each probe in `multiplications` is a (line style, cocycle) pair; a
-    line is drawn from a cell exactly when some representative times the
-    probe is a nonzero class.
-    """
-    cells: Dict[Tuple[int, int], int] = {}
-    reps: Dict[Tuple[int, int], List[CobarElement]] = {}
-    for g in groups:
-        dim = getattr(g, "dim", None)
-        if dim is None:
-            dim = g.dimension
-        if dim == 0:
-            continue
-        key = (g.s, g.t)
-        cells[key] = cells.get(key, 0) + dim
-        for r in getattr(g, "representatives", []):
-            reps.setdefault(key, []).append(r)
-    if not cells:
-        return ChartSpec(s_max or 0, t_max or 0)
-    smax = max(s for s, _ in cells) if s_max is None else s_max
-    tmax = max(t for _, t in cells) if t_max is None else t_max
-    dots = tuple(sorted(Dot(s, t, m, style) for (s, t), m in cells.items()))
-    lines: List[Line] = []
-    for line_style, probe in multiplications:
-        ds, dt = probe.s, probe.degree() or 0
-        for (s, t), rs in sorted(reps.items()):
-            target = (s + ds, t + dt)
-            if target not in cells:
-                continue
-            if any(_class_is_nonzero(product(r, probe)) for r in rs):
-                lines.append(Line((s, t), target, line_style))
-    return ChartSpec(smax, tmax, dots, tuple(sorted(lines)))
-
-
 # --- overlay files ----------------------------------------------------------
 
 _OVERLAY = re.compile(
-    r"^d\s+(\d+)\s+\((\d+)\s*,\s*(\d+)\)\s*->\s*\((\d+)\s*,\s*(-?\d+)\)\s*(.*)$")
+    r"^d\s+(\d+)\s+\((\d+)\s*,\s*(\d+)\)\s*->\s*\((\d+)\s*,\s*(\d+)\)\s*(.*)$")
 
 
 def parse_overlay(text: str) -> Tuple[Arrow, ...]:
-    """Arrows from lines of the form "d <page> (s,t) -> (s',t') <label>"."""
+    """Arrows from lines of the form "d <page> (s,t) -> (s',t') <label>",
+    with page >= 1 and both t nonnegative multiples of 8."""
     arrows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -137,6 +71,11 @@ def parse_overlay(text: str) -> Tuple[Arrow, ...]:
         if not m:
             raise ValueError(f"overlay line {lineno} is malformed: {raw!r}")
         page, s1, t1, s2, t2 = (int(m.group(i)) for i in range(1, 6))
+        if page < 1:
+            raise ValueError(f"overlay line {lineno}: pages start at d1")
+        if t1 % 8 or t2 % 8:
+            raise ValueError(
+                f"overlay line {lineno}: internal degrees must be multiples of 8")
         if s2 != s1 + page:
             raise ValueError(
                 f"overlay line {lineno}: a page-{page} arrow must raise s by {page}")
@@ -145,8 +84,7 @@ def parse_overlay(text: str) -> Tuple[Arrow, ...]:
 
 
 def with_overlay(chart: ChartSpec, arrows: Iterable[Arrow]) -> ChartSpec:
-    return ChartSpec(chart.s_max, chart.t_max, chart.dots, chart.lines,
-                     tuple(sorted(arrows)))
+    return ChartSpec(chart.s_max, chart.t_max, chart.dots, tuple(sorted(arrows)))
 
 
 # --- rendering --------------------------------------------------------------
@@ -160,24 +98,6 @@ def _xy(chart: ChartSpec, s: int, t: int) -> Tuple[int, int]:
     x = _MARGIN + (t // 8) * _CELL
     y = _MARGIN + (chart.s_max - s) * _CELL
     return x, y
-
-
-def _glyph(x: int, y: int, style: str) -> str:
-    if style == "solid-dot":
-        return f'<circle cx="{x}" cy="{y}" r="{_GLYPH_R}" fill="black"/>'
-    if style == "open-circle":
-        return (f'<circle cx="{x}" cy="{y}" r="{_GLYPH_R}" fill="white" '
-                'stroke="black"/>')
-    if style == "circled-star":
-        return (f'<circle cx="{x}" cy="{y}" r="{_GLYPH_R + 1}" fill="white" '
-                'stroke="black"/>'
-                f'<text x="{x}" y="{y + 3}" font-size="8" '
-                'text-anchor="middle">*</text>')
-    if style == "box":
-        d = _GLYPH_R
-        return (f'<rect x="{x - d}" y="{y - d}" width="{2 * d}" '
-                f'height="{2 * d}" fill="white" stroke="black"/>')
-    raise ValueError(f"unknown dot style {style!r}")
 
 
 def render_svg(chart: ChartSpec) -> str:
@@ -207,17 +127,11 @@ def render_svg(chart: ChartSpec) -> str:
         _, y = _xy(chart, s, 0)
         out.append(f'<text x="{x0 - 12}" y="{y + 3}" font-size="8" '
                    f'text-anchor="middle">{s}</text>')
-    dash = {"a-mult": "", "a_k-mult": ' stroke-dasharray="1,2"',
-            "dashed": ' stroke-dasharray="4,3"'}
-    for ln in sorted(chart.lines):
-        ax, ay = _xy(chart, *ln.start)
-        bx, by = _xy(chart, *ln.end)
-        out.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
-                   f'stroke="black" stroke-width="1"{dash[ln.style]}/>')
     for d in sorted(chart.dots):
         x, y = _xy(chart, d.s, d.t)
         for i in range(d.multiplicity):
-            out.append(_glyph(x + i * (2 * _GLYPH_R + 2), y, d.style))
+            out.append(f'<circle cx="{x + i * (2 * _GLYPH_R + 2)}" cy="{y}"'
+                       f' r="{_GLYPH_R}" fill="black"/>')
     for ar in sorted(chart.overlays):
         ax, ay = _xy(chart, *ar.start)
         bx, by = _xy(chart, *ar.end)

@@ -8,10 +8,10 @@ are the kernel basis."""
 
 from typing import Dict, List, Tuple
 
-from hopfext.coefficients import IntMatrix
+import numpy as np
 
 
-def kernel_saturated_tracked(m: IntMatrix) -> List[Tuple[int, ...]]:
+def kernel_saturated_tracked(m: np.ndarray) -> List[Tuple[int, ...]]:
     """Basis of ker(m) ∩ Z^cols, saturated.
 
     Column elimination with unimodular operations, tracking the transform;
@@ -19,12 +19,14 @@ def kernel_saturated_tracked(m: IntMatrix) -> List[Tuple[int, ...]]:
     lattice, which is automatically saturated because the transform is
     unimodular.
     """
-    rows, cols = m.rows, m.cols
+    rows, cols = m.shape
     if cols == 0:
         return []
     col_data: List[Dict[int, int]] = [dict() for _ in range(cols)]
-    for (i, j), val in m.entries.items():
-        col_data[j][i] = val
+    for i, row in enumerate(m.tolist()):
+        for j, val in enumerate(row):
+            if val:
+                col_data[j][i] = val
     transform: List[Dict[int, int]] = [{j: 1} for j in range(cols)]
     active = list(range(cols))
 

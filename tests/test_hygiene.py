@@ -28,6 +28,34 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name}: imported and never used: {unused}"
 
 
+def _import_sources(nodes):
+    """(level, module) of every import among `nodes`; a `from . import x`
+    counts x as the module."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            out.update((0, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.update((node.level, node.module or alias.name)
+                       for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_level_reimports(path):
+    # an import inside a function from a module the file already imports at
+    # the top belongs at the top; a lazy import of any other module is legal
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = {id(node) for node in tree.body}
+    nested = [node for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and id(node) not in top]
+    again = sorted((node.lineno, node.module or "")
+                   for node in nested
+                   if _import_sources([node]) & _import_sources(tree.body))
+    assert not again, f"{path.name}: re-imported inside a function: {again}"
+
+
 def _definitions(path):
     """(qualified name, first line, last line) of every module-level
     function, class and constant and every method of a module-level
@@ -94,8 +122,6 @@ TEST_ONLY = {
     "flinalg.K_MAX",
     # a paper statement, as stated, that an acceptance test checks
     "invariants.c_formula_discrepancy",
-    # the chart-lines API that the report tests drive
-    "report.build_chart",
 }
 
 

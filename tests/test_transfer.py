@@ -226,14 +226,15 @@ def test_letter_tail_degree_homogeneous():
                                  (2, 64), (3, 48), (3, 96)])
 def test_reduced_dims_match_cobar(k, s, t):
     spec = RI[k]
-    want = cohomology(spec, s, t).dimension
-    assert ext_dim(spec, s, t) == want
+    g = cohomology(spec, s, t)
+    assert ext_dim(spec, s, t) == g.free_rank + len(g.torsion)
 
 
 @pytest.mark.parametrize("s,t", [(1, 120), (2, 120), (3, 112)])
 def test_reduced_dims_match_cobar_mod5(s, t):
     spec = RI[0]
-    assert ext_dim(spec, s, t) == cohomology(spec, s, t).dimension
+    g = cohomology(spec, s, t)
+    assert ext_dim(spec, s, t) == g.free_rank + len(g.torsion)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -241,8 +242,8 @@ def test_reduced_dims_match_cobar_mod5(s, t):
                                  (2, 56), (3, 80)])
 def test_full_dims_match_cobar(k, s, t):
     spec = FI[k]
-    want = cohomology(spec, s, t).dimension
-    assert ext_dim(spec, s, t) == want
+    g = cohomology(spec, s, t)
+    assert ext_dim(spec, s, t) == g.free_rank + len(g.torsion)
 
 
 def test_top_quotient_matches_word_counts():
