@@ -4,9 +4,11 @@ Two variants are supported: the full presentation (A, Gamma) with
 A = Z_(5)[a1..a5] and Gamma = A[r], and the reduced presentation with
 base Z_(5)[a1..a4] and the monic relation r^5 + a1*r^4 + a2*r^3 + a3*r^2
 + a4*r = 0.  Either can be cut down by the invariant ideals
-I_k = (5, a1, ..., ak).  Structure maps are exact; elements of Gamma are
-kept in a left-coefficient normal form with r-exponents below 5 in the
-reduced variant.
+I_k = (5, a1, ..., ak).  Structure maps are exact.  Gamma and its tensor
+powers are polynomials over gamma_ring(spec, s): the base generators and
+one r per slot, every coefficient written at the global left, with
+r-exponents below 5 in the reduced variant.  r is primitive, so psi in
+one slot is the substitution r -> r' + r'' and the counit is r -> 0.
 
 The right unit is built once per weight, as the integer matrix eta_block
 on the whole coefficient piece (exact or mod 5^K), by the generator
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add, itemgetter
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from .gradedpoly import (
     Monomial,
     Polynomial,
     RingSpec,
-    format_polynomial,
     graded_piece_basis,
     parse_polynomial,
 )
@@ -124,93 +125,14 @@ def reduce_base(spec: AlgebroidSpec, p: Polynomial) -> Polynomial:
     return Polynomial(ring, out)
 
 
-class GammaElement:
-    """Element of Gamma in left-coefficient form: map r-exponent -> base poly."""
-
-    __slots__ = ("spec", "terms")
-
-    def __init__(self, spec: AlgebroidSpec, terms: Optional[Mapping[int, Polynomial]] = None):
-        self.spec = spec
-        self.terms: Dict[int, Polynomial] = {}
-        if terms:
-            for e, p in terms.items():
-                if e < 0:
-                    raise ValueError("negative r-exponent")
-                p = reduce_base(spec, p)
-                if p:
-                    self.terms[e] = p
-
-    @classmethod
-    def zero(cls, spec: AlgebroidSpec) -> "GammaElement":
-        return cls(spec)
-
-    @classmethod
-    def r_power(cls, spec: AlgebroidSpec, e: int, coeff=1) -> "GammaElement":
-        return reduce_gamma(cls(spec, {e: Polynomial.constant(spec.base_ring, coeff)}))
-
-    @classmethod
-    def from_base(cls, spec: AlgebroidSpec, p: Polynomial) -> "GammaElement":
-        return cls(spec, {0: p})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, GammaElement):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.spec, tuple(sorted((e, hash(p)) for e, p in self.terms.items()))))
-
-    def __add__(self, other: "GammaElement") -> "GammaElement":
-        if self.spec != other.spec:
-            raise ValueError("spec mismatch")
-        out = dict(self.terms)
-        for e, p in other.terms.items():
-            q = out.get(e)
-            q = p if q is None else q + p
-            if q:
-                out[e] = q
-            else:
-                out.pop(e, None)
-        res = GammaElement.__new__(GammaElement)
-        res.spec = self.spec
-        res.terms = out
-        return res
-
-    def __mul__(self, other: "GammaElement") -> "GammaElement":
-        if self.spec != other.spec:
-            raise ValueError("spec mismatch")
-        out: Dict[int, Polynomial] = {}
-        for e1, p1 in self.terms.items():
-            for e2, p2 in other.terms.items():
-                q = p1 * p2
-                acc = out.get(e1 + e2)
-                out[e1 + e2] = q if acc is None else acc + q
-        return reduce_gamma(GammaElement(self.spec, out))
-
-    def degree(self) -> Optional[int]:
-        degs = set()
-        for e, p in self.terms.items():
-            d = p.degree()
-            if d is not None:
-                degs.add(d + R_DEGREE * e)
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous element, degrees {sorted(degs)}")
-        return degs.pop()
-
-    def counit(self) -> Polynomial:
-        """epsilon: kill r, keep the exponent-0 coefficient."""
-        return self.terms.get(0, Polynomial.zero(self.spec.base_ring))
-
-    def __repr__(self):
-        return f"GammaElement({format_gamma(self)})"
+@lru_cache(maxsize=None)
+def gamma_ring(spec: AlgebroidSpec, s: int = 1) -> RingSpec:
+    """The ring Gamma^(x s) is written in: the base generators, then r at
+    s = 1 or r1..rs past it; s = 0 is the base ring."""
+    base = spec.base_ring
+    slots = ("r",) if s == 1 else tuple(f"r{i}" for i in range(1, s + 1))
+    return RingSpec(base.names + slots, base.degrees + (R_DEGREE,) * s,
+                    mode=base.mode)
 
 
 @lru_cache(maxsize=None)
@@ -222,36 +144,40 @@ def _relation_tail(spec: AlgebroidSpec) -> Tuple[Tuple[int, Monomial], ...]:
                  for j in range(k + 1, n + 1))
 
 
-def reduce_gamma(g: GammaElement) -> GammaElement:
-    """Apply the monic r^5 relation until every exponent is below 5."""
-    spec = g.spec
-    if spec.variant != "reduced" or all(e < P for e in g.terms):
-        return g
-    mod = coefficient_modulus(spec, None)
-    return _gamma(spec, ((e2, _mono_add(m, m2), c * c2)
-                         for e, p in g.terms.items()
-                         for e2, m2, c2 in _r_power_int(spec, e, mod)
-                         for m, c in p.terms.items()))
+def reduce_gamma(spec: AlgebroidSpec, g: Polynomial) -> Polynomial:
+    """Project a polynomial over gamma_ring(spec) into Gamma: drop the
+    monomials in a killed generator and rewrite each r^e by its normal
+    form (the monic r^5 relation in the reduced variant)."""
+    if g.ring.names != gamma_ring(spec).names:
+        raise ValueError("polynomial has the wrong generators")
+    k, mod = spec.quotient_level or 0, coefficient_modulus(spec, None)
+    return _gamma(spec, ((e2, _mono_add(m[:-1], m2), c * c2)
+                         for m, c in g.terms.items() if not any(m[:k])
+                         for e2, m2, c2 in _r_power_int(spec, m[-1], mod)))
 
 
 def _gamma(spec: AlgebroidSpec, terms: Iterable[Tuple[int, Monomial, object]]
-           ) -> GammaElement:
-    """The Gamma element summing (r-exponent, monomial, coefficient)
+           ) -> Polynomial:
+    """The element of Gamma summing (r-exponent, monomial, coefficient)
     triples, such as the rows of eta_R_int."""
-    acc: Dict[int, Dict[Monomial, object]] = {}
+    acc: Dict[Monomial, object] = {}
     for e, m, c in terms:
-        poly = acc.setdefault(e, {})
-        poly[m] = poly.get(m, 0) + c
-    ring = spec.base_ring
-    return GammaElement(spec, {e: Polynomial(ring, t) for e, t in acc.items()})
+        key = m + (e,)
+        acc[key] = acc.get(key, 0) + c
+    return Polynomial(gamma_ring(spec), acc)
 
 
-def eta_R(spec: AlgebroidSpec, x: Polynomial) -> GammaElement:
+def eta_R(spec: AlgebroidSpec, x: Polynomial) -> Polynomial:
     """Right unit: ring-map image of a base polynomial in Gamma, read off
     the integer table eta_R_int."""
     x = reduce_base(spec, x)
     return _gamma(spec, ((e, m2, c * c2) for mono, c in x.terms.items()
                          for e, m2, c2 in eta_R_int(spec, mono)))
+
+
+def eta_L(spec: AlgebroidSpec, x: Polynomial) -> Polynomial:
+    """Left unit: a base polynomial as an element of Gamma."""
+    return _gamma(spec, ((0, m, c) for m, c in reduce_base(spec, x).terms.items()))
 
 
 # --- integer right-unit table ---------------------------------------------
@@ -523,81 +449,34 @@ def eta_R_int(spec: AlgebroidSpec, mono: Monomial, mod: Optional[int] = None) ->
     return tuple((*labels[r], c) for r, c in zip(rows.tolist(), col[rows].tolist()))
 
 
-def eta_L(spec: AlgebroidSpec, x: Polynomial) -> GammaElement:
-    return GammaElement.from_base(spec, x)
-
-
-class TensorElement:
-    """Element of the s-fold tensor power of Gamma over the base, written in
-    the left-coefficient word basis.  Exponent-0 slots are allowed here (the
-    cobar module restricts to positive slots)."""
-
-    __slots__ = ("spec", "s", "terms")
-
-    def __init__(self, spec: AlgebroidSpec, s: int,
-                 terms: Optional[Mapping[Tuple[int, ...], Polynomial]] = None):
-        self.spec = spec
-        self.s = s
-        self.terms: Dict[Tuple[int, ...], Polynomial] = {}
-        if terms:
-            for w, p in terms.items():
-                if len(w) != s:
-                    raise ValueError("word length mismatch")
-                p = reduce_base(spec, p)
-                if p:
-                    self.terms[w] = p
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.spec, self.s, self.terms) == (other.spec, other.s, other.terms)
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if (self.spec, self.s) != (other.spec, other.s):
-            raise ValueError("shape mismatch")
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            q = out.get(w)
-            q = p if q is None else q + p
-            if q:
-                out[w] = q
-            else:
-                out.pop(w, None)
-        res = TensorElement.__new__(TensorElement)
-        res.spec, res.s, res.terms = self.spec, self.s, out
-        return res
-
-    def __repr__(self):
-        if not self.terms:
-            return "TensorElement(0)"
-        bits = []
-        for w in sorted(self.terms):
-            word = "|".join(f"r^{e}" if e != 1 else "r" for e in w)
-            bits.append(f"({format_polynomial(self.terms[w])})*[{word}]")
-        return "TensorElement(" + " + ".join(bits) + ")"
-
-
-def psi(g: GammaElement) -> TensorElement:
-    """Coproduct: r is primitive, extended as a ring map; left coefficients
-    pass through as left coefficients of the whole tensor."""
-    spec = g.spec
-    out: Dict[Tuple[int, int], Polynomial] = {}
-    for e, p in g.terms.items():
+def _split(spec: AlgebroidSpec, g: Polynomial, slot: int) -> Polynomial:
+    """psi in one slot of an element of Gamma^(x s): r is primitive, so
+    psi is the substitution r -> r' + r'' there, into Gamma^(x s+1)."""
+    i = spec.num_generators + slot
+    acc: Dict[Monomial, object] = {}
+    for m, c in g.terms.items():
+        e = m[i]
         for k in range(e + 1):
-            w = (k, e - k)
-            q = p.scale(comb(e, k))
-            if not q:
-                continue
-            acc = out.get(w)
-            acc = q if acc is None else acc + q
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
-    return TensorElement(spec, 2, out)
+            key = m[:i] + (k, e - k) + m[i + 1:]
+            acc[key] = acc.get(key, 0) + c * comb(e, k)
+    return Polynomial(gamma_ring(spec, len(g.ring.names) - spec.num_generators + 1),
+                      acc)
 
 
-def psi_reduced(spec: AlgebroidSpec, e: int) -> Tuple[Tuple[int, int, int], ...]:
+def _counit(spec: AlgebroidSpec, g: Polynomial, slot: int) -> Polynomial:
+    """epsilon in one slot of an element of Gamma^(x s): r -> 0 there,
+    into Gamma^(x s-1)."""
+    i = spec.num_generators + slot
+    return Polynomial(gamma_ring(spec, len(g.ring.names) - spec.num_generators - 1),
+                      {m[:i] + m[i + 1:]: c for m, c in g.terms.items() if not m[i]})
+
+
+def psi(spec: AlgebroidSpec, g: Polynomial) -> Polynomial:
+    """Coproduct Gamma -> Gamma (x) Gamma: r -> r1 + r2."""
+    return _split(spec, g, 0)
+
+
+def psi_reduced(e: int) -> Tuple[Tuple[int, int, int], ...]:
     """Interior terms of psi(r^e): tuples (binomial, k, e-k) with 0 < k < e."""
     return tuple((comb(e, k), k, e - k) for k in range(1, e))
 
@@ -650,36 +529,6 @@ def quotient(spec: AlgebroidSpec, k: int) -> AlgebroidSpec:
 
 # --- axiom checking -------------------------------------------------------
 
-def _tensor_psi_slot(t: TensorElement, slot: int) -> TensorElement:
-    """Apply psi inside one slot of a tensor word (binomial split)."""
-    spec = t.spec
-    out: Dict[Tuple[int, ...], Polynomial] = {}
-    for w, p in t.terms.items():
-        e = w[slot]
-        for k in range(e + 1):
-            key = w[:slot] + (k, e - k) + w[slot + 1:]
-            q = p.scale(comb(e, k))
-            if not q:
-                continue
-            acc = out.get(key)
-            acc = q if acc is None else acc + q
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return TensorElement(spec, t.s + 1, out)
-
-
-def _tensor_counit(t: TensorElement, slot: int) -> GammaElement:
-    """Contract a 2-tensor with epsilon in the given slot."""
-    spec = t.spec
-    out = GammaElement.zero(spec)
-    for w, p in t.terms.items():
-        if w[slot] == 0:
-            out = out + GammaElement(spec, {w[1 - slot]: p})
-    return out
-
-
 def _check(cond: bool, detail: str):
     if not cond:
         raise AxiomViolation(detail)
@@ -695,7 +544,7 @@ def check_axioms(spec: AlgebroidSpec, t_max: int) -> Dict[str, int]:
     """
     ring = spec.base_ring
 
-    def eta(*gens: int) -> GammaElement:
+    def eta(*gens: int) -> Polynomial:
         # the table's image of the product of the generators a_i, i in gens
         mono = tuple(gens.count(g) for g in range(1, spec.num_generators + 1))
         return _gamma(spec, eta_R_int(spec, mono))
@@ -711,10 +560,10 @@ def check_axioms(spec: AlgebroidSpec, t_max: int) -> Dict[str, int]:
     for i in range(1, spec.num_generators + 1):
         if R_DEGREE * i > t_max:
             break
-        gi = Polynomial.generator(ring, f"a{i}")
-        gi = reduce_base(spec, gi)
-        _check(eta(i).counit() == gi, f"epsilon(eta_R(a{i})) != a{i}")
-        _check(eta_L(spec, gi).counit() == gi, f"epsilon(eta_L(a{i})) != a{i}")
+        gi = reduce_base(spec, Polynomial.generator(ring, f"a{i}"))
+        _check(_counit(spec, eta(i), 0) == gi, f"epsilon(eta_R(a{i})) != a{i}")
+        _check(_counit(spec, eta_L(spec, gi), 0) == gi,
+               f"epsilon(eta_L(a{i})) != a{i}")
         counts["counit_unit"] += 1
         d = None if gi.is_zero() else eta(i).degree()
         _check(d in (None, R_DEGREE * i), f"eta_R(a{i}) not homogeneous of degree {8 * i}")
@@ -726,18 +575,19 @@ def check_axioms(spec: AlgebroidSpec, t_max: int) -> Dict[str, int]:
         for j in range(i, spec.num_generators + 1):
             if R_DEGREE * (i + j) > t_max:
                 break
-            _check(eta(i, j) == eta(i) * eta(j),
+            _check(eta(i, j) == reduce_gamma(spec, eta(i) * eta(j)),
                    f"eta_R(a{i}*a{j}) != eta_R(a{i}) * eta_R(a{j})")
             counts["ring_map"] += 1
 
     # counit laws and coassociativity on r-power basis elements
+    r = Polynomial.generator(gamma_ring(spec), "r")
     for e in basis_exps:
-        g = GammaElement.r_power(spec, e)
-        t = psi(g)
-        _check(_tensor_counit(t, 0) == g, f"(eps x id) psi(r^{e}) != r^{e}")
-        _check(_tensor_counit(t, 1) == g, f"(id x eps) psi(r^{e}) != r^{e}")
+        g = r ** e
+        t = psi(spec, g)
+        _check(_counit(spec, t, 0) == g, f"(eps x id) psi(r^{e}) != r^{e}")
+        _check(_counit(spec, t, 1) == g, f"(id x eps) psi(r^{e}) != r^{e}")
         counts["counit_law"] += 1
-        _check(_tensor_psi_slot(t, 0) == _tensor_psi_slot(t, 1),
+        _check(_split(spec, t, 0) == _split(spec, t, 1),
                f"coassociativity fails on r^{e}")
         counts["coassoc"] += 1
 
@@ -746,11 +596,14 @@ def check_axioms(spec: AlgebroidSpec, t_max: int) -> Dict[str, int]:
         if R_DEGREE * i > t_max:
             break
         img = eta(i)
-        rhs = TensorElement(spec, 2, {})
-        for e, p in img.terms.items():
-            pushed = push_coefficient(spec, (0, e), 1, p)
-            rhs = rhs + TensorElement(spec, 2, pushed)
-        _check(psi(img) == rhs, f"psi(eta_R(a{i})) != 1 x eta_R(a{i})")
+        rhs: Dict[Monomial, object] = {}
+        for m, c in img.terms.items():
+            coeff = Polynomial(ring, {m[:-1]: c})
+            for w, p in push_coefficient(spec, (0, m[-1]), 1, coeff).items():
+                for m2, c2 in p.terms.items():
+                    rhs[m2 + w] = rhs.get(m2 + w, 0) + c2
+        _check(psi(spec, img) == Polynomial(gamma_ring(spec, 2), rhs),
+               f"psi(eta_R(a{i})) != 1 x eta_R(a{i})")
         counts["psi_eta_r"] += 1
 
     # invariance of the ideal chain: eta_R(a_i) has all coefficients in I_k
@@ -758,42 +611,18 @@ def check_axioms(spec: AlgebroidSpec, t_max: int) -> Dict[str, int]:
     if spec.quotient_level is None:
         for k in range(1, P):
             for i in range(1, min(k, spec.num_generators) + 1):
-                for e, p in eta(i).terms.items():
-                    for mono, c in p.terms.items():
-                        in_ideal = any(mono[j] for j in range(k)) or \
-                            (c.num % P == 0 if hasattr(c, "num") else c % P == 0)
-                        _check(in_ideal,
-                               f"eta_R(a{i}) term r^{e} coefficient outside I_{k}")
+                for m, c in eta(i).terms.items():
+                    _check(any(m[:k]) or c.num % P == 0,
+                           f"eta_R(a{i}) term r^{m[-1]} coefficient outside I_{k}")
                 counts["ideal_chain"] += 1
     return counts
 
 
 # --- text forms -----------------------------------------------------------
 
-def _gamma_ring(spec: AlgebroidSpec) -> RingSpec:
-    base = spec.base_ring
-    return RingSpec(base.names + ("r",), base.degrees + (R_DEGREE,), mode=base.mode)
-
-
-def format_gamma(g: GammaElement) -> str:
-    ext = _gamma_ring(g.spec)
-    out = Polynomial.zero(ext)
-    n = len(g.spec.base_ring.names)
-    for e, p in g.terms.items():
-        out = out + Polynomial(ext, {m + (e,): c for m, c in p.terms.items()})
-    return format_polynomial(out)
-
-
-def parse_gamma(spec: AlgebroidSpec, text: str) -> GammaElement:
+def parse_gamma(spec: AlgebroidSpec, text: str) -> Polynomial:
     """Parse expressions like "a4*r + a3*r^2 + a2*r^3"."""
-    ext = _gamma_ring(spec)
-    p = parse_polynomial(ext, text)
-    terms: Dict[int, Polynomial] = {}
-    for mono, c in p.terms.items():
-        base_mono, e = mono[:-1], mono[-1]
-        q = Polynomial(spec.base_ring, {base_mono: c})
-        terms[e] = terms.get(e, Polynomial.zero(spec.base_ring)) + q
-    return reduce_gamma(GammaElement(spec, terms))
+    return reduce_gamma(spec, parse_polynomial(gamma_ring(spec), text))
 
 
 def parse_word(text: str) -> Tuple[int, ...]:

@@ -270,17 +270,13 @@ def _verify_five_adic(source: CobarElement, target: CobarElement, r: int
     spec_f5 = AlgebroidSpec("reduced", 0)
     if source.spec != spec_int or target.spec != spec_f5:
         raise ValueError("5-adic check wants an integral source, mod-5 target")
-    d = differential(source)
     t = source.degree()
-    vec = element_to_vector(d, t)
-    reduced = []
-    for c in vec:
-        c = c if isinstance(c, LocalRational) else LocalRational(int(c))
-        scaled = c / 5 ** r
-        if scaled.den % 5 == 0:
-            return False  # differential not divisible by 5^r
-        reduced.append(scaled.num * pow(scaled.den, -1, 5) % 5)
-    value = vector_to_element(spec_f5, source.s + 1, t, reduced)
+    scaled = [c * LocalRational(1, 5 ** r)
+              for c in element_to_vector(differential(source), t)]
+    if not all(c.is_5_integral() for c in scaled):
+        return False  # differential not divisible by 5^r
+    # the mod-5 cochain reduces each coefficient through its F5 ring
+    value = vector_to_element(spec_f5, source.s + 1, t, scaled)
     for w in UNITS:
         diff = value - target.scale(w)
         if not diff.terms:

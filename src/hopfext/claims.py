@@ -24,8 +24,8 @@ from .cobar import (class_equal_up_to_unit, cohomology, differential,
                     is_coboundary, parse_cobar, product, triple_massey)
 from .coefficients import LocalRational
 from .flinalg import rank_mod
-from .gradedpoly import parse_polynomial
-from .invariants import (A_RING, H0_T_CEILING, _mod5, _mod5_rows,
+from .gradedpoly import Polynomial, parse_polynomial
+from .invariants import (F5_RING, H0_T_CEILING, _mod5, _mod5_rows,
                          _products_of_degree, disc_unit_factor, discriminant,
                          hilbert_h0, invariant_basis, new_generators,
                          table1_records)
@@ -304,18 +304,11 @@ def _disc_mod_i3():
 
 
 def _disc_mod_i1():
-    disc = discriminant()
-    want = parse_polynomial(A_RING, DISC_I1)
-    got = {}
-    for m, c in disc.terms.items():
-        if m[0] or m[4]:
-            continue
-        v = c.num * pow(c.den, -1, 5) % 5
-        if v:
-            got[m] = v
-    _require(any(got == {m: (u * c.num) % 5 for m, c in want.terms.items()
-                         if (u * c.num) % 5}
-                 for u in (1, 2, 3, 4)),
+    disc = _mod5(discriminant())
+    got = Polynomial(F5_RING, {m: c for m, c in disc.terms.items()
+                               if not (m[0] or m[4])})
+    want = parse_polynomial(F5_RING, DISC_I1)
+    _require(any(got == want.scale(u) for u in (1, 2, 3, 4)),
              "discriminant mod I1 is not a unit times the quintic")
 
 

@@ -138,7 +138,7 @@ class CobarElement:
         ring = self.spec.base_ring
         out = {}
         for k, v in self.terms.items():
-            w = ring.coeff(v * c if not isinstance(c, LocalRational) else c * v)
+            w = ring.coeff(v * c)
             if w:
                 out[k] = w
         res = CobarElement.__new__(CobarElement)
@@ -203,7 +203,7 @@ def differential(x: CobarElement) -> CobarElement:
                 add((m2, (e,) + word), ring.coeff(c * c2))
         for i, e in enumerate(word):
             sign = -1 if (i + 1) % 2 else 1
-            for coef, k, l in psi_reduced(spec, e):
+            for coef, k, l in psi_reduced(e):
                 val = ring.coeff(c * (coef * sign))
                 if val:
                     add((mono, word[:i] + (k, l) + word[i + 1:]), val)
@@ -427,12 +427,9 @@ def _class_rank(spec: AlgebroidSpec, s: int, t: int,
         return 0
     mod = 5
     a = differential_matrix_mod(spec, s - 1, t, mod) if s > 0 else None
-    vecs = []
-    for e in elements:
-        raw = element_to_vector(e, t)
-        vecs.append([c.num * pow(c.den, -1, mod) % mod if isinstance(c, LocalRational)
-                     else int(c) % mod for c in raw])
-    v = np.array(vecs, dtype=np.int64).T
+    f5 = AlgebroidSpec(spec.variant, 0).base_ring
+    v = np.array([[f5.coeff(c) for c in element_to_vector(e, t)]
+                  for e in elements], dtype=np.int64).T
     if v.size == 0:
         return 0
     if a is None or a.shape[1] == 0:

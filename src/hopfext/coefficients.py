@@ -129,7 +129,8 @@ class LocalRational:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # an integral value equals its int, so it must hash like one
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
     def __repr__(self):
         if self.den == 1:

@@ -38,7 +38,13 @@ def _echelon(a: np.ndarray, mod: int, full: bool) -> List[int]:
     rows below it, and also from the rows above when `full` (reduced row
     echelon form).  Over 5^K a skipped column can keep 5-divisible entries
     below the pivot row, so a step also updates every skipped column where
-    the pivot row is nonzero; the result equals eliminating whole rows."""
+    the pivot row is nonzero; the result equals eliminating whole rows.
+
+    Each update forms a - f*b or a*inv from entries below mod, so int64
+    holds it exactly while (mod - 1)^2 < 2^63, that is up to 5^13; a larger
+    modulus is refused (ValueError) rather than left to wrap."""
+    if (mod - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"modulus {mod} too large for exact int64 elimination")
     m, n = a.shape
     pivots: List[int] = []
     stuck: List[int] = []

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebroid import AlgebroidSpec, coefficient_piece, eta_block, eta_R
+from .algebroid import AlgebroidSpec, coefficient_piece, eta_block, eta_L, eta_R
 from .coefficients import LocalRational, kernel_saturated
 from .flinalg import matmul_mod, rref_mod
 from .gradedpoly import (
@@ -57,10 +57,7 @@ class NormalizationFailure(AssertionError):
 
 def is_invariant(p: Polynomial) -> bool:
     """Exact invariance: eta_R(p) = p inside Gamma."""
-    if p.ring != A_RING:
-        p = p.map_coefficients(A_RING)
-    g = eta_R(SPEC, p)
-    return dict(g.terms) == ({0: p} if p else {})
+    return eta_R(SPEC, p) == eta_L(SPEC, p)
 
 
 # --- degreewise kernels -----------------------------------------------------
@@ -427,12 +424,7 @@ F5_RING = RingSpec(A_RING.names, A_RING.degrees, mode=MODE_F5)
 def _mod5(p: Polynomial) -> Polynomial:
     """Image of an invariant in F5[a1..a5]; exact because the saturated
     basis has 5-unit content."""
-    terms = {}
-    for m, c in p.terms.items():
-        v = c.num * pow(c.den, -1, 5) % 5
-        if v:
-            terms[m] = v
-    return Polynomial(F5_RING, terms)
+    return p.map_coefficients(F5_RING)
 
 
 def _mod5_rows(polys: Sequence[Polynomial], t: int) -> "np.ndarray":

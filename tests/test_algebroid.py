@@ -7,26 +7,38 @@ import hopfext.algebroid as algebroid
 from hopfext.algebroid import (
     AlgebroidSpec,
     AxiomViolation,
-    GammaElement,
-    TensorElement,
     check_axioms,
     eta_R,
-    format_gamma,
+    gamma_ring,
     parse_gamma,
     parse_word,
     psi,
+    psi_reduced,
     push_coefficient,
     quotient,
     reduce_gamma,
 )
-from hopfext.gradedpoly import Polynomial, graded_piece_basis
+from hopfext.gradedpoly import Polynomial, format_polynomial, graded_piece_basis
 
 FULL = AlgebroidSpec("full")
 RED = AlgebroidSpec("reduced")
+SPECS = [AlgebroidSpec(v, k) for v in ("full", "reduced") for k in (None, 0, 1, 2, 3, 4)]
 
 
 def gam(spec, text):
     return parse_gamma(spec, text)
+
+
+def r_power(spec, e):
+    """r^e in gamma_ring(spec), before any reduction."""
+    return Polynomial.generator(gamma_ring(spec), "r") ** e
+
+
+def tensor(spec, words):
+    """The element of Gamma^(x s) with constant coefficient c on each word."""
+    s = len(next(iter(words)))
+    zero = (0,) * spec.num_generators
+    return Polynomial(gamma_ring(spec, s), {zero + w: c for w, c in words.items()})
 
 
 def test_spec_validation():
@@ -76,33 +88,53 @@ def test_eta_r_mod_quotients():
 
 
 def test_reduce_gamma_relation():
-    r5 = reduce_gamma(GammaElement(RED, {5: Polynomial.constant(RED.base_ring, 1)}))
+    r5 = reduce_gamma(RED, r_power(RED, 5))
     assert r5 == gam(RED, "-a1*r^4 - a2*r^3 - a3*r^2 - a4*r")
-    r4 = GammaElement.r_power(RED, 4)
+    r4 = reduce_gamma(RED, r_power(RED, 4))
     assert r4 == gam(RED, "r^4")
     # oracle for r^6: multiply the r^5 normal form by r and re-reduce
-    r6 = reduce_gamma(GammaElement(RED, {6: Polynomial.constant(RED.base_ring, 1)}))
-    assert r6 == GammaElement.r_power(RED, 1) * r5
-    assert max(r6.terms) <= 4
+    r6 = reduce_gamma(RED, r_power(RED, 6))
+    assert r6 == reduce_gamma(RED, r_power(RED, 1) * r5)
+    assert max(m[-1] for m in r6.terms) <= 4
 
 
 def test_quotient_top_level_is_primitive_hopf_algebra():
     q4 = quotient(RED, 4)
-    r5 = reduce_gamma(GammaElement(q4, {5: Polynomial.constant(q4.base_ring, 1)}))
+    r5 = reduce_gamma(q4, r_power(q4, 5))
     assert r5.is_zero()
 
 
 def test_psi_examples():
-    assert psi(GammaElement.r_power(FULL, 1)) == TensorElement(
-        FULL, 2, {(1, 0): Polynomial.constant(FULL.base_ring, 1),
-                  (0, 1): Polynomial.constant(FULL.base_ring, 1)})
-    t = psi(GammaElement.r_power(FULL, 2))
-    one = Polynomial.constant(FULL.base_ring, 1)
-    assert t == TensorElement(FULL, 2, {(2, 0): one, (1, 1): one.scale(2), (0, 2): one})
-    t5 = psi(GammaElement(FULL, {5: one}))
-    middle = {w: c for w, c in t5.terms.items() if 0 not in w}
-    assert {w: list(c.terms.values())[0] for w, c in middle.items()} == {
-        (4, 1): 5, (3, 2): 10, (2, 3): 10, (1, 4): 5}
+    assert psi(FULL, r_power(FULL, 1)) == tensor(FULL, {(1, 0): 1, (0, 1): 1})
+    t = psi(FULL, r_power(FULL, 2))
+    assert t == tensor(FULL, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    t5 = psi(FULL, r_power(FULL, 5))
+    middle = {m[-2:]: c for m, c in t5.terms.items() if 0 not in m[-2:]}
+    assert middle == {(4, 1): 5, (3, 2): 10, (2, 3): 10, (1, 4): 5}
+
+
+@pytest.mark.parametrize("spec", [FULL, RED])
+def test_psi_reduced_is_the_interior_of_psi(spec):
+    # the cobar differential splits each slot by psi_reduced; it must be
+    # the coproduct check_axioms certifies, less the two end terms
+    for e in range(10):
+        interior = {m[-2:]: c for m, c in psi(spec, r_power(spec, e)).terms.items()
+                    if 0 not in m[-2:]}
+        assert all(not any(m[:-2]) for m in interior)
+        assert interior == {(k, l): coef for coef, k, l in psi_reduced(e)}
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.variant}-{s.quotient_level}")
+def test_eta_r_is_a_ring_map_in_gamma(spec):
+    # the table's image of a_i * a_j is the product of the generator
+    # images, reduced into Gamma
+    ring = spec.base_ring
+    gens = [Polynomial.generator(ring, name) for name in ring.names]
+    for i, a in enumerate(gens):
+        for b in gens[i:]:
+            if (a * b).degree() <= 80:
+                assert eta_R(spec, a * b) == reduce_gamma(
+                    spec, eta_R(spec, a) * eta_R(spec, b))
 
 
 def test_push_coefficient_degree_and_constants():
@@ -251,8 +283,8 @@ def test_eta_block_refuses_modulus_past_int64_bound():
 
 def test_gamma_text_roundtrip():
     g = gam(RED, "a4*r + a3*r^2 + a2*r^3")
-    assert parse_gamma(RED, format_gamma(g)) == g
-    assert format_gamma(GammaElement.zero(RED)) == "0"
+    assert parse_gamma(RED, format_polynomial(g)) == g
+    assert format_polynomial(reduce_gamma(RED, Polynomial.zero(gamma_ring(RED)))) == "0"
 
 
 def test_parse_word():

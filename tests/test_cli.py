@@ -221,7 +221,7 @@ def test_disc_table_mismatch_is_a_failed_check(tmp_path, monkeypatch):
     (["disc"], "bdf5ff6a613b"),
 ])
 def test_symbolic_outputs_pinned(tmp_path, argv, digest):
-    # these commands read the right unit through Gamma elements; their JSON
+    # these commands read the right unit as polynomials in Gamma; their JSON
     # is pinned byte for byte by the sha256 prefix of the file
     assert main(argv + ["--out", str(tmp_path)]) == 0
     text = (tmp_path / f"{argv[0]}.json").read_bytes()

@@ -43,6 +43,15 @@ def test_fraction_arithmetic():
     assert a ** -2 == 4
 
 
+def test_hash_agrees_with_equality():
+    # an integral value equals its int, so sets and dicts must see one key
+    assert {LocalRational(6, 2)} == {3}
+    assert 3 in {LocalRational(3)} and LocalRational(-2) in {-2: None}
+    for x, y in ((LocalRational(6, 2), 3), (LocalRational(2, 4), LocalRational(1, 2)),
+                 (LocalRational(0), 0), (LocalRational(-10, -5), LocalRational(2))):
+        assert x == y and hash(x) == hash(y)
+
+
 def test_valuation_and_integrality():
     assert LocalRational(25, 3).valuation() == 2
     assert LocalRational(3, 25).valuation() == -2

@@ -115,6 +115,16 @@ def test_solve_roundtrip(a, mod):
         assert np.any(red[len(pivots):] % mod) or len(pivots) < a.shape[1]
 
 
+def test_echelon_refuses_modulus_past_int64_bound():
+    # (5^13 - 1)^2 < 2^63, so every update stays exact; at 5^14 one
+    # product of residues already passes 2^63 and would wrap
+    a = np.array([[2, 5 ** 13 - 1], [5 ** 13 - 2, 3]], dtype=np.int64)
+    assert rank_mod(a, 5 ** 13) == 2
+    assert rref_mod(a, 5 ** 13)[1] == [0, 1]
+    with pytest.raises(ValueError, match="int64"):
+        rank_mod(a, 5 ** 14)
+
+
 def test_solve_inconsistent():
     a = np.array([[1, 1], [2, 2]], dtype=np.int64)
     assert solve_mod(a, np.array([1, 3]), 5) is None

@@ -169,3 +169,31 @@ def test_traced_names_resolve():
         if holder is None or attr not in vars(holder):
             missing.append(".".join(x for x in (modname, cls, attr) if x))
     assert not missing, f"traced names no longer in hopfext: {missing}"
+
+
+def _unused_parameters(path):
+    """(line, function, parameter) for every parameter of a function,
+    method or lambda in one file that its body never reads; `self` and
+    `cls` are left out."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (args.posonlyargs + args.args + args.kwonlyargs
+                                  + [args.vararg, args.kwarg]) if a is not None]
+        body = node.body if isinstance(node, ast.FunctionDef) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        out.extend((node.lineno, name, p) for p in params
+                   if p not in read and p not in ("self", "cls"))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    # a parameter no caller needs is part of an interface that says more
+    # than the function does
+    unused = _unused_parameters(path)
+    assert not unused, f"{path.name}: parameters never read: {unused}"
