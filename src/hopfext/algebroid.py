@@ -22,7 +22,11 @@ the extended letter alphabet that the transfer layer works in, where the
 letter of weight w is z^(w div 5) r^(w mod 5) and z = eta_R(a5): each
 exponent-e run of rows moves by the terms of the letter normal form of
 r^e (_letter_form).  Both blocks are built by one step, _move_runs, which
-moves whole runs of rows by a table of terms.
+moves whole runs of rows by a table of terms.  Where a row goes comes from
+a memoised multiplication map (_mul_map), one per source weight and term
+monomial, which every exponent, weight and block shares.  The sums run in
+int32, int64 or Python ints: the narrowest type that a bound taken before
+the sum proves wide enough.
 """
 
 from __future__ import annotations
@@ -268,6 +272,7 @@ def _r_times_eta_generator(spec: AlgebroidSpec, e: int, i: int,
 # --- the right-unit block ----------------------------------------------------
 
 _INT64_MAX = 2 ** 63 - 1
+_INT32_MAX = 2 ** 31 - 1
 
 
 @lru_cache(maxsize=None)
@@ -313,20 +318,33 @@ def _last_generator_columns(spec: AlgebroidSpec, n: int
                  for i, (cols, srcs) in sorted(groups.items()))
 
 
+@lru_cache(maxsize=None)
+def _mul_map(spec: AlgebroidSpec, w: int, m2: Monomial) -> Tuple[int, ...]:
+    """Multiplication by the monomial m2 on the weight-w piece: position
+    in the product piece of m1 * m2, for each monomial m1 of
+    coefficient_piece(spec, 8 w) in turn."""
+    index = piece_index(spec, R_DEGREE * w + spec.base_ring.monomial_degree(m2))
+    return tuple(index[_mono_add(m1, m2)]
+                 for m1 in coefficient_piece(spec, R_DEGREE * w))
+
+
 def _move_runs(spec: AlgebroidSpec, src: np.ndarray, n_src: int, n: int,
                terms: Callable[[int], IntTerms], mod: Optional[int]) -> np.ndarray:
     """Rows of the weight-n layout (eta_block_offsets(spec, n)) from src,
     whose rows are laid out as the weight-n_src block: each nonzero
     exponent-e1 run of src moves by each term (e, m2, c2) of terms(e1) to
     the exponent-e rows, monomial m1 to m1 * m2, times c2, and the moves
-    are summed (mod `mod` unless it is None).
+    are summed (mod `mod` unless it is None).  Row positions come from the
+    memoised multiplication map _mul_map(spec, n_src - e1, m2), which
+    every exponent, generator, weight and both block kinds share.
 
     src holds residues or exact integers (an object array may pass 2^63).
-    Each layer adds one product to an entry, so no partial sum passes
-    layers * max|c2| * max|src|: mod 5^K sums in int64 and is refused
-    (ValueError) where that bound, with residues below mod, could pass
-    2^63; exact sums run in int64 where the bound stays below 2^63 and in
-    an object array past it."""
+    Each layer adds one product to an entry, so no partial sum passes the
+    bound layers * (mod - 1)^2 mod 5^K, or layers * max|c2| * max|src|
+    exact.  The sums run in int32 where that bound is at most 2^31 - 1
+    and in int64 where it is at most 2^63 - 1.  Past that, a modulus is
+    refused (ValueError) and exact sums run on Python ints in an object
+    array.  Exact int32 sums are returned as int64."""
     high, low = eta_block_offsets(spec, n), eta_block_offsets(spec, n_src)
     live = src.any(axis=1).tolist()
     # the terms on one exponent may hit one row; terms on different
@@ -336,35 +354,41 @@ def _move_runs(spec: AlgebroidSpec, src: np.ndarray, n_src: int, n: int,
     depth = [0] * len(high)
     c2_max = 0
     for e1 in range(len(low) - 1):
-        run = [(r, m1) for r, m1 in zip(
-            range(low[e1], low[e1 + 1]),
-            coefficient_piece(spec, R_DEGREE * (n_src - e1))) if live[r]]
+        lo = low[e1]
+        run = [p for p, x in enumerate(live[lo:low[e1 + 1]]) if x]
         if not run:
             continue
+        run_rows = [lo + p for p in run]
         for e, m2, c2 in terms(e1):
+            if mod is not None:
+                c2 %= mod
+                if not c2:
+                    continue
             if depth[e] == len(layers):
                 layers.append(([], [], []))
             rows, src_rows, coefs = layers[depth[e]]
             depth[e] += 1
             c2_max = max(c2_max, abs(c2))
-            index = piece_index(spec, R_DEGREE * (n - e))
-            rows += [high[e] + index[_mono_add(m1, m2)] for _, m1 in run]
-            src_rows += [r for r, _ in run]
+            mp, base = _mul_map(spec, n_src - e1, m2), high[e]
+            rows += [base + mp[p] for p in run]
+            src_rows += run_rows
             coefs += [c2] * len(run)
     if mod is not None:
-        if len(layers) * (mod - 1) ** 2 > _INT64_MAX:
+        bound = len(layers) * (mod - 1) ** 2
+        if bound > _INT64_MAX:
             raise ValueError("modulus too large for exact int64 accumulation")
-        dtype = np.int64
     else:
-        src_max = int(np.abs(src).max()) if src.size else 0
-        dtype = (np.int64 if len(layers) * c2_max * src_max <= _INT64_MAX
-                 else object)
+        bound = len(layers) * c2_max * (int(np.abs(src).max()) if src.size else 0)
+    dtype = (object if bound > _INT64_MAX
+             else np.int32 if bound <= _INT32_MAX else np.int64)
     src = src.astype(dtype, copy=False)
     acc = np.zeros((high[-1], src.shape[1]), dtype)
     for rows, src_rows, coefs in layers:
-        factor = np.array(coefs, dtype)[:, None]
-        acc[rows] += (factor if mod is None else factor % mod) * src[src_rows]
-    return acc if mod is None else acc % mod
+        # one index array serves both the read and the write of the add
+        acc[np.array(rows)] += np.array(coefs, dtype)[:, None] * src[src_rows]
+    if mod is not None:
+        return acc % mod
+    return acc.astype(np.int64) if dtype == np.int32 else acc
 
 
 @lru_cache(maxsize=None)
@@ -381,29 +405,31 @@ def eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None) -> np.ndar
     terms of r^e1 eta_R(a_i).
 
     mod = 5^K gives residues in the smallest unsigned dtype that holds
-    one, summed in int64 and refused (ValueError) where a sum could pass
-    2^63.  mod = None gives exact integers: int64 where _move_runs proves
-    that no sum can pass 2^63, and an object array past that bound (the
-    first entries past 2^63 are at weight 24 reduced, 26 full).  A
-    quotient spec always works mod 5 (see coefficient_modulus).  This is
-    the one construction of the right unit; check_axioms certifies it
-    through eta_R_int."""
+    one, summed in int32 or int64 (see _move_runs) and refused
+    (ValueError) where a sum could pass 2^63.  mod = None gives exact
+    integers: int64 where _move_runs proves that no sum can pass 2^63
+    (summed in int32 where no sum can pass 2^31), and an object array
+    past that bound (the first entries past 2^63 are at weight 24
+    reduced, 26 full).  A quotient spec always works mod 5 (see
+    coefficient_modulus).  This is the one construction of the right
+    unit; check_axioms certifies it through eta_R_int."""
     mod = coefficient_modulus(spec, mod)
     cmod = coefficient_modulus(spec, None)
     parts = [(cols, _move_runs(
         spec, eta_block(spec, n - i, mod)[:, srcs], n - i, n,
         lambda e1: _r_times_eta_generator(spec, e1, i, cmod), mod))
         for i, cols, srcs in _last_generator_columns(spec, n)]
-    dtype = object if any(part.dtype == object for _, part in parts) \
-        else np.int64
+    if mod is not None:
+        dtype = np.min_scalar_type(mod - 1)
+    else:
+        dtype = object if any(part.dtype == object for _, part in parts) \
+            else np.int64
     out = np.zeros((eta_block_offsets(spec, n)[-1],
                     len(coefficient_piece(spec, R_DEGREE * n))), dtype)
     if n == 0:
         out[0, 0] = 1
     for cols, part in parts:
         out[:, cols] = part
-    if mod is not None:
-        out = out.astype(np.min_scalar_type(mod - 1))
     out.setflags(write=False)
     return out
 
@@ -413,8 +439,10 @@ def letter_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None
     """eta_block(spec, n, mod) with its rows in letter normal form
     (_letter_form): each exponent-e run moves by the terms of the letter
     form of r^e, and the rows of letter weight w sit where the exponent-w
-    rows do, on the same piece.  Residues keep the block's dtype; exact
-    entries take the dtype _move_runs sums them in, since the letter form
+    rows do, on the same piece, through the multiplication maps that
+    eta_block reads too.  Residues keep the block's dtype; exact entries
+    are int64 where _move_runs proves that they fit (int32 sums included)
+    and Python ints in an object array past that, since the letter form
     can carry an int64 block past 2^63.  A block with no exponent >= 5
     (every reduced block, every full block below weight 5) is returned as
     it is."""

@@ -120,13 +120,15 @@ def page_dimensions(fspec: FiltrationSpec, r: int, s_max: int, t_max: int
         raise ValueError("pages start at r = 1")
     out: List[PageEntry] = []
     for t in range(0, t_max + 1, R_DEG):
+        # every cobar slot has degree >= 8, so nothing lives at 8s > t
+        s_top = min(s_max, t // R_DEG)
         if fspec.k == 0:
-            for s in range(0, s_max + 1):
+            for s in range(0, s_top + 1):
                 d = _five_adic_page_dim(fspec, r, s, t)
                 if d:
                     out.append(PageEntry(s, t, 0, d))
             continue
-        for s in range(0, s_max + 1):
+        for s in range(0, s_top + 1):
             for u in range(0, _u_max(fspec, t) + 1):
                 d = page_entry_dim(fspec, r, s, t, u)
                 if d:

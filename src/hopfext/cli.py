@@ -90,7 +90,8 @@ def cmd_ext(config: RunConfig) -> int:
     spec = AlgebroidSpec("reduced", config.ideal)
     entries = []
     for t in range(0, config.t_max + 1, 8):
-        for s in range(0, config.s_max + 1):
+        # every cobar slot has degree >= 8, so Ext^(s,t) = 0 for 8s > t
+        for s in range(0, min(config.s_max, t // 8) + 1):
             if config.ideal is None:
                 free, torsion = integral_structure(spec, s, t)
                 if free or torsion:

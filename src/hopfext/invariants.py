@@ -5,9 +5,10 @@ is the integer kernel, saturated over Z_(5), of the r^1 rows of the exact
 right-unit block (algebroid.eta_block, int64 in every degree up to
 H0_T_CEILING), certified against all of its r^(>=1) rows once its r^0
 rows are checked to be the identity.  The certificate is an exact
-multimodular product: moved @ v = 0 is checked modulo primes below 2^21
-until their product exceeds a bound on every entry, taken in Python ints
-(see _annihilates).  On top of the raw kernels the module builds the named
+product under a bound on every entry, taken in Python ints: one int64
+moved @ v where the bound stays below 2^63, and past it moved @ v = 0
+modulo primes below 2^21 until their product exceeds the bound (see
+_annihilates).  On top of the raw kernels the module builds the named
 generators (c classes, the Delta table, the discriminant), runs the
 generator census (one F5 echelon per degree, over products of the earlier
 generators memoised across degrees) with the depth heuristic, and reports
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,6 +84,7 @@ def _eta_minus_id_matrix(t: int) -> Tuple[np.ndarray, Tuple[Monomial, ...]]:
 # sums at least 2^53 / 2^42 = 2,048 products exactly in one float64 pass
 # (the degree-176 piece, the largest below H0_T_CEILING, has 255 columns).
 _PRIME_CEILING = 1 << 21
+_INT64_MAX = 2 ** 63 - 1
 
 
 @lru_cache(maxsize=None)
@@ -107,18 +110,23 @@ def _annihilates(moved: np.ndarray, vecs: Sequence[Sequence[int]]) -> bool:
     """Whether moved @ v = 0 over Z for every v in vecs, exactly.
 
     moved holds exact integers, in int64 or (past 2^63) in an object
-    array.  Every entry x of a product has |x| <= B, the largest absolute
-    row sum of moved times the largest |v_k|, taken in Python ints (an
-    int64 row sum could wrap).  The product is reduced modulo successive
-    primes p < 2^21 until their product exceeds B; if x = 0 mod every p,
-    then by the Chinese remainder theorem x = 0 mod their product, which
-    exceeds |x|, so x = 0.  The block is reduced by `moved % p`, natively
+    array.  Every entry x of a product, and every partial sum of it, has
+    absolute value at most B, the largest absolute row sum of moved times
+    the largest |v_k|, taken in Python ints (an int64 row sum could
+    wrap).  Where B <= 2^63 - 1 one int64 product is exact.  Past that,
+    the product is reduced modulo successive primes p < 2^21 until their
+    product exceeds B; if x = 0 mod every p, then by the Chinese remainder
+    theorem x = 0 mod their product, which exceeds |x|, so x = 0.  The
+    vectors are held in int64 while every |v_k| <= 2^63 - 1 and in an
+    object array past it, and both sides are reduced by `% p`, natively
     on int64 and exactly on an object array, never cast to int64."""
     if not vecs:
         return True
-    v = np.array(vecs, dtype=object).T
-    bound = (max(sum(map(abs, row)) for row in moved.tolist())
-             * max(abs(c) for vec in vecs for c in vec))
+    v_max = max(abs(c) for vec in vecs for c in vec)
+    bound = max(sum(map(abs, row)) for row in moved.tolist()) * v_max
+    v = np.array(vecs, dtype=np.int64 if v_max <= _INT64_MAX else object).T
+    if bound <= _INT64_MAX:
+        return not (moved.astype(np.int64, copy=False) @ v).any()
     return all(not matmul_mod(moved % p, v % p, p).any()
                for p in _certificate_primes(bound))
 
@@ -138,18 +146,20 @@ def invariant_basis(t: int) -> Tuple[Polynomial, ...]:
     vecs = kernel_saturated(r1)
     # the r^0 part of eta_R is the identity (checked column by column in
     # _eta_minus_id_matrix), so eta_R fixes v exactly when moved @ v = 0
-    # over Z on all r^(>=1) rows, which the multimodular product decides
+    # over Z on all r^(>=1) rows, which _annihilates decides exactly
     if not _annihilates(moved, vecs):
         raise InvarianceFailure("kernel vector moves under the right unit")
-    polys = []
+    # coefficient_piece is in the polynomial term order, so the first
+    # nonzero entry of v is the leading coefficient: it fixes the sign, and
+    # its position the basis order (a stable sort, as by leading monomial)
+    leads = []
     for v in vecs:
-        p = Polynomial(A_RING, {m: c for m, c in zip(cols, v) if c})
-        lead_c = p.sorted_terms()[0][1]
-        if lead_c.num < 0:
-            p = -p
-        polys.append(p)
-    polys.sort(key=lambda p: tuple(-e for e in p.sorted_terms()[0][0]))
-    return tuple(polys)
+        lead = next(i for i, c in enumerate(v) if c)
+        sign = -1 if v[lead] < 0 else 1
+        leads.append((lead, Polynomial(A_RING, {m: sign * c
+                                                for m, c in zip(cols, v) if c})))
+    leads.sort(key=itemgetter(0))
+    return tuple(p for _, p in leads)
 
 
 def hilbert_h0(t_max: int) -> List[Tuple[int, int]]:

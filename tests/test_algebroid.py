@@ -292,3 +292,76 @@ def test_parse_word():
     assert parse_word("r") == (1,)
     with pytest.raises(ValueError):
         parse_word("r^4|s")
+
+
+def _block_digest(spec, mod, top=20):
+    # sha256 of every eta_block and letter_block of weight <= top: dtype,
+    # shape, then the raw bytes (the Python ints of an object array)
+    digest = hashlib.sha256()
+    for n in range(top + 1):
+        for b in (algebroid.eta_block(spec, n, mod),
+                  algebroid.letter_block(spec, n, mod)):
+            digest.update(str(b.dtype).encode() + b"|" + repr(b.shape).encode()
+                          + b"|")
+            digest.update(repr(b.tolist()).encode() if b.dtype == object
+                          else np.ascontiguousarray(b).tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("spec, mod, want", [
+    (FULL, None, "3a87b73643042cac"),
+    (FULL, 5, "521ecf7120461942"),
+    (FULL, 625, "174ef69d9fdc9040"),
+    (FULL, 5 ** 9, "c460a13dbcfcf109"),
+    (AlgebroidSpec("full", 1), 5, "fe0095f9d14182b2"),
+    (AlgebroidSpec("full", 2), 5, "7017941c4c2dfd0c"),
+    (AlgebroidSpec("full", 3), 5, "4ae104192f6603a6"),
+    (AlgebroidSpec("full", 4), 5, "cf0c793880cb7782"),
+    (RED, None, "dfd5e96e20d4bdfc"),
+    (RED, 5, "ed35b5d9ceb8c403"),
+    (RED, 625, "7e5de17a1789e166"),
+    (RED, 5 ** 9, "a75806d9997b89aa"),
+    (AlgebroidSpec("reduced", 1), 5, "1d9562d5cebc6054"),
+    (AlgebroidSpec("reduced", 2), 5, "f7b50ed7b953d566"),
+    (AlgebroidSpec("reduced", 3), 5, "0ecb8ebfbaef30fe"),
+    (AlgebroidSpec("reduced", 4), 5, "ba6f7505a32a6f56"),
+])
+def test_blocks_pinned_through_weight_20(spec, mod, want):
+    # every eta_block and letter_block of weight <= 20, dtype and bytes,
+    # pinned by the digest they had when each moved row looked its product
+    # monomial up one by one and every sum ran in int64 or Python ints
+    assert _block_digest(spec, mod) == want
+
+
+@pytest.mark.parametrize("spec", [FULL, RED])
+def test_int32_sums_change_no_block(spec, monkeypatch):
+    # with the int32 ceiling at 0 every sum that fits runs in int64: the
+    # blocks are the same, value for value and dtype for dtype
+    cases = [(n, mod) for n in range(17) for mod in (None, 5, 625)]
+    fast = {c: (algebroid.eta_block(spec, *c), algebroid.letter_block(spec, *c))
+            for c in cases}
+    algebroid.eta_block.cache_clear()
+    monkeypatch.setattr(algebroid, "_INT32_MAX", 0)
+    try:
+        for c in cases:
+            wide = (algebroid.eta_block(spec, *c), algebroid.letter_block(spec, *c))
+            for a, b in zip(fast[c], wide):
+                assert a.dtype == b.dtype and a.shape == b.shape, c
+                assert (a == b).all(), c
+    finally:
+        monkeypatch.undo()
+        algebroid.eta_block.cache_clear()
+
+
+def test_mul_map_is_the_product_position():
+    # _mul_map(spec, w, m2)[i] is the position of m1 * m2 in its piece,
+    # for m1 the i-th monomial of the weight-w piece, in every quotient
+    for spec in SPECS:
+        for w in range(7):
+            piece = algebroid.coefficient_piece(spec, 8 * w)
+            for d in range(1, 4):
+                for m2 in algebroid.coefficient_piece(spec, 8 * d):
+                    target = algebroid.coefficient_piece(spec, 8 * (w + d))
+                    got = algebroid._mul_map(spec, w, m2)
+                    assert [target[i] for i in got] == [
+                        tuple(a + b for a, b in zip(m1, m2)) for m1 in piece]

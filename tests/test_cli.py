@@ -6,13 +6,14 @@ import json
 import pytest
 
 import hopfext.invariants as inv
-from hopfext import claims
+from hopfext import bockstein, claims, transfer
 from hopfext.algebroid import AlgebroidSpec
 from hopfext.claims import CLAIMS
 from hopfext.cli import RunConfig, build_parser, config_from_args, main, run
 from hopfext.flinalg import K_MAX, diagonal_valuations
 from hopfext.gradedpoly import Polynomial
-from hopfext.transfer import differential_valuations, transferred_matrix
+from hopfext.transfer import (differential_valuations, ext_dim,
+                              integral_structure, transferred_matrix)
 
 
 def _load(tmp_path, name):
@@ -95,6 +96,73 @@ def test_ext_h0_only_window(tmp_path):
             encoding="utf-8"))["entries"]
     assert entries[0] == [e for e in entries[1] if e["s"] == 0]
     assert entries[0]
+
+
+def _unclamped_entries(command, ideal_or_tower, page, s_max, t_max):
+    # the window loops with every s <= s_max visited, 8s > t included
+    out = []
+    for t in range(0, t_max + 1, 8):
+        for s in range(0, s_max + 1):
+            if command == "ext" and ideal_or_tower is None:
+                free, torsion = integral_structure(AlgebroidSpec("reduced"), s, t)
+                if free or torsion:
+                    out.append({"s": s, "t": t, "free": free,
+                                "torsion": list(torsion)})
+            elif command == "ext":
+                dim = ext_dim(AlgebroidSpec("reduced", ideal_or_tower), s, t)
+                if dim:
+                    out.append({"s": s, "t": t, "dim": dim})
+            else:
+                fs = bockstein.FiltrationSpec(ideal_or_tower)
+                us = range(bockstein._u_max(fs, t) + 1) if fs.k else (0,)
+                for u in us:
+                    dim = (bockstein.page_entry_dim(fs, page, s, t, u) if fs.k
+                           else bockstein._five_adic_page_dim(fs, page, s, t))
+                    if dim:
+                        out.append({"s": s, "t": t, "u": u, "dim": dim})
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--smax", "7", "--tmax", "48"],
+    ["ext", "--ideal", "1", "--smax", "9", "--tmax", "56"],
+    ["bockstein", "--k", "0", "--page", "2", "--smax", "6", "--tmax", "40"],
+    ["bockstein", "--k", "2", "--page", "2", "--smax", "6", "--tmax", "40"],
+])
+def test_window_skips_s_past_t_over_8(tmp_path, argv):
+    # Ext^(s,t) and every Bockstein page vanish for 8s > t; skipping those
+    # s leaves the JSON byte-identical to the loop over every s <= s_max
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads(_load(tmp_path, f"{argv[0]}.json"))
+    flags = dict(zip(argv[1::2], map(int, argv[2::2])))
+    key = flags.get("--ideal", flags.get("--k"))
+    payload["entries"] = _unclamped_entries(argv[0], key, flags.get("--page"),
+                                            flags["--smax"], flags["--tmax"])
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert _load(tmp_path, f"{argv[0]}.json") == text
+    assert any(e["s"] == e["t"] // 8 for e in payload["entries"])
+
+
+@pytest.mark.parametrize("argv, name, visits", [
+    (["ext", "--tmax", "8"], "integral_structure", 3),
+    (["ext", "--ideal", "1", "--tmax", "8"], "ext_dim", 3),
+    (["bockstein", "--k", "0", "--tmax", "8"], "_five_adic_page_dim", 3),
+    (["bockstein", "--k", "1", "--tmax", "8"], "page_entry_dim", 5),
+])
+def test_huge_smax_visits_only_live_cells(tmp_path, monkeypatch, argv, name,
+                                          visits):
+    # with s_max = 10^8 and t <= 8, only (s, t) = (0, 0), (0, 8), (1, 8)
+    # are visited, at u = 0 and, on the a1 tower at t = 8, u = 1 too
+    module = bockstein if argv[0] == "bockstein" else transfer
+    real, cells = getattr(module, name), []
+
+    def spy(fs, *args):
+        cells.append(args)
+        return real(fs, *args)
+
+    monkeypatch.setattr(module, name, spy)
+    assert main(argv + ["--smax", str(10 ** 8), "--out", str(tmp_path)]) == 0
+    assert len(cells) == visits
 
 
 def test_axioms_small_window(tmp_path):

@@ -129,6 +129,45 @@ def test_certificate_bound_does_not_wrap_in_int64():
     assert inv._annihilates(moved, [(1, -1, 7)])
 
 
+@pytest.mark.parametrize("t, by_primes", [(96, False), (112, True)])
+def test_certificate_routes_catch_a_planted_product(monkeypatch, t, by_primes):
+    # the bound on moved @ v stays below 2^63 through t = 96, so one int64
+    # product decides; at t = 112 it does not, and the kernel vectors, all
+    # below 2^63, reach the certificate primes as int64.  On both routes the
+    # kernel passes and a kernel vector plus a unit vector on a moved
+    # column is caught
+    moved, _ = inv._eta_minus_id_matrix(t)
+    vecs = kernel_saturated(moved[:len(graded_piece_basis(A_RING, t - R_DEG))])
+    j = int(np.flatnonzero(moved.any(axis=0))[0])
+    planted = [tuple(c + (k == j) for k, c in enumerate(vecs[0]))] + vecs[1:]
+    seen = []
+    real = inv.matmul_mod
+
+    def spy(a, b, mod):
+        seen.append(b.dtype)
+        return real(a, b, mod)
+
+    monkeypatch.setattr(inv, "matmul_mod", spy)
+    assert inv._annihilates(moved, vecs)
+    assert bool(seen) == by_primes
+    assert all(dtype == np.int64 for dtype in seen)
+    assert not inv._annihilates(moved, planted)
+    with pytest.raises(InvarianceFailure):
+        monkeypatch.setattr(inv, "kernel_saturated", lambda mat: planted)
+        invariant_basis.__wrapped__(t)
+
+
+def test_basis_sign_and_order_from_leading_coefficient():
+    # each basis polynomial has a positive leading coefficient, and the
+    # basis is ordered by leading monomial, first generator biggest
+    for t in range(8, 113, 8):
+        basis = invariant_basis(t)
+        leads = [p.sorted_terms()[0] for p in basis]
+        assert all(c.num > 0 for _, c in leads)
+        keys = [tuple(-e for e in m) for m, _ in leads]
+        assert keys == sorted(keys)
+
+
 def test_r1_block_kernel_matches_full_kernel(monkeypatch):
     # invariant_basis takes the kernel of the r^1 rows alone; it is the
     # kernel of every stacked r^k row, vector for vector
