@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -75,10 +75,23 @@ class PageEntry:
 
 # --- page dimensions (transferred complex) ---------------------------------
 
-def _small_filtration(fspec: FiltrationSpec, s: int, t: int) -> np.ndarray:
-    basis = small_basis(fspec.base, s, t)
-    pos = fspec.k - 1
-    return np.array([mono[pos] for _, mono in basis], dtype=np.int64)
+@lru_cache(maxsize=None)
+def _filtered_cell(fspec: FiltrationSpec, s: int, t: int, symbolic: bool = False
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D mod 5, a_k exponents of the source basis, of the target basis),
+    all read-only, for the differential out of (s, t): of the transferred
+    complex, or with symbolic=True of the cobar complex."""
+    base, pos = fspec.base, fspec.k - 1
+    if symbolic:
+        d = differential_matrix_mod(base, s, t, 5)
+        filts = [[m[pos] for m, _ in cochain_basis(base, u, t)] for u in (s, s + 1)]
+    else:
+        d = transferred_matrix(base, s, t, 5)
+        filts = [[m[pos] for _, m in small_basis(base, u, t)] for u in (s, s + 1)]
+    cell = (d,) + tuple(np.array(f, dtype=np.int64) for f in filts)
+    for a in cell:
+        a.setflags(write=False)
+    return cell
 
 
 @lru_cache(maxsize=None)
@@ -87,12 +100,10 @@ def _z_dim(fspec: FiltrationSpec, s: int, t: int, u: int, r: int) -> int:
 
     u may be negative (F^u is then the whole space) while the target
     filtration u + r keeps its stated value."""
-    filt_src = _small_filtration(fspec, s, t)
+    d, filt_src, filt_dst = _filtered_cell(fspec, s, t)
     cols = np.nonzero(filt_src >= max(u, 0))[0]
     if cols.size == 0:
         return 0
-    d = transferred_matrix(fspec.base, s, t, 5)
-    filt_dst = _small_filtration(fspec, s + 1, t)
     rows = np.nonzero(filt_dst < u + r)[0]
     if rows.size == 0 or d.size == 0:
         return int(cols.size)
@@ -154,12 +165,6 @@ def _five_adic_page_dim(fspec: FiltrationSpec, r: int, s: int, t: int) -> int:
 
 # --- stated differentials (symbolic cobar complex) -------------------------
 
-def _symbolic_filtration(fspec: FiltrationSpec, s: int, t: int) -> np.ndarray:
-    basis = cochain_basis(fspec.base, s, t)
-    pos = fspec.k - 1
-    return np.array([mono[pos] for mono, _ in basis], dtype=np.int64)
-
-
 def _vec(x: CobarElement, t: int) -> np.ndarray:
     return np.array([int(c) % 5 for c in element_to_vector(x, t)],
                     dtype=np.int64)
@@ -168,13 +173,11 @@ def _vec(x: CobarElement, t: int) -> np.ndarray:
 def _zr_subspace(fspec: FiltrationSpec, s: int, t: int, u: int, r: int
                  ) -> np.ndarray:
     """Columns spanning Z_r^u at cochain level s (embedded coordinates)."""
-    filt = _symbolic_filtration(fspec, s, t)
+    d, filt, filt_dst = _filtered_cell(fspec, s, t, symbolic=True)
     cols = np.nonzero(filt >= u)[0]
     dim = filt.size
     if cols.size == 0:
         return np.zeros((dim, 0), dtype=np.int64)
-    d = differential_matrix_mod(fspec.base, s, t, 5)
-    filt_dst = _symbolic_filtration(fspec, s + 1, t)
     rows = np.nonzero(filt_dst < u + r)[0]
     if rows.size == 0 or d.size == 0:
         sub_ker = np.eye(cols.size, dtype=np.int64)
@@ -195,13 +198,11 @@ def page_differential(source: CobarElement, fspec: FiltrationSpec, r: int
         raise ValueError("source lives over the wrong quotient")
     s, t = source.s, source.degree()
     vec = _vec(source, t)
-    filt = _symbolic_filtration(fspec, s, t)
+    d, filt, filt_dst = _filtered_cell(fspec, s, t, symbolic=True)
     support = np.nonzero(vec)[0]
     if support.size == 0:
         raise ValueError("zero source")
     u0 = int(filt[support].min())
-    d = differential_matrix_mod(fspec.base, s, t, 5)
-    filt_dst = _symbolic_filtration(fspec, s + 1, t)
     rows = np.nonzero(filt_dst < u0 + r)[0]
     corr_cols = np.nonzero(filt >= u0 + 1)[0]
     rhs = (-(d @ vec)) % 5
@@ -226,7 +227,7 @@ def _in_denominator(fspec: FiltrationSpec, value: np.ndarray, s1: int, t: int,
     """Membership of a level-s1 vector in Z_{r-1}^{u+1} + d Z_{r-1}^{u-r+1}."""
     z_high = _zr_subspace(fspec, s1, t, u + 1, r - 1)
     z_low = _zr_subspace(fspec, s1 - 1, t, u - r + 1, r - 1)
-    d = differential_matrix_mod(fspec.base, s1 - 1, t, 5)
+    d = _filtered_cell(fspec, s1 - 1, t, symbolic=True)[0]
     bound = (d @ z_low) % 5 if z_low.size and d.size else \
         np.zeros((value.size, 0), dtype=np.int64)
     span = np.concatenate([z_high, bound], axis=1)
@@ -244,12 +245,11 @@ def verify_differential(source: CobarElement, target: CobarElement,
     s, t = source.s, source.degree()
     if target.terms and (target.s != s + 1 or target.degree() != t):
         return False
-    filt = _symbolic_filtration(fspec, s, t)
+    _, filt, filt_dst = _filtered_cell(fspec, s, t, symbolic=True)
     vec = _vec(source, t)
     u0 = int(filt[np.nonzero(vec)[0]].min())
     value = _vec(page_differential(source, fspec, r), t)
     tvec = _vec(target, t)
-    filt_dst = _symbolic_filtration(fspec, s + 1, t)
     tsup = np.nonzero(tvec)[0]
     if tsup.size and int(filt_dst[tsup].min()) < u0 + r:
         return False

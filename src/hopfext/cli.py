@@ -8,7 +8,7 @@ the flags its handler reads; defaults are s_max=6, t_max=400
 exponent of the measured windows.  Output is JSON on stdout (or files
 under --out), with a top-level "schema" field; charts are SVG plus a text
 fallback.  Exit codes: 0 all requested checks pass, 1 a verification
-failed, 2 usage error.
+failed or a consistency guard tripped ("first_failure"), 2 usage error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebroid import AlgebroidSpec, AxiomViolation, check_axioms
-from .invariants import (H0_T_CEILING, TABLE1_NAMES, NormalizationFailure,
+from .invariants import (H0_T_CEILING, TABLE1_NAMES, IntegralityFailure,
                          disc_unit_factor, discriminant, hilbert_h0,
                          new_generators, table1_expand)
 
@@ -150,22 +150,11 @@ def cmd_table1(config: RunConfig) -> int:
 # --- disc -------------------------------------------------------------------
 
 def cmd_disc(config: RunConfig) -> int:
-    payload = {"schema": f"{SCHEMA_PREFIX}/disc/1"}
-    try:
-        disc = discriminant()
-    except (NormalizationFailure, AssertionError) as exc:
-        payload.update({"pass": False, "error": str(exc)})
-        _emit(config, payload)
-        return 1
+    disc = discriminant()
     lam, matches = disc_unit_factor()
-    payload.update({
-        "degree": 160,
-        "matches_table": matches,
-        "unit_factor": str(lam),
-        "terms": len(disc.terms),
-        "pass": matches,
-    })
-    _emit(config, payload)
+    _emit(config, {"schema": f"{SCHEMA_PREFIX}/disc/1", "degree": 160,
+                   "matches_table": matches, "unit_factor": str(lam),
+                   "terms": len(disc.terms), "pass": matches})
     return 0 if matches else 1
 
 
@@ -173,11 +162,9 @@ def cmd_disc(config: RunConfig) -> int:
 
 def cmd_bockstein(config: RunConfig) -> int:
     from .bockstein import FiltrationSpec, page_dump
-    fspec = FiltrationSpec(config.tower)
-    dump = page_dump(fspec, config.page, config.s_max, config.t_max)
-    payload = {"schema": f"{SCHEMA_PREFIX}/bockstein/1"}
-    payload.update(dump)
-    _emit(config, payload)
+    dump = page_dump(FiltrationSpec(config.tower), config.page, config.s_max,
+                     config.t_max)
+    _emit(config, {"schema": f"{SCHEMA_PREFIX}/bockstein/1", **dump})
     return 0
 
 
@@ -355,6 +342,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        # a tripped consistency guard is the run's first failure, not a crash
+        from .wordcx import MatchingError
+        if not isinstance(exc, (AssertionError, MatchingError, IntegralityFailure)):
+            raise
+        failure = f"{type(exc).__name__}: {exc}"
+        sys.stderr.write(f"error: {failure}\n")
+        _emit(config, {"schema": f"{SCHEMA_PREFIX}/{config.command}/1",
+                       "pass": False, "first_failure": failure})
+        return 1
 
 
 if __name__ == "__main__":

@@ -64,7 +64,6 @@ def is_invariant(p: Polynomial) -> bool:
 
 # --- degreewise kernels -----------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _eta_minus_id_matrix(t: int) -> Tuple[np.ndarray, Tuple[Monomial, ...]]:
     """eta_R - id on the degree-t piece: the r^(>=1) rows of eta_block, a
     read-only view of the exact block (int64 at every degree up to
@@ -199,7 +198,6 @@ _C_TEXT = {
 }
 
 
-@lru_cache(maxsize=None)
 def c_class(i: int) -> GeneratorRecord:
     """The degree-8i invariant c_i, in the normalization of the explicit
     list (the closed binomial formula differs by a power of 5; see

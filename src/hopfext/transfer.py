@@ -225,12 +225,12 @@ def _word_scalars(spec: AlgebroidSpec, label: Word, d: int, mod: int
     return out
 
 
-@lru_cache(maxsize=None)
 def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, mod: int
                        ) -> np.ndarray:
     """Matrix of the perturbed differential small(s, t) -> small(s+1, t),
     the sum pi delta (h delta)^k iota over k >= 0, as sums of c * T_seq
-    reduced after every add."""
+    reduced after every add; a fresh array per call, since each caller
+    memoises only what it reads again."""
     offsets: Dict[Word, int] = {}
     height = 0
     for label, d in _label_runs(spec, s + 1, t):

@@ -1,5 +1,6 @@
 import pytest
 
+import hopfext.bockstein as bockstein
 import hopfext.transfer as transfer
 from hopfext.algebroid import AlgebroidSpec, quotient
 from hopfext.bockstein import (
@@ -189,3 +190,28 @@ def test_five_adic_page_rejects_planted_5K_divisor(monkeypatch):
             page_dimensions(F5ADIC, 1, 1, 8)
     finally:
         transfer.differential_valuations.cache_clear()
+
+
+def test_page_dimensions_build_each_cell_once(monkeypatch):
+    # the rank queries of a page read one memoised filtered cell per (s, t):
+    # each transferred matrix is built once and kept read-only
+    real = bockstein.transferred_matrix
+    built = {}
+
+    def counted(spec, s, t, mod):
+        built[(s, t)] = built.get((s, t), 0) + 1
+        return real(spec, s, t, mod)
+
+    monkeypatch.setattr(bockstein, "transferred_matrix", counted)
+    for memo in (bockstein._z_dim, bockstein._filtered_cell):
+        memo.cache_clear()
+    try:
+        page_dimensions(F1, 1, 4, 120)
+        assert built == {(s, t): 1 for t in range(0, 121, 8)
+                         for s in range(min(4, t // 8) + 1)}
+        cells = [bockstein._filtered_cell(F1, s, t) for s, t in built]
+        assert all(not a.flags.writeable for cell in cells for a in cell)
+        assert set(built.values()) == {1}
+    finally:
+        for memo in (bockstein._z_dim, bockstein._filtered_cell):
+            memo.cache_clear()

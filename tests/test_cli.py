@@ -175,6 +175,81 @@ def test_axioms_small_window(tmp_path):
     assert payload["variants"]["full"]["counts"]["coassoc"] > 0
 
 
+@pytest.mark.parametrize("t_max,idle", [
+    (1, ["counit_unit", "degree", "psi_eta_r", "ring_map"]),
+    (8, ["ring_map"]),
+    (16, []),
+])
+def test_axioms_window_with_an_unchecked_identity_fails(tmp_path, t_max, idle):
+    # below t = 16 no generator pair fits, so ring_map would pass unchecked
+    code = main(["axioms", "--tmax", str(t_max), "--out", str(tmp_path)])
+    payload = json.loads(_load(tmp_path, "axioms.json"))
+    assert code == (1 if idle else 0)
+    assert payload["pass"] is not bool(idle)
+    for record in payload["variants"].values():
+        if idle:
+            assert record == {"error": f"no instances checked for {idle}",
+                              "pass": False}
+        else:
+            assert record["pass"] and min(record["counts"].values()) > 0
+
+
+def _first_failure_run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["schema"] == f"hopfext/{argv[0]}/1"
+    assert payload["pass"] is False
+    return payload["first_failure"]
+
+
+@pytest.mark.parametrize("argv,memos", [
+    (["ext", "--smax", "1", "--tmax", "8"], ("differential_valuations",)),
+    (["bockstein", "--k", "1", "--smax", "1", "--tmax", "40"],
+     ("_z_dim", "_filtered_cell")),
+])
+def test_projection_outside_small_basis_is_a_first_failure(monkeypatch, capsys,
+                                                           argv, memos):
+    # the transfer's guard trips mid-run: exit 1 and a structured
+    # first_failure on stdout, not a traceback
+    real = transfer._pi_word
+    monkeypatch.setattr(transfer, "_pi_word",
+                        lambda word, mod: real(word, mod) + ((("out",), 1),))
+    caches = [getattr(transfer if argv[0] == "ext" else bockstein, name)
+              for name in memos]
+    # a cell memoised by an earlier test would hide the plant
+    for memo in caches:
+        memo.cache_clear()
+    try:
+        failure = _first_failure_run(argv, capsys)
+    finally:
+        for memo in caches:
+            memo.cache_clear()
+    assert failure == "AssertionError: projection left the small basis"
+
+
+def test_invariance_failure_is_a_first_failure(monkeypatch, capsys):
+    # a doubled r^0 diagonal entry of eta_R in degree 32 trips the identity
+    # guard of the H^0 kernels
+    real = inv.eta_block
+
+    def wrong(spec, n, mod=None):
+        block = real(spec, n, mod)
+        if n == 4:
+            block = block.copy()
+            block[0, 0] *= 2
+        return block
+
+    monkeypatch.setattr(inv, "eta_block", wrong)
+    # the memoised basis would hide the plant, so read it unmemoised
+    monkeypatch.setattr(inv, "invariant_basis", inv.invariant_basis.__wrapped__)
+    failure = _first_failure_run(["invariants", "--tmax", "32"], capsys)
+    assert failure == ("InvarianceFailure: the r^0 part of eta_R in degree 32"
+                       " is not the identity")
+
+
 def test_ext_top_quotient_pattern(tmp_path):
     cfg = RunConfig(command="ext", ideal=4, s_max=4, t_max=200,
                     out=str(tmp_path))

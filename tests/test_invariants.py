@@ -223,7 +223,7 @@ def test_identity_term_guard(monkeypatch, corrupt):
 
     monkeypatch.setattr(inv, "eta_block", wrong)
     with pytest.raises(InvarianceFailure):
-        inv._eta_minus_id_matrix.__wrapped__(t)
+        inv._eta_minus_id_matrix(t)
 
 
 def test_c_classes():

@@ -522,7 +522,7 @@ def test_delta_makes_one_product_per_piece_and_sequence(spec, mod,
     for s in range(4):
         for t in range(8, 121, 8):
             per_cell.append(set())
-            transferred_matrix.__wrapped__(spec, s, t, mod)
+            transferred_matrix(spec, s, t, mod)
     assert made[0] == len(keys) > 0
     assert made[0] < sum(len(reads) for reads in per_cell)
 
@@ -535,7 +535,37 @@ def test_projection_outside_small_basis_raises(monkeypatch):
 
     monkeypatch.setattr(transfer, "_pi_word", planted)
     with pytest.raises(AssertionError, match="left the small basis"):
-        transferred_matrix.__wrapped__(RED, 0, 8, 625)
+        transferred_matrix(RED, 0, 8, 625)
+
+
+@pytest.mark.parametrize("spec,sweep,memo,mod", [
+    (RI[1], ext_dim, "_rank_f5", 5),
+    (RED, transfer.integral_valuations, "differential_valuations", 625),
+])
+def test_sweep_builds_each_cell_once(spec, sweep, memo, mod, monkeypatch):
+    # transferred_matrix keeps nothing, so a sweep builds each cell it reads
+    # exactly once: the rank or valuation memo above it is the only re-read
+    real = transfer.transferred_matrix
+    built = {}
+
+    def counted(spec_, s, t, mod_):
+        key = (spec_, s, t, mod_)
+        built[key] = built.get(key, 0) + 1
+        return real(spec_, s, t, mod_)
+
+    monkeypatch.setattr(transfer, "transferred_matrix", counted)
+    getattr(transfer, memo).cache_clear()
+    cells = [(s, t) for s in range(5) for t in range(0, 121, 8)]
+    try:
+        for s, t in cells:
+            sweep(spec, s, t)
+    finally:
+        getattr(transfer, memo).cache_clear()
+    want = {(spec, u, t, mod): 1 for s, t in cells if small_basis(spec, s, t)
+            for u in (s - 1, s) if u >= 0}
+    assert built == want
+    first, again = real(spec, 1, 40, mod), real(spec, 1, 40, mod)
+    assert first is not again and first.flags.writeable
 
 
 @pytest.mark.parametrize("variant,level,mod,t_max", TRANSFER_GRID)
@@ -551,7 +581,7 @@ def test_echelon_transfer_matches_morse(variant, level, mod, t_max,
     k_power = round(math.log(mod, 5))
     for c in cells:
         dim, want = morse[c]
-        got = transferred_matrix.__wrapped__(spec, *c, mod)
+        got = transferred_matrix(spec, *c, mod)
         assert len(small_basis(spec, *c)) == dim, c
         assert got.shape == want.shape, c
         if mod == 5:
