@@ -504,11 +504,6 @@ def psi(spec: AlgebroidSpec, g: Polynomial) -> Polynomial:
     return _split(spec, g, 0)
 
 
-def psi_reduced(e: int) -> Tuple[Tuple[int, int, int], ...]:
-    """Interior terms of psi(r^e): tuples (binomial, k, e-k) with 0 < k < e."""
-    return tuple((comb(e, k), k, e - k) for k in range(1, e))
-
-
 @lru_cache(maxsize=None)
 def _push_prefix_mono(spec: AlgebroidSpec, word: Tuple[int, ...], mono: Monomial
                       ) -> Tuple[Tuple[Tuple[int, ...], Monomial, int], ...]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebroid import AlgebroidSpec
 from .cobar import (
-    CobarElement,
+    cobar_degree,
     cochain_basis,
     differential,
     differential_matrix_mod,
@@ -29,6 +29,7 @@ from .cobar import (
 )
 from .coefficients import LocalRational
 from .flinalg import nullspace_mod, rank_gf5, solve_mod
+from .gradedpoly import Polynomial
 from .transfer import (
     K_POWER,
     R_DEG,
@@ -84,7 +85,7 @@ def _filtered_cell(fspec: FiltrationSpec, s: int, t: int, symbolic: bool = False
     base, pos = fspec.base, fspec.k - 1
     if symbolic:
         d = differential_matrix_mod(base, s, t, 5)
-        filts = [[m[pos] for m, _ in cochain_basis(base, u, t)] for u in (s, s + 1)]
+        filts = [[m[pos] for m in cochain_basis(base, u, t)] for u in (s, s + 1)]
     else:
         d = transferred_matrix(base, s, t, 5)
         filts = [[m[pos] for _, m in small_basis(base, u, t)] for u in (s, s + 1)]
@@ -165,8 +166,8 @@ def _five_adic_page_dim(fspec: FiltrationSpec, r: int, s: int, t: int) -> int:
 
 # --- stated differentials (symbolic cobar complex) -------------------------
 
-def _vec(x: CobarElement, t: int) -> np.ndarray:
-    return np.array([int(c) % 5 for c in element_to_vector(x, t)],
+def _vec(spec: AlgebroidSpec, x: Polynomial, t: int) -> np.ndarray:
+    return np.array([int(c) % 5 for c in element_to_vector(spec, x, t)],
                     dtype=np.int64)
 
 
@@ -188,16 +189,14 @@ def _zr_subspace(fspec: FiltrationSpec, s: int, t: int, u: int, r: int
     return out
 
 
-def page_differential(source: CobarElement, fspec: FiltrationSpec, r: int
-                      ) -> CobarElement:
-    """d_r of an E_r class: lift the representative within its filtration,
-    then apply the cobar differential.
+def page_differential(source: Polynomial, fspec: FiltrationSpec, r: int
+                      ) -> Polynomial:
+    """d_r of an E_r class, a cochain over fspec.base: lift the
+    representative within its filtration, then apply the cobar differential.
 
     Raises NotAPageCycle when no lift pushes the differential r steps up."""
-    if source.spec != fspec.base:
-        raise ValueError("source lives over the wrong quotient")
-    s, t = source.s, source.degree()
-    vec = _vec(source, t)
+    s, t = cobar_degree(fspec.base, source), source.degree()
+    vec = _vec(fspec.base, source, t)
     d, filt, filt_dst = _filtered_cell(fspec, s, t, symbolic=True)
     support = np.nonzero(vec)[0]
     if support.size == 0:
@@ -237,19 +236,20 @@ def _in_denominator(fspec: FiltrationSpec, value: np.ndarray, s1: int, t: int,
     return rank_gf5(np.concatenate([span, value[:, None]], axis=1)) == base_rank
 
 
-def verify_differential(source: CobarElement, target: CobarElement,
+def verify_differential(source: Polynomial, target: Polynomial,
                         fspec: FiltrationSpec, r: int) -> bool:
     """True iff d_r(source) equals a unit multiple of target in E_r."""
     if fspec.k == 0:
         return _verify_five_adic(source, target, r)
-    s, t = source.s, source.degree()
-    if target.terms and (target.s != s + 1 or target.degree() != t):
+    spec = fspec.base
+    s, t = cobar_degree(spec, source), source.degree()
+    if target and (cobar_degree(spec, target) != s + 1 or target.degree() != t):
         return False
     _, filt, filt_dst = _filtered_cell(fspec, s, t, symbolic=True)
-    vec = _vec(source, t)
+    vec = _vec(spec, source, t)
     u0 = int(filt[np.nonzero(vec)[0]].min())
-    value = _vec(page_differential(source, fspec, r), t)
-    tvec = _vec(target, t)
+    value = _vec(spec, page_differential(source, fspec, r), t)
+    tvec = _vec(spec, target, t)
     tsup = np.nonzero(tvec)[0]
     if tsup.size and int(filt_dst[tsup].min()) < u0 + r:
         return False
@@ -260,7 +260,7 @@ def verify_differential(source: CobarElement, target: CobarElement,
     return False
 
 
-def _verify_five_adic(source: CobarElement, target: CobarElement, r: int
+def _verify_five_adic(source: Polynomial, target: Polynomial, r: int
                       ) -> bool:
     """5-adic Bockstein differential check on the symbolic complex.
 
@@ -270,22 +270,14 @@ def _verify_five_adic(source: CobarElement, target: CobarElement, r: int
     one page the tower needs is the E_1 one, torsion being exponent one)."""
     spec_int = AlgebroidSpec("reduced", None)
     spec_f5 = AlgebroidSpec("reduced", 0)
-    if source.spec != spec_int or target.spec != spec_f5:
-        raise ValueError("5-adic check wants an integral source, mod-5 target")
-    t = source.degree()
-    scaled = [c * LocalRational(1, 5 ** r)
-              for c in element_to_vector(differential(source), t)]
-    if not all(c.is_5_integral() for c in scaled):
+    cobar_degree(spec_f5, target)  # ValueError unless a mod-5 cochain
+    scaled = differential(spec_int, source).scale(LocalRational(1, 5 ** r))
+    if scaled and scaled.content_valuation() < 0:
         return False  # differential not divisible by 5^r
-    # the mod-5 cochain reduces each coefficient through its F5 ring
-    value = vector_to_element(spec_f5, source.s + 1, t, scaled)
-    for w in UNITS:
-        diff = value - target.scale(w)
-        if not diff.terms:
-            return True
-        if is_coboundary(diff) is not None:
-            return True
-    return False
+    # the mod-5 cochain: each coefficient reduced through the F5 ring
+    value = scaled.map_coefficients(target.ring)
+    return any(is_coboundary(spec_f5, value - target.scale(w)) is not None
+               for w in UNITS)
 
 
 # --- report feed ------------------------------------------------------------

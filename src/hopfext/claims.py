@@ -21,7 +21,8 @@ from .algebroid import (AlgebroidSpec, AxiomViolation, check_axioms, eta_R,
 from .bockstein import (FiltrationSpec, infinity_page, page_dimensions,
                         verify_differential)
 from .cobar import (class_equal_up_to_unit, cohomology, differential,
-                    is_coboundary, parse_cobar, product, triple_massey)
+                    format_cobar, is_coboundary, parse_cobar, product,
+                    triple_massey)
 from .coefficients import LocalRational
 from .flinalg import rank_mod
 from .gradedpoly import Polynomial, parse_polynomial
@@ -72,7 +73,7 @@ def cb(spec, s, text):
 
 
 def times(spec, poly_text, text, s):
-    return product(cb(spec, 0, poly_text), cb(spec, s, text))
+    return product(spec, cb(spec, 0, poly_text), cb(spec, s, text))
 
 
 # --- 1. structure maps ------------------------------------------------------
@@ -116,20 +117,21 @@ def _top_quotient_ring():
 # --- 3. and 4. cochain identities and cocycles -------------------------------
 
 def _d_equals(spec, s, text, *wants):
-    d = differential(cb(spec, s, text))
+    d = differential(spec, cb(spec, s, text))
     for want in wants:
-        _require(d == want, f"d({text}) is not the stated value")
+        _require(d == want, f"d({text}) = {format_cobar(spec, d)},"
+                 " not the stated value")
 
 
 def _hidden_extension():
-    lhs = product(cb(I[1], 0, Y_I1), cb(I[1], 1, "[r]")).scale(2) \
+    lhs = product(I[1], cb(I[1], 0, Y_I1), cb(I[1], 1, "[r]")).scale(2) \
         - times(I[1], "a2", X1_I1, 1)
-    _require(lhs == differential(cb(I[1], 0, "a3*a4")),
+    _require(lhs == differential(I[1], cb(I[1], 0, "a3*a4")),
              "2*a*[a3^2] - a2*x1 != d(a3*a4) mod I1")
 
 
 def _x1_bounds_5b():
-    d_x1 = differential(cb(RED, 1, X1))
+    d_x1 = differential(RED, cb(RED, 1, X1))
     _require(any(d_x1 == cb(RED, 2, B).scale(5 * u)
                  for u in (1, 2, 3, 4, -1, -2)),
              "d(x1) is not a unit times 5*b")
@@ -137,7 +139,7 @@ def _x1_bounds_5b():
 
 def _cocycles(*cases):
     for spec, s, text in cases:
-        _require(differential(cb(spec, s, text)).is_zero(),
+        _require(differential(spec, cb(spec, s, text)).is_zero(),
                  f"d({text}) != 0 mod I{spec.quotient_level}")
 
 
@@ -191,32 +193,33 @@ def _v1_algebra_hilbert():
     # mod I1, while a2*b, which both models keep, is not
     y = cb(I[1], 0, Y_I1)
     z = cb(I[1], 0, Z_I1)
-    _require(differential(z).is_zero(), "z is not a cocycle mod I1")
+    _require(differential(I[1], z).is_zero(), "z is not a cocycle mod I1")
     _require(y in cohomology(I[1], 0, 48).representatives,
              "y is not a representative of H^{0,48}")
     _require(cohomology(I[1], 0, 120).representatives == [z],
              "z is not the representative of H^{0,120}")
     x1 = cb(I[1], 1, X1_I1)
     a2_b = times(I[1], "a2", B, 2)
-    for name, missing in (("x1*y", product(y, x1)), ("x1*z", product(z, x1)),
-                          ("a2*b*y", product(y, a2_b))):
-        _require(is_coboundary(missing) is not None,
+    for name, missing in (("x1*y", product(I[1], y, x1)),
+                          ("x1*z", product(I[1], z, x1)),
+                          ("a2*b*y", product(I[1], y, a2_b))):
+        _require(is_coboundary(I[1], missing) is not None,
                  f"{name} is not a coboundary mod I1")
-    _require(is_coboundary(a2_b) is None, "a2*b is a coboundary mod I1")
+    _require(is_coboundary(I[1], a2_b) is None, "a2*b is a coboundary mod I1")
 
 
 # --- 7. Massey products -------------------------------------------------------
 
-def _massey(u, v, w, target):
-    rep, _ = triple_massey(u, v, w)
-    _require(any(is_coboundary(rep - target.scale(unit)) is not None
+def _massey(spec, u, v, w, target):
+    rep, _ = triple_massey(spec, u, v, w)
+    _require(any(is_coboundary(spec, rep - target.scale(unit)) is not None
                  for unit in (1, 2, 3, 4)),
              "the Massey product misses every unit multiple of the target")
 
 
 def _x1x2_extension():
-    prod = product(cb(I[2], 1, X1_I2), cb(I[2], 1, X2))
-    _require(class_equal_up_to_unit(prod, times(I[2], "a3^3", B, 2)),
+    prod = product(I[2], cb(I[2], 1, X1_I2), cb(I[2], 1, X2))
+    _require(class_equal_up_to_unit(I[2], prod, times(I[2], "a3^3", B, 2)),
              "x1*x2 is not a unit times a3^3*b mod I2")
 
 
@@ -342,7 +345,7 @@ def _integral_window():
 
 
 def _exact(x, what):
-    _require(is_coboundary(x) is not None, f"{what} is not a coboundary")
+    _require(is_coboundary(RED, x) is not None, f"{what} is not a coboundary")
 
 
 def _kills(text, s):
@@ -359,9 +362,10 @@ def _delta_faithful():
     # on the torsion classes: mod I1 the discriminant reduces to a quintic
     # in a4, and a nonzero product there certifies a nonzero integral one
     dbar = cb(I[1], 0, DISC_I1)
-    _require(differential(dbar).is_zero(), "D mod I1 is not a cocycle")
+    _require(differential(I[1], dbar).is_zero(), "D mod I1 is not a cocycle")
     for s, text in ((1, "[r]"), (2, B)):
-        _require(is_coboundary(product(dbar, cb(I[1], s, text))) is None,
+        _require(is_coboundary(I[1], product(I[1], dbar, cb(I[1], s, text)))
+                 is None,
                  f"D*{text} is a coboundary mod I1")
 
 
@@ -444,10 +448,10 @@ CLAIMS: List[Claim] = [
           " 7 generators (relation list completed by x1*y, x1*z,"
           " a2*b*y), s <= 6, t <= 400", _v1_algebra_hilbert),
     Claim("massey-x1-a-a", "<x1, a, a> contains a2*b mod I1",
-          lambda: _massey(cb(I[1], 1, X1_I1), cb(I[1], 1, "[r]"),
+          lambda: _massey(I[1], cb(I[1], 1, X1_I1), cb(I[1], 1, "[r]"),
                           cb(I[1], 1, "[r]"), times(I[1], "a2", B, 2))),
     Claim("massey-x1-a-a3", "<x1, a, a3> contains x2 mod I2",
-          lambda: _massey(cb(I[2], 1, X1_I2), cb(I[2], 1, "[r]"),
+          lambda: _massey(I[2], cb(I[2], 1, X1_I2), cb(I[2], 1, "[r]"),
                           cb(I[2], 0, "a3"), cb(I[2], 1, X2))),
     Claim("hidden-x1x2", "x1*x2 = unit * a3^3*b mod I2", _x1x2_extension),
     Claim("full-reduced-agree",
@@ -470,7 +474,7 @@ CLAIMS: List[Claim] = [
           "integral cohomology matches H0[a,b]/(a^2, m*(a,b)),"
           " s <= 4, t <= 240, torsion exponent 1", _integral_window),
     Claim("a-squared-zero", "a^2 is an integral coboundary",
-          lambda: _exact(product(cb(RED, 1, "[r]"), cb(RED, 1, "[r]")),
+          lambda: _exact(product(RED, cb(RED, 1, "[r]"), cb(RED, 1, "[r]")),
                          "a^2")),
     Claim("five-c2-c3-kill-a", "5, c2, c3 each annihilate the a class",
           lambda: _kills("[r]", 1)),

@@ -2,10 +2,13 @@
 differential, concatenation products, small-scale cohomology with
 representatives, coboundary solving, and triple Massey products.
 
-Cochains of degree s are left-coefficient combinations of bar words
-[r^{e_1}|...|r^{e_s}], each exponent positive (and at most 4 in the reduced
-variant).  This module works symbolically and is meant for windows where the
-per-bidegree bases are small; the transfer module handles large windows.
+An s-cochain is a Polynomial over gamma_ring(spec, s): a sum of
+coefficient * [r^{e_1}|...|r^{e_s}], every coefficient at the global left,
+each exponent positive (and at most 4 in the reduced variant), with no
+generator the quotient kills.  Every entry point takes the spec first and
+raises ValueError for a polynomial over any other ring.  This module works
+symbolically and is meant for windows where the per-bidegree bases are
+small; the transfer module handles large windows.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .coefficients import (LocalRational, SmithDecomposition,
                            smith_normal_form, v5)
 from .flinalg import nullspace_mod, rank_mod, rref_mod, solve_mod
 from .gradedpoly import (
-    InhomogeneousInput,
     Monomial,
     Polynomial,
     format_polynomial,
@@ -31,18 +33,16 @@ from .gradedpoly import (
 from .algebroid import (
     R_DEGREE,
     AlgebroidSpec,
+    _split,
     coefficient_piece,
     eta_R_int,
+    gamma_ring,
     parse_word,
-    psi_reduced,
     push_coefficient,
+    reduce_base,
 )
 
 CobarWord = Tuple[int, ...]
-
-
-class SpecMismatch(ValueError):
-    pass
 
 
 class NotACocycle(ValueError):
@@ -67,103 +67,31 @@ def compositions(n: int, s: int, cap: Optional[int]) -> Iterator[CobarWord]:
             yield (e,) + rest
 
 
-class CobarElement:
-    """Homogeneous-degree-s cochain: map (base monomial, word) -> scalar."""
+def cobar_degree(spec: AlgebroidSpec, x: Polynomial) -> int:
+    """The s of a cochain over gamma_ring(spec, s); ValueError when x is
+    over any other ring (another variant, coefficient mode or shape)."""
+    s = len(x.ring.names) - spec.num_generators
+    if s < 0 or x.ring != gamma_ring(spec, s):
+        raise ValueError("cochain is not over gamma_ring of this spec")
+    return s
 
-    __slots__ = ("spec", "s", "terms")
 
-    def __init__(self, spec: AlgebroidSpec, s: int,
-                 terms: Optional[Dict[Tuple[Monomial, CobarWord], object]] = None):
-        self.spec = spec
-        self.s = s
-        self.terms: Dict[Tuple[Monomial, CobarWord], object] = {}
-        ring = spec.base_ring
-        cap = spec.max_r_power
-        if terms:
-            for (mono, word), c in terms.items():
-                if len(word) != s:
-                    raise ValueError("word length != s")
-                if any(e < 1 or (cap is not None and e > cap) for e in word):
-                    raise ValueError(f"bad word {word}")
-                c = ring.coeff(c)
-                if c:
-                    self.terms[(mono, word)] = c
-
-    @classmethod
-    def zero(cls, spec: AlgebroidSpec, s: int) -> "CobarElement":
-        return cls(spec, s)
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, spec: AlgebroidSpec) -> "CobarElement":
-        return cls(spec, 0, {(m, ()): c for m, c in p.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, CobarElement):
-            return NotImplemented
-        return (self.spec, self.s, self.terms) == (other.spec, other.s, other.terms)
-
-    def __add__(self, other: "CobarElement") -> "CobarElement":
-        if (self.spec, self.s) != (other.spec, other.s):
-            raise SpecMismatch("cannot add cochains of different shape")
-        ring = self.spec.base_ring
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            acc = c if acc is None else ring.coeff(acc + c)
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
-        res = CobarElement.__new__(CobarElement)
-        res.spec, res.s, res.terms = self.spec, self.s, out
-        return res
-
-    def __neg__(self):
-        ring = self.spec.base_ring
-        res = CobarElement.__new__(CobarElement)
-        res.spec, res.s = self.spec, self.s
-        res.terms = {k: ring.coeff(-c) for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "CobarElement":
-        ring = self.spec.base_ring
-        out = {}
-        for k, v in self.terms.items():
-            w = ring.coeff(v * c)
-            if w:
-                out[k] = w
-        res = CobarElement.__new__(CobarElement)
-        res.spec, res.s, res.terms = self.spec, self.s, out
-        return res
-
-    def degree(self) -> Optional[int]:
-        ring = self.spec.base_ring
-        degs = {ring.monomial_degree(m) + R_DEGREE * sum(w) for m, w in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise InhomogeneousInput(f"mixed internal degrees {sorted(degs)}")
-        return degs.pop()
-
-    def __repr__(self):
-        return f"CobarElement({format_cobar(self)})"
+def _words(spec: AlgebroidSpec, x: Polynomial) -> Dict[CobarWord, Polynomial]:
+    """The coefficient of each bar word of the cochain x."""
+    n = spec.num_generators
+    acc: Dict[CobarWord, Dict[Monomial, object]] = {}
+    for m, c in x.terms.items():
+        acc.setdefault(m[n:], {})[m[:n]] = c
+    return {w: Polynomial(spec.base_ring, t) for w, t in acc.items()}
 
 
 @lru_cache(maxsize=None)
-def cochain_basis(spec: AlgebroidSpec, s: int, t: int) -> Tuple[Tuple[Monomial, CobarWord], ...]:
-    """Deterministic basis of the (s,t) cochain piece: words in ascending lex
-    order, then base monomials in graded-lex order."""
+def cochain_basis(spec: AlgebroidSpec, s: int, t: int) -> Tuple[Monomial, ...]:
+    """Deterministic basis of the (s,t) cochain piece, as monomials of
+    gamma_ring(spec, s): words in ascending lex order, then base monomials
+    in graded-lex order."""
     cap = spec.max_r_power
-    out: List[Tuple[Monomial, CobarWord]] = []
+    out: List[Monomial] = []
     if t % R_DEGREE:
         return ()
     for n in range(s, t // R_DEGREE + 1):
@@ -174,59 +102,40 @@ def cochain_basis(spec: AlgebroidSpec, s: int, t: int) -> Tuple[Tuple[Monomial, 
             continue
         for word in compositions(n, s, cap):
             for m in monos:
-                out.append((m, word))
+                out.append(m + word)
     return tuple(out)
 
 
-def differential(x: CobarElement) -> CobarElement:
-    """Cobar differential: insert the reduced right-unit image of the
-    coefficient at the left (sign +1), plus the alternating-sign reduced
-    coproduct splittings of each slot."""
-    spec = x.spec
-    if x.terms:
-        x.degree()  # raises InhomogeneousInput when mixed
-    out = CobarElement.zero(spec, x.s + 1)
-    acc: Dict[Tuple[Monomial, CobarWord], object] = {}
-    ring = spec.base_ring
-
-    def add(key, val):
-        cur = acc.get(key)
-        cur = val if cur is None else ring.coeff(cur + val)
-        if cur:
-            acc[key] = cur
-        else:
-            acc.pop(key, None)
-
-    for (mono, word), c in x.terms.items():
-        for e, m2, c2 in eta_R_int(spec, mono):
-            if e:
-                add((m2, (e,) + word), ring.coeff(c * c2))
-        for i, e in enumerate(word):
-            sign = -1 if (i + 1) % 2 else 1
-            for coef, k, l in psi_reduced(e):
-                val = ring.coeff(c * (coef * sign))
-                if val:
-                    add((mono, word[:i] + (k, l) + word[i + 1:]), val)
-    out.terms = acc
-    return out
+def differential(spec: AlgebroidSpec, x: Polynomial) -> Polynomial:
+    """Cobar differential: eta_R of each coefficient in a new first slot,
+    plus (-1)^(i+1) psi in slot i, keeping the monomials whose slot
+    exponents are all positive.  At s = 0 this is eta_R(x) - eta_L(x)."""
+    s = cobar_degree(spec, x)
+    x.degree()  # raises InhomogeneousInput when mixed
+    n = spec.num_generators
+    acc: Dict[Monomial, object] = {}
+    for m, c in x.terms.items():
+        for e, m2, c2 in eta_R_int(spec, m[:n]):
+            key = m2 + (e,) + m[n:]
+            acc[key] = acc.get(key, 0) + c * c2
+    out = Polynomial(gamma_ring(spec, s + 1), acc)
+    for i in range(s):
+        out = out + _split(spec, x, i).scale((-1) ** (i + 1))
+    return Polynomial(out.ring, {m: c for m, c in out.terms.items() if all(m[n:])})
 
 
-def _index(basis) -> Dict[Tuple[Monomial, CobarWord], int]:
-    return {k: i for i, k in enumerate(basis)}
-
-
-def element_to_vector(x: CobarElement, t: int) -> List[object]:
-    basis = cochain_basis(x.spec, x.s, t)
-    idx = _index(basis)
+def element_to_vector(spec: AlgebroidSpec, x: Polynomial, t: int) -> List[object]:
+    basis = cochain_basis(spec, cobar_degree(spec, x), t)
+    index = {m: i for i, m in enumerate(basis)}
     vec = [0] * len(basis)
-    for k, c in x.terms.items():
-        vec[idx[k]] = c
+    for m, c in x.terms.items():
+        vec[index[m]] = c
     return vec
 
 
-def vector_to_element(spec: AlgebroidSpec, s: int, t: int, vec) -> CobarElement:
-    basis = cochain_basis(spec, s, t)
-    return CobarElement(spec, s, {basis[i]: c for i, c in enumerate(vec) if c})
+def vector_to_element(spec: AlgebroidSpec, s: int, t: int, vec) -> Polynomial:
+    return Polynomial(gamma_ring(spec, s),
+                      {m: c for m, c in zip(cochain_basis(spec, s, t), vec) if c})
 
 
 @lru_cache(maxsize=None)
@@ -234,16 +143,15 @@ def differential_matrix_int(spec: AlgebroidSpec, s: int, t: int) -> np.ndarray:
     """Integer matrix of d on the (s,t) piece (columns index the source),
     a read-only object array."""
     src = cochain_basis(spec, s, t)
-    dst = cochain_basis(spec, s + 1, t)
-    idx = _index(dst)
+    dst = {m: i for i, m in enumerate(cochain_basis(spec, s + 1, t))}
     out = np.zeros((len(dst), len(src)), dtype=object)
-    for j, key in enumerate(src):
-        img = differential(CobarElement(spec, s, {key: 1}))
+    for j, m in enumerate(src):
+        img = differential(spec, Polynomial(gamma_ring(spec, s), {m: 1}))
         for k, c in img.terms.items():
             val = c.num if isinstance(c, LocalRational) else int(c)
             if isinstance(c, LocalRational) and c.den != 1:
                 raise AssertionError("differential structure constant not integral")
-            out[idx[k], j] = val
+            out[dst[k], j] = val
     out.flags.writeable = False
     return out
 
@@ -269,7 +177,7 @@ class CohomologyGroup:
     t: int
     free_rank: int
     torsion: Tuple[int, ...] = ()
-    representatives: List[CobarElement] = field(default_factory=list)
+    representatives: List[Polynomial] = field(default_factory=list)
 
 
 def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
@@ -311,7 +219,7 @@ def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
     restricted = smith_normal_form(a @ complement)
     kernel = complement @ restricted.right_transform[:, len(restricted.diagonal):]
 
-    def column(m: np.ndarray, j: int) -> CobarElement:
+    def column(m: np.ndarray, j: int) -> Polynomial:
         return vector_to_element(spec, s, t, m[:, j].tolist())
 
     torsion = [(v5(d), j) for j, d in enumerate(image.diagonal) if v5(d) > 0]
@@ -320,60 +228,42 @@ def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
     return CohomologyGroup(s, t, kernel.shape[1], tuple(v for v, _ in torsion), reps)
 
 
-def product(x: CobarElement, y: CobarElement) -> CobarElement:
+def product(spec: AlgebroidSpec, x: Polynomial, y: Polynomial) -> Polynomial:
     """Concatenation product, with the second coefficient moved to the left."""
-    if x.spec != y.spec:
-        raise SpecMismatch("cochains from different specs")
-    spec = x.spec
-    ring = spec.base_ring
-    acc: Dict[Tuple[Monomial, CobarWord], object] = {}
-    for (m1, w1), c1 in x.terms.items():
-        left = Polynomial(ring, {m1: c1})
-        for (m2, w2), c2 in y.terms.items():
-            pushed = push_coefficient(spec, w1 + w2, len(w1),
-                                      Polynomial(ring, {m2: c2}))
-            for word, poly in pushed.items():
-                for mono, c in (left * poly).terms.items():
-                    key = (mono, word)
-                    cur = acc.get(key)
-                    cur = c if cur is None else ring.coeff(cur + c)
-                    if cur:
-                        acc[key] = cur
-                    else:
-                        acc.pop(key, None)
-    res = CobarElement.__new__(CobarElement)
-    res.spec, res.s, res.terms = spec, x.s + y.s, acc
-    return res
+    s, s_y = cobar_degree(spec, x), cobar_degree(spec, y)
+    right = _words(spec, y).items()
+    acc: Dict[Monomial, object] = {}
+    for w1, p1 in _words(spec, x).items():
+        for w2, p2 in right:
+            for word, p in push_coefficient(spec, w1 + w2, s, p2).items():
+                for m, c in (p1 * p).terms.items():
+                    acc[m + word] = acc.get(m + word, 0) + c
+    return Polynomial(gamma_ring(spec, s + s_y), acc)
 
 
-def is_coboundary(z: CobarElement) -> Optional[CobarElement]:
+def is_coboundary(spec: AlgebroidSpec, z: Polynomial) -> Optional[Polynomial]:
     """A cochain w with d(w) = z exactly, or None.
 
     Raises NotACocycle when d(z) != 0.  Over Z_(5) the solve goes through
     Smith normal form, allowing division by 5-units only.
     """
-    if differential(z):
+    if differential(spec, z):
         raise NotACocycle("input is not a cocycle")
+    s = cobar_degree(spec, z)
     if z.is_zero():
-        return CobarElement.zero(z.spec, z.s - 1)
-    spec = z.spec
+        return Polynomial.zero(gamma_ring(spec, max(s - 1, 0)))
     t = z.degree()
-    s = z.s
     if s == 0:
         return None
     if spec.quotient_level is not None:
         a = differential_matrix_mod(spec, s - 1, t, 5)
-        vec = np.array([int(c) for c in element_to_vector(z, t)], dtype=np.int64)
+        vec = np.array([int(c) for c in element_to_vector(spec, z, t)], dtype=np.int64)
         sol = solve_mod(a, vec, 5)
         if sol is None:
             return None
         return vector_to_element(spec, s - 1, t, sol)
-    raw = element_to_vector(z, t)
-    den = 1
-    for c in raw:
-        if isinstance(c, LocalRational):
-            den = den * c.den // math.gcd(den, c.den)
-    vec = [(c * den).num if isinstance(c, LocalRational) else int(c) * den for c in raw]
+    den = math.lcm(*(c.den for c in z.terms.values()))
+    vec = [c.num if c else 0 for c in element_to_vector(spec, z.scale(den), t)]
     snf = _image_smith(spec, s, t)
     lz = snf.left_transform.dot(np.array(vec, dtype=object)).tolist()
     diag = snf.diagonal
@@ -390,45 +280,44 @@ def is_coboundary(z: CobarElement) -> Optional[CobarElement]:
                              (snf.right_transform.dot(y) / den).tolist())
 
 
-def triple_massey(u: CobarElement, v: CobarElement, w: CobarElement
-                  ) -> Tuple[CobarElement, int]:
+def triple_massey(spec: AlgebroidSpec, u: Polynomial, v: Polynomial,
+                  w: Polynomial) -> Tuple[Polynomial, int]:
     """<u,v,w> representative and the rank of its indeterminacy.
 
     Needs u,v,w cocycles with uv and vw coboundaries; the representative is
     xbar*w - (-1)^{s_u} u*ybar with d(xbar)=uv, d(ybar)=vw.
     """
     for name, x in (("u", u), ("v", v), ("w", w)):
-        if differential(x):
+        if differential(spec, x):
             raise NotACocycle(f"{name} is not a cocycle")
-    xbar = is_coboundary(product(u, v))
-    ybar = is_coboundary(product(v, w))
+    xbar = is_coboundary(spec, product(spec, u, v))
+    ybar = is_coboundary(spec, product(spec, v, w))
     if xbar is None or ybar is None:
         raise BracketUndefined("a factor product is not a coboundary")
-    sign = -1 if u.s % 2 else 1
-    rep = product(xbar, w) - product(u, ybar).scale(sign)
-    spec = u.spec
-    s_out = rep.s
-    t_out = (u.degree() or 0) + (v.degree() or 0) + (w.degree() or 0)
+    s_u, s_v, s_w = (cobar_degree(spec, x) for x in (u, v, w))
+    t_u, t_v, t_w = (x.degree() or 0 for x in (u, v, w))
+    rep = product(spec, xbar, w) - product(spec, u, ybar).scale((-1) ** s_u)
+    s_out, t_out = s_u + s_v + s_w - 1, t_u + t_v + t_w
     # indeterminacy: u*H^{s_v+s_w-1} + H^{s_u+s_v-1}*w inside H^{s_out,t_out}
     hg = cohomology(spec, s_out, t_out)
     if not hg.representatives:
         return rep, 0
-    left = cohomology(spec, v.s + w.s - 1, (v.degree() or 0) + (w.degree() or 0))
-    right = cohomology(spec, u.s + v.s - 1, (u.degree() or 0) + (v.degree() or 0))
-    cand = [product(u, h) for h in left.representatives] + \
-           [product(h, w) for h in right.representatives]
+    left = cohomology(spec, s_v + s_w - 1, t_v + t_w)
+    right = cohomology(spec, s_u + s_v - 1, t_u + t_v)
+    cand = [product(spec, u, h) for h in left.representatives] + \
+           [product(spec, h, w) for h in right.representatives]
     return rep, _class_rank(spec, s_out, t_out, cand)
 
 
 def _class_rank(spec: AlgebroidSpec, s: int, t: int,
-                elements: Sequence[CobarElement]) -> int:
+                elements: Sequence[Polynomial]) -> int:
     """Rank of the span of the given cocycles in H^{s,t} (mod-5 reduction)."""
     if not elements:
         return 0
     mod = 5
     a = differential_matrix_mod(spec, s - 1, t, mod) if s > 0 else None
     f5 = AlgebroidSpec(spec.variant, 0).base_ring
-    v = np.array([[f5.coeff(c) for c in element_to_vector(e, t)]
+    v = np.array([[f5.coeff(c) for c in element_to_vector(spec, e, t)]
                   for e in elements], dtype=np.int64).T
     if v.size == 0:
         return 0
@@ -438,11 +327,11 @@ def _class_rank(spec: AlgebroidSpec, s: int, t: int,
     return rank_mod(both.T, mod) - rank_mod(a.T, mod)
 
 
-def class_equal_up_to_unit(x: CobarElement, y: CobarElement) -> bool:
+def class_equal_up_to_unit(spec: AlgebroidSpec, x: Polynomial, y: Polynomial) -> bool:
     """True when x = unit * y modulo coboundaries (unit in F5)."""
     for unit in (1, 2, 3, 4):
         try:
-            if is_coboundary(x - y.scale(unit)) is not None:
+            if is_coboundary(spec, x - y.scale(unit)) is not None:
                 return True
         except NotACocycle:
             return False
@@ -454,17 +343,13 @@ def class_equal_up_to_unit(x: CobarElement, y: CobarElement) -> bool:
 _BRACKET = re.compile(r"\[([^\]]*)\]")
 
 
-def format_cobar(x: CobarElement) -> str:
+def format_cobar(spec: AlgebroidSpec, x: Polynomial) -> str:
+    cobar_degree(spec, x)
     if not x.terms:
         return "0"
-    ring = x.spec.base_ring
-    by_word: Dict[CobarWord, Polynomial] = {}
-    for (mono, word), c in x.terms.items():
-        p = by_word.get(word, Polynomial.zero(ring))
-        by_word[word] = p + Polynomial(ring, {mono: c})
     parts = []
-    for word in sorted(by_word):
-        ptxt = format_polynomial(by_word[word])
+    for word, p in sorted(_words(spec, x).items()):
+        ptxt = format_polynomial(p)
         if word:
             wtxt = "|".join("r" if e == 1 else f"r^{e}" for e in word)
             if ptxt == "1":
@@ -479,14 +364,16 @@ def format_cobar(x: CobarElement) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def parse_cobar(spec: AlgebroidSpec, s: int, text: str) -> CobarElement:
+def parse_cobar(spec: AlgebroidSpec, s: int, text: str) -> Polynomial:
     """Parse sums like "a2*[r^3|r] - 2*[r|r]" (s >= 1) or plain polynomials
-    (s = 0)."""
+    (s = 0), each coefficient projected into the spec's quotient.  A word
+    of length other than s, or with an exponent below 1 (or above 4 in the
+    reduced variant), raises ValueError."""
     ring = spec.base_ring
     if s == 0:
-        p = parse_polynomial(ring, text)
-        return CobarElement.from_polynomial(p, spec)
-    out = CobarElement.zero(spec, s)
+        return reduce_base(spec, parse_polynomial(ring, text))
+    cap = spec.max_r_power or math.inf
+    acc: Dict[Monomial, object] = {}
     pos = 0
     for m in _BRACKET.finditer(text):
         coeff_txt = text[pos:m.start()].strip()
@@ -502,10 +389,10 @@ def parse_cobar(spec: AlgebroidSpec, s: int, text: str) -> CobarElement:
         coeff = parse_polynomial(ring, coeff_txt) if coeff_txt else \
             Polynomial.constant(ring, 1)
         word = parse_word(m.group(1))
-        if len(word) != s:
-            raise ValueError(f"word {word} has length != {s}")
-        terms = {(mono, word): c for mono, c in coeff.scale(sign).terms.items()}
-        out = out + CobarElement(spec, s, terms)
+        if len(word) != s or not all(1 <= e <= cap for e in word):
+            raise ValueError(f"bad word {word} for a {s}-cochain")
+        for mono, c in reduce_base(spec, coeff.scale(sign)).terms.items():
+            acc[mono + word] = acc.get(mono + word, 0) + c
     if text[pos:].strip():
         raise ValueError(f"trailing input {text[pos:]!r}")
-    return out
+    return Polynomial(gamma_ring(spec, s), acc)

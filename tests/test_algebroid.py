@@ -13,11 +13,11 @@ from hopfext.algebroid import (
     parse_gamma,
     parse_word,
     psi,
-    psi_reduced,
     push_coefficient,
     quotient,
     reduce_gamma,
 )
+from hopfext.cobar import differential
 from hopfext.gradedpoly import Polynomial, format_polynomial, graded_piece_basis
 
 FULL = AlgebroidSpec("full")
@@ -114,14 +114,14 @@ def test_psi_examples():
 
 
 @pytest.mark.parametrize("spec", [FULL, RED])
-def test_psi_reduced_is_the_interior_of_psi(spec):
-    # the cobar differential splits each slot by psi_reduced; it must be
-    # the coproduct check_axioms certifies, less the two end terms
+def test_cobar_differential_of_a_word_is_minus_the_interior_of_psi(spec):
+    # the cobar differential splits each slot by the coproduct check_axioms
+    # certifies, less the two end terms: d[r^e] = -(interior of psi(r^e))
     for e in range(10):
-        interior = {m[-2:]: c for m, c in psi(spec, r_power(spec, e)).terms.items()
-                    if 0 not in m[-2:]}
-        assert all(not any(m[:-2]) for m in interior)
-        assert interior == {(k, l): coef for coef, k, l in psi_reduced(e)}
+        interior = {m: c for m, c in psi(spec, r_power(spec, e)).terms.items()
+                    if all(m[-2:])}
+        assert differential(spec, r_power(spec, e)) == \
+            -Polynomial(gamma_ring(spec, 2), interior)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.variant}-{s.quotient_level}")

@@ -134,7 +134,7 @@ def test_page_differential_value():
     # d_1(a3) mod the k=2 tower literally equals 3 a2 [r]
     i1 = F2.base
     val = page_differential(cb(i1, 0, "a3"), F2, 1)
-    assert class_equal_up_to_unit(val, cb(i1, 1, "a2*[r]"))
+    assert class_equal_up_to_unit(i1, val, cb(i1, 1, "a2*[r]"))
 
 
 def test_collapse_pages_small_window():
@@ -170,7 +170,7 @@ def _poly_times(spec, poly_text, cobar_text, s):
     from hopfext.cobar import product
     left = parse_cobar(spec, 0, poly_text)
     right = parse_cobar(spec, s, cobar_text)
-    return product(left, right)
+    return product(spec, left, right)
 
 
 def test_five_adic_page_rejects_planted_5K_divisor(monkeypatch):

@@ -4,27 +4,30 @@ import numpy as np
 import pytest
 
 import hopfext.cobar as cobar
-from hopfext.algebroid import AlgebroidSpec, quotient
+from hopfext.algebroid import (AlgebroidSpec, coefficient_piece, eta_L, eta_R,
+                               gamma_ring, quotient)
 from hopfext.cobar import (
-    CobarElement,
     NotACocycle,
     _class_rank,
     class_equal_up_to_unit,
     cochain_basis,
     cohomology,
     differential,
+    element_to_vector,
     format_cobar,
     is_coboundary,
     parse_cobar,
     product,
     triple_massey,
 )
+from hopfext.gradedpoly import InhomogeneousInput, Polynomial
 FULL = AlgebroidSpec("full")
 RED = AlgebroidSpec("reduced")
 I0 = quotient(RED, 0)
 I1 = quotient(RED, 1)
 I2 = quotient(RED, 2)
 I4 = quotient(RED, 4)
+SPECS = [AlgebroidSpec(v, k) for v in ("full", "reduced") for k in (None, 0, 1, 2, 3, 4)]
 
 B_TEXT = "[r^4|r] + 2*[r^3|r^2] + 2*[r^2|r^3] + [r|r^4]"
 
@@ -33,47 +36,110 @@ def cb(spec, s, text):
     return parse_cobar(spec, s, text)
 
 
+def basis_cochain(spec, s, mono, c=1):
+    """c times the cochain of one monomial of gamma_ring(spec, s)."""
+    return Polynomial(gamma_ring(spec, s), {mono: c})
+
+
 def test_cochain_basis_examples():
-    assert [w for _, w in cochain_basis(I4, 2, 40)] == [(1, 4), (2, 3), (3, 2), (4, 1)]
+    assert [m[4:] for m in cochain_basis(I4, 2, 40)] == [(1, 4), (2, 3), (3, 2), (4, 1)]
     basis0 = cochain_basis(FULL, 0, 16)
-    assert [m for m, _ in basis0] == [(2, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
-    assert list(cochain_basis(RED, 1, 8)) == [((0, 0, 0, 0), (1,))]
+    assert list(basis0) == [(2, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
+    assert list(cochain_basis(RED, 1, 8)) == [(0, 0, 0, 0, 1)]
 
 
 def test_differential_degree_zero_examples():
-    assert differential(cb(I1, 0, "a3")) == cb(I1, 1, "3*a2*[r]")
-    lhs = differential(cb(I1, 0, "a3^3 + 3*a2*a3*a4"))
+    assert differential(I1, cb(I1, 0, "a3")) == cb(I1, 1, "3*a2*[r]")
+    lhs = differential(I1, cb(I1, 0, "a3^3 + 3*a2*a3*a4"))
     x1 = cb(I1, 1, "a2*[r^3] + a3*[r^2] + a4*[r]")
-    assert lhs == -product(cb(I1, 0, "a2^2"), x1)
+    assert lhs == -product(I1, cb(I1, 0, "a2^2"), x1)
 
 
 def test_differential_b_identity():
     u = cb(I0, 1, "a2*a4*[r] + a2*a3*[r^2] + a2^2*[r^3] - a1*a2*[r^4] "
                   "+ a1*a3*[r^3] + 2*a1*a4*[r^2]")
     b = cb(I0, 2, B_TEXT)
-    assert differential(u) == product(cb(I0, 0, "a1^2"), b)
+    assert differential(I0, u) == product(I0, cb(I0, 0, "a1^2"), b)
 
 
 def test_differential_x2_identity():
     u = cb(I1, 1, "a4^2*[r] + 2*a3*a4*[r^2] + 3*a3^2*[r^3] "
                   "+ 2*a2*a4*[r^3] + 3*a2*a3*[r^4]")
     b = cb(I1, 2, B_TEXT)
-    assert differential(u) == -product(cb(I1, 0, "a2^2"), b)
+    assert differential(I1, u) == -product(I1, cb(I1, 0, "a2^2"), b)
 
 
 def test_integral_x1_bounds_5b():
     x1 = cb(RED, 1, "a1*[r^4] + a2*[r^3] + a3*[r^2] + a4*[r]")
     b = cb(RED, 2, B_TEXT)
-    d = differential(x1)
+    d = differential(RED, x1)
     assert any(d == b.scale(5 * u) for u in (1, 2, 3, 4, -1, -2))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.variant}-{s.quotient_level}")
+def test_degree_zero_differential_is_eta_r_minus_eta_l(spec):
+    # on C^0 the cobar differential is eta_R - eta_L, read off the same table
+    for t in range(0, 81, 8):
+        for mono in coefficient_piece(spec, t):
+            p = Polynomial(spec.base_ring, {mono: 1})
+            assert differential(spec, p) == eta_R(spec, p) - eta_L(spec, p)
+
+
+def test_mixed_degree_differential_is_refused():
+    with pytest.raises(InhomogeneousInput):
+        differential(I1, cb(I1, 1, "[r] + [r^2]"))
+
+
+def test_parse_cobar_projects_into_the_quotient():
+    # a1 = 0 mod I1: its terms are dropped on parsing, as parse_gamma does
+    x = cb(I1, 1, "a1*[r^2] + a2*[r]")
+    assert x == cb(I1, 1, "a2*[r]")
+    assert differential(I1, x).is_zero()
+    assert element_to_vector(I1, x, 24) == element_to_vector(I1, cb(I1, 1, "a2*[r]"), 24)
+    killed = cb(I1, 1, "a1*[r]")
+    assert killed == Polynomial.zero(gamma_ring(I1, 1))
+    assert is_coboundary(I1, killed) == Polynomial.zero(gamma_ring(I1, 0))
+    assert cb(I1, 0, "a1*a3 + a2") == cb(I1, 0, "a2")
+
+
+@pytest.mark.parametrize("spec,s,text", [
+    (FULL, 1, "[r^0]"),
+    (RED, 2, "[r|r^0]"),
+    (RED, 1, "[r^5]"),
+    (I1, 2, "[r]"),
+    (I1, 1, "a2*[r|r]"),
+])
+def test_parse_cobar_rejects_bad_words(spec, s, text):
+    with pytest.raises(ValueError):
+        parse_cobar(spec, s, text)
+
+
+def test_full_words_past_four_parse():
+    assert cb(FULL, 1, "[r^5]") == Polynomial.generator(gamma_ring(FULL), "r") ** 5
+
+
+@pytest.mark.parametrize("spec,x", [
+    (FULL, cb(RED, 1, "[r]")),
+    (I0, cb(RED, 1, "[r]")),
+    (RED, cb(I0, 1, "[r]")),
+    (RED, cb(FULL, 0, "a1")),
+    (FULL, cb(RED, 2, B_TEXT)),
+], ids=["red-as-full", "integral-as-mod5", "mod5-as-integral", "full-base-as-red",
+        "red-2-as-full-1"])
+def test_cochain_over_another_ring_is_refused(spec, x):
+    for call in (lambda: differential(spec, x), lambda: product(spec, x, x),
+                 lambda: is_coboundary(spec, x), lambda: format_cobar(spec, x),
+                 lambda: element_to_vector(spec, x, 8)):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("spec", [FULL, RED, I0, I1, I4])
 @pytest.mark.parametrize("s,t", [(0, 40), (1, 48), (2, 56), (3, 64)])
 def test_d_squared_zero_on_basis(spec, s, t):
     for key in cochain_basis(spec, s, t):
-        x = CobarElement(spec, s, {key: 1})
-        assert differential(differential(x)).is_zero()
+        x = basis_cochain(spec, s, key)
+        assert differential(spec, differential(spec, x)).is_zero()
 
 
 def test_leibniz_random():
@@ -87,27 +153,28 @@ def test_leibniz_random():
             b2 = cochain_basis(spec, s2, t2)
             if not b1 or not b2:
                 continue
-            x = CobarElement(spec, s1, {rng.choice(b1): rng.randint(1, 4)})
-            y = CobarElement(spec, s2, {rng.choice(b2): rng.randint(1, 4)})
-            lhs = differential(product(x, y))
+            x = basis_cochain(spec, s1, rng.choice(b1), rng.randint(1, 4))
+            y = basis_cochain(spec, s2, rng.choice(b2), rng.randint(1, 4))
+            lhs = differential(spec, product(spec, x, y))
             sign = -1 if s1 % 2 else 1
-            rhs = product(differential(x), y) + product(x, differential(y)).scale(sign)
+            rhs = product(spec, differential(spec, x), y) \
+                + product(spec, x, differential(spec, y)).scale(sign)
             assert lhs == rhs
 
 
 def test_product_examples():
     a = cb(I4, 1, "[r]")
-    assert product(a, a) == cb(I4, 2, "[r|r]")
+    assert product(I4, a, a) == cb(I4, 2, "[r|r]")
     # a*a is a coboundary in the top quotient (exterior relation)
-    w = is_coboundary(product(a, a))
-    assert w is not None and differential(w) == product(a, a)
+    w = is_coboundary(I4, product(I4, a, a))
+    assert w is not None and differential(I4, w) == product(I4, a, a)
     # the hidden-extension identity: 2a*[a3^2] - a2*x1 = d(a3*a4) mod I1
     a_i1 = cb(I1, 1, "[r]")
     sq = cb(I1, 0, "a3^2 + 2*a2*a4")
     x1 = cb(I1, 1, "a2*[r^3] + a3*[r^2] + a4*[r]")
     a2 = cb(I1, 0, "a2")
-    lhs = product(sq, a_i1).scale(2) - product(a2, x1)
-    assert lhs == differential(cb(I1, 0, "a3*a4"))
+    lhs = product(I1, sq, a_i1).scale(2) - product(I1, a2, x1)
+    assert lhs == differential(I1, cb(I1, 0, "a3*a4"))
 
 
 def test_cohomology_top_quotient():
@@ -118,7 +185,7 @@ def test_cohomology_top_quotient():
     g2 = cohomology(I4, 2, 40)
     assert g2.free_rank == 1
     b = cb(I4, 2, B_TEXT)
-    assert class_equal_up_to_unit(g2.representatives[0], b)
+    assert class_equal_up_to_unit(I4, g2.representatives[0], b)
     assert cohomology(I4, 1, 16).free_rank == 0
     assert cohomology(I4, 2, 48).free_rank == 0
     assert cohomology(I4, 3, 48).free_rank == 1  # the a*b class
@@ -171,7 +238,7 @@ def test_integral_cohomology_planted_complex(fresh_smith):
     assert (g.free_rank, g.torsion) == (1, (1,))
     basis = cochain_basis(RED, 1, 16)
     for rep, key in zip(g.representatives, basis):
-        assert rep in (CobarElement(RED, 1, {key: u}) for u in (1, -1))
+        assert rep in (basis_cochain(RED, 1, key, u) for u in (1, -1))
     assert len(g.representatives) == 2
 
 
@@ -190,8 +257,8 @@ def test_one_smith_form_of_d_per_cell(fresh_smith):
     g = cohomology(RED, 2, 40)
     assert g.torsion == (1,)
     rep = g.representatives[0]
-    assert class_equal_up_to_unit(rep, rep.scale(2))
-    assert is_coboundary(rep) is None
+    assert class_equal_up_to_unit(RED, rep, rep.scale(2))
+    assert is_coboundary(RED, rep) is None
     assert shapes.count(b.shape) == 1
     assert len(shapes) == 2
 
@@ -209,29 +276,30 @@ def test_exact_matrices_are_read_only():
 
 def test_is_coboundary_cases():
     b_int = cb(RED, 2, B_TEXT)
-    w = is_coboundary(b_int.scale(5))
+    w = is_coboundary(RED, b_int.scale(5))
     assert w is not None
-    assert differential(w) == b_int.scale(5)
-    assert is_coboundary(cb(I4, 2, B_TEXT)) is None
+    assert differential(RED, w) == b_int.scale(5)
+    assert is_coboundary(I4, cb(I4, 2, B_TEXT)) is None
     with pytest.raises(NotACocycle):
-        is_coboundary(cb(I0, 0, "a3"))
+        is_coboundary(I0, cb(I0, 0, "a3"))
 
 
 def test_massey_products():
     a = cb(I1, 1, "[r]")
     x1 = cb(I1, 1, "a2*[r^3] + a3*[r^2] + a4*[r]")
-    rep, indet = triple_massey(x1, a, a)
+    rep, indet = triple_massey(I1, x1, a, a)
     a2b = cb(I1, 2, "a2*[r^4|r] + 2*a2*[r^3|r^2] + 2*a2*[r^2|r^3] + a2*[r|r^4]")
     # rep = unit*a2b modulo coboundaries and indeterminacy
     matched = any(
-        _class_rank(I1, rep.s, rep.degree(), [rep - a2b.scale(u)]) == 0
+        _class_rank(I1, cobar.cobar_degree(I1, rep), rep.degree(),
+                    [rep - a2b.scale(u)]) == 0
         for u in (1, 2, 3, 4))
     assert matched
 
     a_i2 = cb(I2, 1, "[r]")
     x1_i2 = cb(I2, 1, "a3*[r^2] + a4*[r]")
     a3_i2 = cb(I2, 0, "a3")
-    rep2, indet2 = triple_massey(x1_i2, a_i2, a3_i2)
+    rep2, indet2 = triple_massey(I2, x1_i2, a_i2, a3_i2)
     x2 = cb(I2, 1, "a4^2*[r] + 2*a3*a4*[r^2] + 3*a3^2*[r^3]")
     ok = False
     for u in (1, 2, 3, 4):
@@ -241,8 +309,8 @@ def test_massey_products():
     assert ok
 
     a4_ = cb(I4, 1, "[r]")
-    rep3, _ = triple_massey(a4_, a4_, a4_)
-    assert is_coboundary(rep3) is not None
+    rep3, _ = triple_massey(I4, a4_, a4_, a4_)
+    assert is_coboundary(I4, rep3) is not None
 
 
 def test_cocycles_criterion():
@@ -250,15 +318,15 @@ def test_cocycles_criterion():
     x2_i2 = cb(I2, 1, "a4^2*[r] + 2*a3*a4*[r^2] + 3*a3^2*[r^3]")
     x3_i2 = cb(I2, 1, "a4^3*[r] + 3*a3*a4^2*[r^2] - a3^2*a4*[r^3] - 3*a3^3*[r^4]")
     for x in (x1_i2, x2_i2, x3_i2):
-        assert differential(x).is_zero()
+        assert differential(I2, x).is_zero()
     x1_i1 = cb(I1, 1, "a2*[r^3] + a3*[r^2] + a4*[r]")
-    assert differential(x1_i1).is_zero()
+    assert differential(I1, x1_i1).is_zero()
     for spec in (I0, I1, I2, I4):
-        assert differential(cb(spec, 2, B_TEXT)).is_zero()
+        assert differential(spec, cb(spec, 2, B_TEXT)).is_zero()
 
 
 def test_parse_format_roundtrip():
     x = cb(I1, 2, "a2*[r^4|r] + 2*[r|r] - [r^2|r^3]")
-    assert parse_cobar(I1, 2, format_cobar(x)) == x
-    z = CobarElement.zero(I1, 2)
-    assert format_cobar(z) == "0"
+    assert parse_cobar(I1, 2, format_cobar(I1, x)) == x
+    z = Polynomial.zero(gamma_ring(I1, 2))
+    assert format_cobar(I1, z) == "0"

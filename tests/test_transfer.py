@@ -364,12 +364,12 @@ def test_integral_structure_matches_cobar(s, t):
     # representatives: the torsion classes in order, then the free ones
     assert len(g.representatives) == len(g.torsion) + g.free_rank
     for rep in g.representatives:
-        assert not differential(rep)
+        assert not differential(RED, rep)
     for v, rep in zip(g.torsion, g.representatives):
-        assert is_coboundary(rep.scale(5 ** v)) is not None
-        assert is_coboundary(rep.scale(5 ** (v - 1))) is None
+        assert is_coboundary(RED, rep.scale(5 ** v)) is not None
+        assert is_coboundary(RED, rep.scale(5 ** (v - 1))) is None
     for rep in g.representatives[len(g.torsion):]:
-        assert is_coboundary(rep) is None
+        assert is_coboundary(RED, rep) is None
 
 
 def test_integral_first_line():
