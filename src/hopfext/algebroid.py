@@ -11,22 +11,29 @@ r-exponents below 5 in the reduced variant.  r is primitive, so psi in
 one slot is the substitution r -> r' + r'' and the counit is r -> 0.
 
 The right unit is built once per weight, as the integer matrix eta_block
-on the whole coefficient piece (exact or mod 5^K), by the generator
-recursion eta_R(m * a_i) = eta_R(m) * eta_R(a_i); eta_R_int reads one
+on the whole coefficient piece (exact or mod 5^K); eta_R_int reads one
 monomial's column of it, and _r_power_int gives the normal form of r^e.
 eta_R, reduce_gamma, push_coefficient, the cobar differential and the
-numeric layers read those, and check_axioms certifies the table.
+numeric layers read those, and check_axioms certifies the table.  The
+exact blocks of the full presentation come from the translation
+x -> x + r of the quintic: eta_R = exp(rD) for the derivation D(a_i) =
+(6 - i) a_(i-1), a_0 = 1, so the r^e rows of weight n are the r^(e-1)
+rows of weight n - 1 times D, divided exactly by e (_translation_block),
+in int64 under a bound taken before the product.  Past that bound, and
+for residues, quotients and the reduced presentation, the blocks come
+from the generator recursion eta_R(m * a_i) = eta_R(m) * eta_R(a_i)
+(_generator_block).
 
 For the full presentation, letter_block rewrites the block's rows into
 the extended letter alphabet that the transfer layer works in, where the
 letter of weight w is z^(w div 5) r^(w mod 5) and z = eta_R(a5): each
 exponent-e run of rows moves by the terms of the letter normal form of
-r^e (_letter_form).  Both blocks are built by one step, _move_runs, which
-moves whole runs of rows by a table of terms.  Where a row goes comes from
-a memoised multiplication map (_mul_map), one per source weight and term
-monomial, which every exponent, weight and block shares.  The sums run in
-int32, int64 or Python ints: the narrowest type that a bound taken before
-the sum proves wide enough.
+r^e (_letter_form).  The recursion and the letter rewrite are built by one
+step, _move_runs, which moves whole runs of rows by a table of terms.
+Where a row goes comes from a memoised multiplication map (_mul_map), one
+per source weight and term monomial, which every exponent, weight and
+block shares.  The sums run in int32, int64 or Python ints: the narrowest
+type that a bound taken before the sum proves wide enough.
 """
 
 from __future__ import annotations
@@ -391,7 +398,6 @@ def _move_runs(spec: AlgebroidSpec, src: np.ndarray, n_src: int, n: int,
     return acc.astype(np.int64) if dtype == np.int32 else acc
 
 
-@lru_cache(maxsize=None)
 def eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None) -> np.ndarray:
     """The right unit on the whole weight-n coefficient piece, as one matrix.
 
@@ -400,23 +406,109 @@ def eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None) -> np.ndar
     coefficient_piece order, so the nonzero entries of a column, read down,
     are its (r-exponent, monomial, coefficient) terms in sort_terms order.
 
-    The columns whose last live generator is a_i are eta_R(a_i) times
-    columns of the weight-(n - i) block: _move_runs moves them by the
-    terms of r^e1 eta_R(a_i).
-
     mod = 5^K gives residues in the smallest unsigned dtype that holds
     one, summed in int32 or int64 (see _move_runs) and refused
     (ValueError) where a sum could pass 2^63.  mod = None gives exact
-    integers: int64 where _move_runs proves that no sum can pass 2^63
-    (summed in int32 where no sum can pass 2^31), and an object array
-    past that bound (the first entries past 2^63 are at weight 24
-    reduced, 26 full).  A quotient spec always works mod 5 (see
-    coefficient_modulus).  This is the one construction of the right
-    unit; check_axioms certifies it through eta_R_int."""
-    mod = coefficient_modulus(spec, mod)
+    integers: int64 where a bound taken before the sum proves that no sum
+    can pass 2^63, and an object array past that bound (the first entries
+    past 2^63 are at weight 24 reduced, 26 full).  A quotient spec always
+    works mod 5 (see coefficient_modulus).  Each block is built once per
+    (spec, weight, working modulus), however the modulus is asked for.
+
+    The exact blocks of the unquotiented full presentation come from the
+    translation derivation (_translation_block) wherever its int64 bound
+    holds (weight <= 23), every other block from the generator recursion
+    (_generator_block): the path follows from the variant, the modulus
+    and the bound alone.  The derivation's exact division certifies each
+    block it builds, and check_axioms certifies the table through
+    eta_R_int."""
+    return _eta_block(spec, n, coefficient_modulus(spec, mod))
+
+
+@lru_cache(maxsize=None)
+def _eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int]) -> np.ndarray:
+    """eta_block at the working modulus `mod`."""
+    if mod is None and spec.variant == "full" and spec.quotient_level is None \
+            and n > 0:
+        block = _translation_block(spec, n)
+        if block is not None:
+            return block
+    return _generator_block(spec, n, mod)
+
+
+def _derivation(spec: AlgebroidSpec, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The derivation D(a_i) = (6 - i) a_(i-1), a_0 = 1, from the weight-n
+    piece to the weight-(n - 1) piece, as (sources, coefficients), each one
+    row per generator a_i and one column per monomial m of
+    coefficient_piece(spec, 8n): where m_i > 0, the position of
+    m a_(i-1) / a_i in the weight-(n - 1) piece and the coefficient
+    m_i (6 - i) of that term of D(m); elsewhere position 0 and coefficient
+    0.  So column j of M D, for M with a column per monomial of the
+    weight-(n - 1) piece, is the sum over i of coefs[i, j] times column
+    srcs[i, j] of M."""
+    index = piece_index(spec, R_DEGREE * (n - 1))
+    piece = coefficient_piece(spec, R_DEGREE * n)
+    srcs = np.zeros((spec.num_generators, len(piece)), np.intp)
+    coefs = np.zeros((spec.num_generators, len(piece)), np.int64)
+    for j, mono in enumerate(piece):
+        for g, x in enumerate(mono):
+            if x:
+                src = list(mono)
+                src[g] -= 1
+                if g:
+                    src[g - 1] += 1
+                srcs[g, j] = index[tuple(src)]
+                coefs[g, j] = x * (P - g)
+    return srcs, coefs
+
+
+def _translation_block(spec: AlgebroidSpec, n: int) -> Optional[np.ndarray]:
+    """The exact weight-n block of the full presentation from the weight
+    n - 1 block, or None where the int64 bound below fails.
+
+    eta_R is the translation x -> x + r of the quintic, so over Z_(5) the
+    r^e coefficient of eta_R is D^e / e!, the divided powers of the
+    derivation D of _derivation (a Hasse-Schmidt system).  Hence the r^0
+    rows are the identity, and the r^e rows on the weight-n piece are the
+    r^(e - 1) rows on the weight-(n - 1) piece times D, divided by e.
+    The product is one gather-add per generator, exact in int64 when the
+    largest column sum of |D| times the largest |entry| of the weight
+    n - 1 block is at most 2^63 - 1 (no partial sum is larger); the
+    division must leave no remainder, else AxiomViolation."""
+    prev = _eta_block(spec, n - 1, None)
+    if prev.dtype == object:
+        return None
+    srcs, coefs = _derivation(spec, n)
+    if int(coefs.sum(axis=0).max()) * int(np.abs(prev).max()) > _INT64_MAX:
+        return None
+    width = srcs.shape[1]
+    out = np.zeros((eta_block_offsets(spec, n)[-1], width), np.int64)
+    np.fill_diagonal(out, 1)
+    # the rows of prev at r-exponent e - 1 become the exponent-e rows
+    moved, term = out[width:], np.empty((prev.shape[0], width), np.int64)
+    for src, coef in zip(srcs, coefs):
+        np.take(prev, src, axis=1, out=term)
+        term *= coef
+        moved += term
+    low = eta_block_offsets(spec, n - 1)
+    exps = np.repeat(np.arange(1, len(low)), np.diff(low))[:, None]
+    if np.remainder(moved, exps, out=term).any():
+        e = int(exps[np.flatnonzero(term.any(axis=1))[0], 0])
+        raise AxiomViolation(f"eta_R in weight {n}: D times the r^{e - 1} rows"
+                             f" of weight {n - 1} is not divisible by {e}")
+    moved //= exps
+    out.setflags(write=False)
+    return out
+
+
+def _generator_block(spec: AlgebroidSpec, n: int, mod: Optional[int]) -> np.ndarray:
+    """eta_block by the generator recursion eta_R(m * a_i) = eta_R(m) *
+    eta_R(a_i): the columns whose last live generator is a_i are eta_R(a_i)
+    times columns of the weight-(n - i) block, which _move_runs moves by
+    the terms of r^e1 eta_R(a_i)."""
     cmod = coefficient_modulus(spec, None)
     parts = [(cols, _move_runs(
-        spec, eta_block(spec, n - i, mod)[:, srcs], n - i, n,
+        spec, _eta_block(spec, n - i, mod)[:, srcs], n - i, n,
         lambda e1: _r_times_eta_generator(spec, e1, i, cmod), mod))
         for i, cols, srcs in _last_generator_columns(spec, n)]
     if mod is not None:
@@ -439,13 +531,13 @@ def letter_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None
     """eta_block(spec, n, mod) with its rows in letter normal form
     (_letter_form): each exponent-e run moves by the terms of the letter
     form of r^e, and the rows of letter weight w sit where the exponent-w
-    rows do, on the same piece, through the multiplication maps that
-    eta_block reads too.  Residues keep the block's dtype; exact entries
-    are int64 where _move_runs proves that they fit (int32 sums included)
-    and Python ints in an object array past that, since the letter form
-    can carry an int64 block past 2^63.  A block with no exponent >= 5
-    (every reduced block, every full block below weight 5) is returned as
-    it is."""
+    rows do, on the same piece, through the multiplication maps that the
+    generator recursion reads too.  Residues keep the block's dtype; exact
+    entries are int64 where _move_runs proves that they fit (int32 sums
+    included) and Python ints in an object array past that, since the
+    letter form can carry an int64 block past 2^63.  A block with no
+    exponent >= 5 (every reduced block, every full block below weight 5)
+    is returned as it is."""
     block = eta_block(spec, n, mod)
     if len(eta_block_offsets(spec, n)) - 2 < P:
         return block

@@ -4,15 +4,17 @@ An element of A is invariant when the right unit fixes it; per degree this
 is the integer kernel, saturated over Z_(5), of the r^1 rows of the exact
 right-unit block (algebroid.eta_block, int64 in every degree up to
 H0_T_CEILING), certified against all of its r^(>=1) rows once its r^0
-rows are checked to be the identity.  The certificate is an exact
-product under a bound on every entry, taken in Python ints: one int64
-moved @ v where the bound stays below 2^63, and past it moved @ v = 0
-modulo primes below 2^21 until their product exceeds the bound (see
-_annihilates).  On top of the raw kernels the module builds the named
-generators (c classes, the Delta table, the discriminant), runs the
-generator census (one F5 echelon per degree, over products of the earlier
-generators memoised across degrees) with the depth heuristic, and reports
-Hilbert data.
+rows are checked to be the identity.  The block is exp(rD) for the
+translation derivation D(a_i) = (6 - i) a_(i-1), built with an exact
+division that certifies it, and its r^1 rows are D itself.  The
+certificate is an exact product under a bound on every entry, taken in
+Python ints: one int64 moved @ v where the bound stays below 2^63, and
+past it moved @ v = 0 modulo primes below 2^21 until their product
+exceeds the bound (see _annihilates).  On top of the raw kernels the
+module builds the named generators (c classes, the Delta table, the
+discriminant), runs the generator census (one F5 echelon per degree, over
+products of the earlier generators memoised across degrees) with the
+depth heuristic, and reports Hilbert data.
 """
 
 from __future__ import annotations
@@ -138,9 +140,9 @@ def invariant_basis(t: int) -> Tuple[Polynomial, ...]:
     if t == 0:
         return (Polynomial.constant(A_RING, 1),)
     moved, cols = _eta_minus_id_matrix(t)
-    # eta_R is a G_a-coaction, over Q equal to exp(rD) with D its r^1
-    # coefficient, so D v = 0 already forces invariance: the kernel is taken
-    # on the r^1 rows, which come first
+    # eta_R is a G_a-coaction, exp(rD) with D its r^1 coefficient, so
+    # D v = 0 already forces invariance: the kernel is taken on the r^1
+    # rows, which come first and are D itself
     r1 = moved[:len(graded_piece_basis(A_RING, t - R_DEG))]
     vecs = kernel_saturated(r1)
     # the r^0 part of eta_R is the identity (checked column by column in

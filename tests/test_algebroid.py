@@ -172,7 +172,7 @@ def plant_eta_row(monkeypatch):
 
     def clear():
         real.cache_clear()
-        algebroid.eta_block.cache_clear()
+        algebroid._eta_block.cache_clear()
         algebroid._push_prefix_mono.cache_clear()
 
     def plant(mono, terms):
@@ -209,13 +209,15 @@ def test_check_axioms_ring_map_negative_control(plant_eta_row):
 def test_eta_block_residues_are_exact_residues(spec, monkeypatch):
     # an exact block sums in int64 only under a bound proved before the
     # sum: it equals, value for value, the block built with the int64
-    # ceiling at 0, where every sum runs on Python ints in an object array,
-    # and so does its letter form.  Mod 5^K the block is the exact block
-    # reduced, in the smallest unsigned dtype that holds a residue
+    # ceiling at 0, where the translation derivation is refused and every
+    # sum of the generator recursion runs on Python ints in an object
+    # array, and so does its letter form.  Mod 5^K the block, built by the
+    # generator recursion, is the exact block (from the derivation, for
+    # FULL) reduced, in the smallest unsigned dtype that holds a residue
     weights = range(13)
     exact = {n: (algebroid.eta_block(spec, n), algebroid.letter_block(spec, n))
              for n in weights}
-    algebroid.eta_block.cache_clear()
+    algebroid._eta_block.cache_clear()
     monkeypatch.setattr(algebroid, "_INT64_MAX", 0)
     try:
         for n in weights:
@@ -226,7 +228,7 @@ def test_eta_block_residues_are_exact_residues(spec, monkeypatch):
                 assert (fast == ref).all(), n
     finally:
         monkeypatch.undo()
-        algebroid.eta_block.cache_clear()
+        algebroid._eta_block.cache_clear()
     for n in weights:
         for mod in (5, 625, 5 ** 9):
             block = algebroid.eta_block(spec, n, mod)
@@ -249,6 +251,83 @@ def test_first_blocks_past_int64_are_object(spec, n, bits):
     assert all(algebroid.eta_block(spec, k).dtype == np.int64
                for k in range(23))
     assert (block % 5 ** 9 == algebroid.eta_block(spec, n, 5 ** 9)).all()
+
+
+@pytest.fixture
+def fresh_blocks():
+    """Clear the block memo before and after, so a test sees the blocks
+    its own plant builds and leaves none of them behind."""
+    algebroid._eta_block.cache_clear()
+    yield
+    algebroid._eta_block.cache_clear()
+
+
+def test_translation_blocks_equal_the_generator_recursion(monkeypatch,
+                                                         fresh_blocks):
+    # the exact FULL blocks come from the derivation exactly through weight
+    # 23, where its int64 bound holds, and equal, in values and dtype, the
+    # blocks of the generator recursion run on its own
+    real = algebroid._translation_block
+    chained = []
+
+    def counted(spec, n):
+        block = real(spec, n)
+        chained.append((n, block is not None))
+        return block
+
+    monkeypatch.setattr(algebroid, "_translation_block", counted)
+    chain = {n: algebroid.eta_block(FULL, n) for n in range(25)}
+    assert chained == [(n, n <= 23) for n in range(1, 25)]
+    algebroid._eta_block.cache_clear()
+    monkeypatch.setattr(algebroid, "_translation_block", lambda spec, n: None)
+    for n, block in chain.items():
+        ref = algebroid.eta_block(FULL, n)
+        assert block.dtype == ref.dtype == np.int64 and block.shape == ref.shape
+        assert (block == ref).all(), n
+        assert not block.flags.writeable
+
+
+def test_translation_remainder_is_an_axiom_violation(monkeypatch, fresh_blocks):
+    # D(a2) = 3 a1 in place of 4 a1: the r^2 row of a2 in weight 2 would be
+    # D(a1) * 3 / 2 = 15/2, which the exact division refuses
+    real = algebroid._derivation
+
+    def planted(spec, n):
+        srcs, coefs = real(spec, n)
+        if n == 2:
+            coefs[1, coefs[1] == 4] = 3
+        return srcs, coefs
+
+    monkeypatch.setattr(algebroid, "_derivation", planted)
+    assert algebroid.eta_block(FULL, 1).any()
+    with pytest.raises(AxiomViolation, match=r"weight 2: .* r\^1 rows .* by 2"):
+        algebroid.eta_block(FULL, 2)
+
+
+@pytest.mark.parametrize("spec", [FULL, RED, quotient(FULL, 1)])
+@pytest.mark.parametrize("mod", [None, 5, 625])
+def test_blocks_of_weight_at_most_zero(spec, mod, fresh_blocks):
+    # weight 0 is the 1 x 1 identity, a negative weight the empty block,
+    # each in the block's dtype and built without recursing below it
+    work = algebroid.coefficient_modulus(spec, mod)
+    dtype = np.int64 if work is None else np.min_scalar_type(work - 1)
+    assert algebroid.eta_block(spec, 0, mod).tolist() == [[1]]
+    for n in (0, -1, -8, -5000):
+        block = algebroid.eta_block(spec, n, mod)
+        assert block.dtype == dtype and block.shape == ((1, 1) if n == 0 else (0, 0))
+    assert algebroid._eta_block.cache_info().misses == 4
+
+
+@pytest.mark.parametrize("spec, mods", [
+    (FULL, (None,)), (RED, (None,)), (quotient(FULL, 1), (None, 5, 625)),
+    (quotient(RED, 4), (None, 5))])
+def test_eta_block_is_built_once_per_working_modulus(spec, mods, fresh_blocks):
+    # however the working modulus is asked for (left out, None, or a power
+    # of 5 that a quotient spec reads as 5), a block is built and kept once
+    first = algebroid.eta_block(spec, 6)
+    kept = algebroid._eta_block.cache_info().currsize
+    assert all(algebroid.eta_block(spec, 6, mod) is first for mod in mods)
+    assert algebroid._eta_block.cache_info().currsize == kept
 
 
 def test_letter_block_keeps_the_dtype_of_its_sums():
@@ -340,7 +419,7 @@ def test_int32_sums_change_no_block(spec, monkeypatch):
     cases = [(n, mod) for n in range(17) for mod in (None, 5, 625)]
     fast = {c: (algebroid.eta_block(spec, *c), algebroid.letter_block(spec, *c))
             for c in cases}
-    algebroid.eta_block.cache_clear()
+    algebroid._eta_block.cache_clear()
     monkeypatch.setattr(algebroid, "_INT32_MAX", 0)
     try:
         for c in cases:
@@ -350,7 +429,7 @@ def test_int32_sums_change_no_block(spec, monkeypatch):
                 assert (a == b).all(), c
     finally:
         monkeypatch.undo()
-        algebroid.eta_block.cache_clear()
+        algebroid._eta_block.cache_clear()
 
 
 def test_mul_map_is_the_product_position():

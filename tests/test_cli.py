@@ -6,7 +6,7 @@ import json
 import pytest
 
 import hopfext.invariants as inv
-from hopfext import bockstein, claims, transfer
+from hopfext import algebroid, bockstein, claims, transfer
 from hopfext.algebroid import AlgebroidSpec
 from hopfext.claims import CLAIMS
 from hopfext.cli import RunConfig, build_parser, config_from_args, main, run
@@ -248,6 +248,29 @@ def test_invariance_failure_is_a_first_failure(monkeypatch, capsys):
     failure = _first_failure_run(["invariants", "--tmax", "32"], capsys)
     assert failure == ("InvarianceFailure: the r^0 part of eta_R in degree 32"
                        " is not the identity")
+
+
+def test_translation_remainder_is_a_first_failure(monkeypatch, capsys):
+    # a planted D(a2) = 3 a1 in weight 2 leaves a remainder in the exact
+    # division that builds the weight-2 block: the H^0 path stops with
+    # exit 1 and the AxiomViolation as its first failure
+    real = algebroid._derivation
+
+    def planted(spec, n):
+        srcs, coefs = real(spec, n)
+        if n == 2:
+            coefs[1, coefs[1] == 4] = 3
+        return srcs, coefs
+
+    monkeypatch.setattr(algebroid, "_derivation", planted)
+    monkeypatch.setattr(inv, "invariant_basis", inv.invariant_basis.__wrapped__)
+    algebroid._eta_block.cache_clear()
+    try:
+        failure = _first_failure_run(["invariants", "--tmax", "40"], capsys)
+    finally:
+        monkeypatch.undo()
+        algebroid._eta_block.cache_clear()
+    assert failure.startswith("AxiomViolation: eta_R in weight 2: ")
 
 
 def test_ext_top_quotient_pattern(tmp_path):

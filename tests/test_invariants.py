@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfext.algebroid as algebroid
 from hopfext.algebroid import eta_block
 from hopfext.coefficients import LocalRational, kernel_saturated
 from hopfext.flinalg import matmul_mod, rank_mod
@@ -200,6 +201,19 @@ def test_moved_rows_are_a_read_only_view():
     block = eta_block(inv.SPEC, 96 // R_DEG)
     assert moved.dtype == np.int64 and not moved.flags.writeable
     assert (moved == block[len(cols):]).all()
+
+
+def test_h0_path_builds_each_block_once(monkeypatch):
+    # the kernels read eta_block(SPEC, n) and the table eta_R_int reads
+    # eta_block(SPEC, n, None): one memo entry serves both, so hilbert_h0
+    # up to t = 112 builds the blocks of weights 0..14 once each
+    monkeypatch.setattr(inv, "invariant_basis", inv.invariant_basis.__wrapped__)
+    algebroid._eta_block.cache_clear()
+    hilbert_h0(112)
+    assert algebroid._eta_block.cache_info().misses == 15
+    a1_14 = (14, 0, 0, 0, 0)
+    assert algebroid.eta_R_int.__wrapped__(inv.SPEC, a1_14)[0] == (0, a1_14, 1)
+    assert algebroid._eta_block.cache_info().misses == 15
 
 
 @pytest.mark.parametrize("corrupt", ["scale", "extra"])
