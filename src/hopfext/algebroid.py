@@ -24,16 +24,17 @@ for residues, quotients and the reduced presentation, the blocks come
 from the generator recursion eta_R(m * a_i) = eta_R(m) * eta_R(a_i)
 (_generator_block).
 
-For the full presentation, letter_block rewrites the block's rows into
-the extended letter alphabet that the transfer layer works in, where the
-letter of weight w is z^(w div 5) r^(w mod 5) and z = eta_R(a5): each
-exponent-e run of rows moves by the terms of the letter normal form of
-r^e (_letter_form).  The recursion and the letter rewrite are built by one
-step, _move_runs, which moves whole runs of rows by a table of terms.
-Where a row goes comes from a memoised multiplication map (_mul_map), one
-per source weight and term monomial, which every exponent, weight and
-block shares.  The sums run in int32, int64 or Python ints: the narrowest
-type that a bound taken before the sum proves wide enough.
+For the full presentation, letter_block is the block in the letter
+alphabet of the transfer layer, where the letter of weight w is
+z^(w div 5) r^(w mod 5) and z = eta_R(a5), built by the same recursion
+run in letters: eta_R(a_i) for i <= 4 is a sum of letters and eta_R(a5)
+is the letter z, so (letter w) * eta_R(a_i) is z^(w div 5) times letter
+forms of powers of r (_letter_form; with z = 0, the reduced normal form).
+Each layer is one step, _move_runs, which moves whole runs of rows by a
+table of terms to rows found by memoised multiplication maps (_mul_map,
+one per source weight and term monomial, shared by every block).  The
+sums run in int32, int64 or Python ints: the narrowest type that a bound
+taken before the sum proves wide enough.
 """
 
 from __future__ import annotations
@@ -228,30 +229,17 @@ def _int_terms(acc: Dict[Tuple[int, Monomial], int], mod: Optional[int]) -> IntT
 
 
 @lru_cache(maxsize=None)
-def _r_power_int(spec: AlgebroidSpec, e: int, mod: Optional[int]) -> IntTerms:
-    """Normal form of r^e; for e >= 5 in the reduced variant,
-    r^e = r^(e-5) * r^5 = - sum_j a_j r^(e-j), with killed a_j dropped."""
-    if spec.variant != "reduced" or e < P:
+def _letter_form(spec: AlgebroidSpec, e: int, mod: Optional[int]) -> IntTerms:
+    """Letter normal form of r^e, as (letter weight, monomial, coefficient)
+    triples: z = eta_R(a5) = r^5 + a1 r^4 + ... + a4 r + a5 in the full
+    presentation and z = 0 in the reduced one, so for e >= 5, r^e =
+    z r^(e-5) - sum_j a_j r^(e-j) over the live a_j, and z adds 5 to the
+    letter weight (weight-0 terms are kept: the next z carries them on)."""
+    if e < P:
         return ((e, (0,) * spec.num_generators, 1),)
     acc: Dict[Tuple[int, Monomial], int] = {}
-    for exp, mono in _relation_tail(spec):
-        for e2, m2, c2 in _r_power_int(spec, e - P + exp, mod):
-            key = (e2, _mono_add(mono, m2))
-            acc[key] = acc.get(key, 0) - c2
-    return _int_terms(acc, mod)
-
-
-@lru_cache(maxsize=None)
-def _letter_form(spec: AlgebroidSpec, e: int, mod: Optional[int]) -> IntTerms:
-    """Letter normal form of r^e in the full presentation, as (letter
-    weight, monomial, coefficient) triples.  The letter of weight w is
-    z^(w div 5) r^(w mod 5), with z = eta_R(a5) = r^5 + a1 r^4 + ... + a4 r
-    + a5; for e >= 5, r^e = z r^(e-5) - sum_j a_j r^(e-j) over the live
-    a_j, and z adds 5 to the letter weight.  The weight-0 terms are kept,
-    since the next z carries them to weight 5."""
-    if e < P:
-        return _r_power_int(spec, e, mod)
-    acc = {(w + P, m): c for w, m, c in _letter_form(spec, e - P, mod)}
+    if spec.variant == "full":
+        acc = {(w + P, m): c for w, m, c in _letter_form(spec, e - P, mod)}
     for exp, mono in _relation_tail(spec):
         for w, m2, c2 in _letter_form(spec, e - P + exp, mod):
             key = (w, _mono_add(mono, m2))
@@ -259,19 +247,30 @@ def _letter_form(spec: AlgebroidSpec, e: int, mod: Optional[int]) -> IntTerms:
     return _int_terms(acc, mod)
 
 
+def _r_power_int(spec: AlgebroidSpec, e: int, mod: Optional[int]) -> IntTerms:
+    """Normal form of r^e: r^e itself in the full presentation, and its
+    letter form (z = 0) in the reduced one."""
+    if spec.variant == "full":
+        return ((e, (0,) * spec.num_generators, 1),)
+    return _letter_form(spec, e, mod)
+
+
 @lru_cache(maxsize=None)
-def _r_times_eta_generator(spec: AlgebroidSpec, e: int, i: int,
-                           mod: Optional[int]) -> IntTerms:
-    """Normal form of r^e * eta_R(a_i), where
-    eta_R(a_i) = sum_{j=0..i} C(5-j, i-j) a_j r^(i-j) with a_0 = 1."""
+def _times_eta_generator(spec: AlgebroidSpec, e: int, i: int,
+                         mod: Optional[int], letters: bool) -> IntTerms:
+    """Normal form of r^e * eta_R(a_i) = sum_{j=0..i} C(5-j, i-j) a_j
+    r^(e+i-j), a_0 = 1; in `letters`, of (letter e) * eta_R(a_i): z^q times
+    the letter forms of r^(g+i-j) for e = 5q + g (for a5, the letter e + 5)."""
     n, k = spec.num_generators, spec.quotient_level or 0
+    q, g = divmod(e, P) if letters else (0, e)
+    form = _letter_form if letters else _r_power_int
     acc: Dict[Tuple[int, Monomial], int] = {}
     for j in range(0, i + 1):
         if 1 <= j <= k:
             continue
-        aj = tuple(int(g == j - 1) for g in range(n))
-        for e2, m2, c2 in _r_power_int(spec, e + i - j, mod):
-            key = (e2, _mono_add(aj, m2))
+        aj = tuple(int(x == j - 1) for x in range(n))
+        for e2, m2, c2 in form(spec, g + i - j, mod):
+            key = (e2 + P * q, _mono_add(aj, m2))
             acc[key] = acc.get(key, 0) + comb(P - j, i - j) * c2
     return _int_terms(acc, mod)
 
@@ -343,7 +342,7 @@ def _move_runs(spec: AlgebroidSpec, src: np.ndarray, n_src: int, n: int,
     the exponent-e rows, monomial m1 to m1 * m2, times c2, and the moves
     are summed (mod `mod` unless it is None).  Row positions come from the
     memoised multiplication map _mul_map(spec, n_src - e1, m2), which
-    every exponent, generator, weight and both block kinds share.
+    every exponent (letter weight, in letters) and block shares.
 
     src holds residues or exact integers (an object array may pass 2^63).
     Each layer adds one product to an entry, so no partial sum passes the
@@ -422,18 +421,27 @@ def eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None) -> np.ndar
     and the bound alone.  The derivation's exact division certifies each
     block it builds, and check_axioms certifies the table through
     eta_R_int."""
-    return _eta_block(spec, n, coefficient_modulus(spec, mod))
+    return _eta_block(spec, n, coefficient_modulus(spec, mod), False)
+
+
+def _letters(spec: AlgebroidSpec, n: int) -> bool:
+    """Whether the weight-n letter block differs from eta_block: only in
+    the full presentation from weight 5, its first r-exponent >= 5."""
+    return spec.variant == "full" and n >= P
 
 
 @lru_cache(maxsize=None)
-def _eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int]) -> np.ndarray:
-    """eta_block at the working modulus `mod`."""
-    if mod is None and spec.variant == "full" and spec.quotient_level is None \
-            and n > 0:
+def _eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int], letters: bool
+               ) -> np.ndarray:
+    """eta_block at the working modulus `mod`, or letter_block where
+    `letters`: every call passes `letters` positionally, false wherever
+    _letters is, so each block has one key."""
+    if not letters and mod is None and spec.variant == "full" \
+            and spec.quotient_level is None and n > 0:
         block = _translation_block(spec, n)
         if block is not None:
             return block
-    return _generator_block(spec, n, mod)
+    return _generator_block(spec, n, mod, letters)
 
 
 def _derivation(spec: AlgebroidSpec, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -475,7 +483,7 @@ def _translation_block(spec: AlgebroidSpec, n: int) -> Optional[np.ndarray]:
     largest column sum of |D| times the largest |entry| of the weight
     n - 1 block is at most 2^63 - 1 (no partial sum is larger); the
     division must leave no remainder, else AxiomViolation."""
-    prev = _eta_block(spec, n - 1, None)
+    prev = _eta_block(spec, n - 1, None, False)
     if prev.dtype == object:
         return None
     srcs, coefs = _derivation(spec, n)
@@ -501,15 +509,16 @@ def _translation_block(spec: AlgebroidSpec, n: int) -> Optional[np.ndarray]:
     return out
 
 
-def _generator_block(spec: AlgebroidSpec, n: int, mod: Optional[int]) -> np.ndarray:
-    """eta_block by the generator recursion eta_R(m * a_i) = eta_R(m) *
-    eta_R(a_i): the columns whose last live generator is a_i are eta_R(a_i)
-    times columns of the weight-(n - i) block, which _move_runs moves by
-    the terms of r^e1 eta_R(a_i)."""
+def _generator_block(spec: AlgebroidSpec, n: int, mod: Optional[int],
+                     letters: bool) -> np.ndarray:
+    """eta_block, or letter_block where `letters`, by the generator
+    recursion eta_R(m * a_i) = eta_R(m) * eta_R(a_i): the columns whose
+    last live generator is a_i are eta_R(a_i) times columns of the
+    weight-(n - i) block, which _move_runs moves by _times_eta_generator."""
     cmod = coefficient_modulus(spec, None)
     parts = [(cols, _move_runs(
-        spec, _eta_block(spec, n - i, mod)[:, srcs], n - i, n,
-        lambda e1: _r_times_eta_generator(spec, e1, i, cmod), mod))
+        spec, _eta_block(spec, n - i, mod, letters and _letters(spec, n - i))[:, srcs],
+        n - i, n, lambda e1: _times_eta_generator(spec, e1, i, cmod, letters), mod))
         for i, cols, srcs in _last_generator_columns(spec, n)]
     if mod is not None:
         dtype = np.min_scalar_type(mod - 1)
@@ -528,26 +537,13 @@ def _generator_block(spec: AlgebroidSpec, n: int, mod: Optional[int]) -> np.ndar
 
 def letter_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None
                  ) -> np.ndarray:
-    """eta_block(spec, n, mod) with its rows in letter normal form
-    (_letter_form): each exponent-e run moves by the terms of the letter
-    form of r^e, and the rows of letter weight w sit where the exponent-w
-    rows do, on the same piece, through the multiplication maps that the
-    generator recursion reads too.  Residues keep the block's dtype; exact
-    entries are int64 where _move_runs proves that they fit (int32 sums
-    included) and Python ints in an object array past that, since the
-    letter form can carry an int64 block past 2^63.  A block with no
-    exponent >= 5 (every reduced block, every full block below weight 5)
-    is returned as it is."""
-    block = eta_block(spec, n, mod)
-    if len(eta_block_offsets(spec, n)) - 2 < P:
-        return block
-    mod = coefficient_modulus(spec, mod)
-    out = _move_runs(spec, block, n, n,
-                     lambda e: _letter_form(spec, e, mod), mod)
-    if mod is not None:
-        out = out.astype(block.dtype)
-    out.setflags(write=False)
-    return out
+    """eta_block(spec, n, mod) in letters: the rows of letter weight w sit
+    where the exponent-w rows do.  It is built by the generator recursion
+    run in letters (_generator_block), in the dtypes of that recursion:
+    exact full letter blocks are int64 through weight 22 and object arrays
+    past it.  A block with no exponent >= 5 (every reduced block, every
+    full block below weight 5) is eta_block itself."""
+    return _eta_block(spec, n, coefficient_modulus(spec, mod), _letters(spec, n))
 
 
 @lru_cache(maxsize=None)

@@ -26,11 +26,11 @@ pieces, and its labels are the critical words.
 For the full presentation, cochains are written in the extended letter
 alphabet, where z = eta_R(a5), the right-unit image of the top base
 generator, occupies its own letter: the letter of weight w is
-z^(w div 5) r^(w mod 5).  delta's matrices are the right-unit block with
-its rows rewritten through r^5 = z - a5 - a4 r - ... - a1 r^4, and the
-transfer data assembles tensorially from block and tail contractions.  A
-reduced word is a letter word with no blocks and a reduced block needs no
-rewrite, so both presentations share one path.
+z^(w div 5) r^(w mod 5).  delta's matrices are the right-unit block built
+in letters (algebroid.letter_block), and the transfer data assembles
+tensorially from block and tail contractions.  A reduced word is a letter
+word with no blocks and a reduced block is its own letter block, so both
+presentations share one path.
 """
 
 from __future__ import annotations

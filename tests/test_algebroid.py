@@ -330,13 +330,50 @@ def test_eta_block_is_built_once_per_working_modulus(spec, mods, fresh_blocks):
     assert algebroid._eta_block.cache_info().currsize == kept
 
 
-def test_letter_block_keeps_the_dtype_of_its_sums():
-    # the letter form carries larger coefficients than the block: at full
-    # weight 19 the block sums in int64 but its letter rows do not provably
-    # fit, so they stay exact integers in an object array, not cast back
-    block, letters = algebroid.eta_block(FULL, 19), algebroid.letter_block(FULL, 19)
-    assert block.dtype == np.int64 and letters.dtype == object
-    assert (letters % 5 ** 9 == algebroid.letter_block(FULL, 19, 5 ** 9)).all()
+def test_letters_built_once_in_the_block_memo(monkeypatch, fresh_blocks):
+    # a letter block runs the generator recursion in letters: it reads the
+    # letter blocks below it and, under weight 5 where the two alphabets
+    # agree, the r-exponent blocks, each built once, all in one memo that
+    # _eta_block.cache_clear() empties; no r-exponent block of weight >= 5
+    # is built on the way
+    built = []
+    real = algebroid._generator_block
+
+    def counted(spec, n, mod, letters):
+        built.append((n, letters))
+        return real(spec, n, mod, letters)
+
+    monkeypatch.setattr(algebroid, "_generator_block", counted)
+    spec = quotient(FULL, 0)
+    block = algebroid.letter_block(spec, 30, 5)
+    assert len(built) == len(set(built)) == algebroid._eta_block.cache_info().currsize
+    assert not [n for n, letters in built if n >= 5 and not letters]
+    assert {n for n, letters in built if letters} == set(range(5, 31))
+    assert algebroid.letter_block(spec, 30, 5) is block
+    algebroid._eta_block.cache_clear()
+    rebuilt = algebroid.letter_block(spec, 30, 5)
+    assert rebuilt is not block and (rebuilt == block).all()
+
+
+def test_exact_letter_blocks_sum_in_int64():
+    # the generator recursion in letters proves an int64 bound on the
+    # exact full letter blocks through weight 22, and each reduces to the
+    # letter block mod 5^9
+    for n in range(19, 23):
+        letters = algebroid.letter_block(FULL, n)
+        assert letters.dtype == np.int64, n
+        assert (letters % 5 ** 9 == algebroid.letter_block(FULL, n, 5 ** 9)).all(), n
+
+
+def test_exact_letter_blocks_pinned_through_weight_22():
+    # the values of every exact full letter block of weight <= 22, blind to
+    # dtype, pinned by the digest they had when each block was built in
+    # r-exponents and its rows rewritten into letters
+    digest = hashlib.sha256()
+    for n in range(23):
+        b = algebroid.letter_block(FULL, n)
+        digest.update(repr(b.shape).encode() + b"|" + repr(b.tolist()).encode())
+    assert digest.hexdigest()[:16] == "a3be6a55e9797474"
 
 
 def test_eta_r_int_pinned_through_degree_200():
@@ -388,7 +425,7 @@ def _block_digest(spec, mod, top=20):
 
 
 @pytest.mark.parametrize("spec, mod, want", [
-    (FULL, None, "3a87b73643042cac"),
+    (FULL, None, "d399595830d2be73"),
     (FULL, 5, "521ecf7120461942"),
     (FULL, 625, "174ef69d9fdc9040"),
     (FULL, 5 ** 9, "c460a13dbcfcf109"),
@@ -408,7 +445,9 @@ def _block_digest(spec, mod, top=20):
 def test_blocks_pinned_through_weight_20(spec, mod, want):
     # every eta_block and letter_block of weight <= 20, dtype and bytes,
     # pinned by the digest they had when each moved row looked its product
-    # monomial up one by one and every sum ran in int64 or Python ints
+    # monomial up one by one and every sum ran in int64 or Python ints;
+    # the exact full pin since its letter blocks of weight 19 and 20 sum
+    # in int64, with the values of test_exact_letter_blocks_pinned_through_weight_22
     assert _block_digest(spec, mod) == want
 
 
