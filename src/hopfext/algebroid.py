@@ -724,7 +724,7 @@ def check_axioms(spec: AlgebroidSpec, t_max: int) -> Dict[str, int]:
         for k in range(1, P):
             for i in range(1, min(k, spec.num_generators) + 1):
                 for m, c in eta(i).terms.items():
-                    _check(any(m[:k]) or c.num % P == 0,
+                    _check(any(m[:k]) or c.numerator % P == 0,
                            f"eta_R(a{i}) term r^{m[-1]} coefficient outside I_{k}")
                 counts["ideal_chain"] += 1
     idle = sorted(k for k, v in counts.items() if v <= 0)

@@ -12,6 +12,7 @@ symbolic cobar complex by a lift-and-solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
@@ -27,7 +28,6 @@ from .cobar import (
     is_coboundary,
     vector_to_element,
 )
-from .coefficients import LocalRational
 from .flinalg import nullspace_mod, rank_gf5, solve_mod
 from .gradedpoly import Polynomial
 from .transfer import (
@@ -271,7 +271,7 @@ def _verify_five_adic(source: Polynomial, target: Polynomial, r: int
     spec_int = AlgebroidSpec("reduced", None)
     spec_f5 = AlgebroidSpec("reduced", 0)
     cobar_degree(spec_f5, target)  # ValueError unless a mod-5 cochain
-    scaled = differential(spec_int, source).scale(LocalRational(1, 5 ** r))
+    scaled = differential(spec_int, source).scale(Fraction(1, 5 ** r))
     if scaled and scaled.content_valuation() < 0:
         return False  # differential not divisible by 5^r
     # the mod-5 cochain: each coefficient reduced through the F5 ring

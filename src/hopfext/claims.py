@@ -23,7 +23,7 @@ from .bockstein import (FiltrationSpec, infinity_page, page_dimensions,
 from .cobar import (class_equal_up_to_unit, cohomology, differential,
                     format_cobar, is_coboundary, parse_cobar, product,
                     triple_massey)
-from .coefficients import LocalRational
+from .coefficients import v5
 from .flinalg import rank_mod
 from .gradedpoly import Polynomial, parse_polynomial
 from .invariants import (F5_RING, H0_T_CEILING, _mod5, _mod5_rows,
@@ -298,9 +298,9 @@ def _generator_census():
 def _disc_mod_i3():
     disc = discriminant()
     units = {m: c for m, c in disc.terms.items()
-             if not (m[0] or m[1] or m[2]) and c.valuation() == 0}
+             if not (m[0] or m[1] or m[2]) and v5(c) == 0}
     _require(set(units) == {(0, 0, 0, 5, 0)}
-             and units[(0, 0, 0, 5, 0)] == LocalRational(1),
+             and units[(0, 0, 0, 5, 0)] == 1,
              f"unit terms modulo I3 are {sorted(units)}")
 
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coefficients import (LocalRational, SmithDecomposition,
-                           smith_normal_form, v5)
+from .coefficients import SmithDecomposition, smith_normal_form, v5
 from .flinalg import nullspace_mod, rank_mod, rref_mod, solve_mod
 from .gradedpoly import (
     Monomial,
@@ -148,10 +148,9 @@ def differential_matrix_int(spec: AlgebroidSpec, s: int, t: int) -> np.ndarray:
     for j, m in enumerate(src):
         img = differential(spec, Polynomial(gamma_ring(spec, s), {m: 1}))
         for k, c in img.terms.items():
-            val = c.num if isinstance(c, LocalRational) else int(c)
-            if isinstance(c, LocalRational) and c.den != 1:
+            if type(c) is not int:
                 raise AssertionError("differential structure constant not integral")
-            out[dst[k], j] = val
+            out[dst[k], j] = c
     out.flags.writeable = False
     return out
 
@@ -262,22 +261,22 @@ def is_coboundary(spec: AlgebroidSpec, z: Polynomial) -> Optional[Polynomial]:
         if sol is None:
             return None
         return vector_to_element(spec, s - 1, t, sol)
-    den = math.lcm(*(c.den for c in z.terms.values()))
-    vec = [c.num if c else 0 for c in element_to_vector(spec, z.scale(den), t)]
+    den = math.lcm(*(c.denominator for c in z.terms.values()))
+    vec = element_to_vector(spec, z.scale(den), t)
     snf = _image_smith(spec, s, t)
     lz = snf.left_transform.dot(np.array(vec, dtype=object)).tolist()
     diag = snf.diagonal
-    y = np.array([LocalRational(0)] * snf.right_transform.shape[0], dtype=object)
+    y = np.zeros(snf.right_transform.shape[0], dtype=object)
     for i, v in enumerate(lz):
         if i < len(diag):
-            q = LocalRational(v, diag[i])
-            if not q.is_5_integral():
+            q = Fraction(v, diag[i])
+            if q.denominator % 5 == 0:
                 return None
             y[i] = q
         elif v != 0:
             return None
     return vector_to_element(spec, s - 1, t,
-                             (snf.right_transform.dot(y) / den).tolist())
+                             [Fraction(x, den) for x in snf.right_transform.dot(y)])
 
 
 def triple_massey(spec: AlgebroidSpec, u: Polynomial, v: Polynomial,

@@ -1,9 +1,12 @@
 """Exact arithmetic over Z_(5) and integer matrix normal forms.
 
-Everything downstream (cobar differentials, invariant kernels, torsion
-extraction) reduces to the primitives here: reduced fractions with a tracked
-5-adic valuation, Smith normal form with unimodular transforms L, R and
-the inverse of L, and saturated integer kernels.  Matrices are numpy
+An element of Z_(5) is Python's own rational: an `int`, or a
+`fractions.Fraction` whose denominator is prime to 5; being 5-local is
+the test v5 >= 0 on that number, not a separate type.  Everything
+downstream (cobar differentials, invariant kernels, torsion extraction)
+reduces to the primitives here: the 5-adic valuation `v5`, Smith normal
+form with unimodular transforms L, R and the inverse of L, and saturated
+integer kernels.  Matrices are numpy
 arrays, int64 or `object` (Python ints, past 2^63); both eliminations
 read them into Python ints before any arithmetic, since int64 wraps
 silently.  Smith normal form is the one exact routine of the symbolic
@@ -17,133 +20,26 @@ to 5^15.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 
-class ZeroDenominator(ZeroDivisionError):
-    """Raised when a fraction is built with denominator 0."""
-
-
-def v5(n: int) -> int:
-    """5-adic valuation of a nonzero integer."""
-    if n == 0:
+def v5(x) -> int:
+    """5-adic valuation of a nonzero int or Fraction: that of the numerator
+    minus that of the denominator."""
+    if x == 0:
         raise ValueError("valuation of 0 is undefined")
+    if isinstance(x, Fraction):
+        return v5(x.numerator) - v5(x.denominator)
     v = 0
-    n = abs(n)
+    n = abs(x)
     while n % 5 == 0:
         n //= 5
         v += 1
     return v
-
-
-class LocalRational:
-    """A reduced fraction num/den with den > 0, viewed inside Z_(5) when
-    the denominator is coprime to 5."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int = 0, den: int = 1):
-        if den == 0:
-            raise ZeroDenominator("denominator is zero")
-        if den < 0:
-            num, den = -num, -den
-        g = math.gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
-        self.num = num
-        self.den = den
-
-    def valuation(self) -> int:
-        """v5(num) - v5(den); defined for nonzero values."""
-        if self.num == 0:
-            raise ValueError("valuation of 0 is undefined")
-        return v5(self.num) - v5(self.den)
-
-    def is_5_integral(self) -> bool:
-        return self.den % 5 != 0
-
-    def __bool__(self) -> bool:
-        return self.num != 0
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LocalRational(self.num * other.den + other.num * self.den,
-                             self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LocalRational(self.num * other.den - other.num * self.den,
-                             self.den * other.den)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LocalRational(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num == 0:
-            raise ZeroDivisionError("division by zero")
-        return LocalRational(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __neg__(self):
-        return LocalRational(-self.num, self.den)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return LocalRational(self.den ** (-k), self.num ** (-k))
-        return LocalRational(self.num ** k, self.den ** k)
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        # an integral value equals its int, so it must hash like one
-        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
-
-
-def _coerce(x):
-    if isinstance(x, LocalRational):
-        return x
-    if isinstance(x, int):
-        return LocalRational(x)
-    return NotImplemented
 
 
 @dataclass

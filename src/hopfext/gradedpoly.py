@@ -1,7 +1,10 @@
 """Graded sparse multivariate polynomials over the coefficient modes used by
 the engine: exact rationals, read inside Z_(5) when their denominators are
-5-units, and F5.  Work mod 5^K runs on integer arrays, not on these
-polynomials.
+5-units, and F5.  A rational coefficient is stored in one normal form, an
+`int` when it is integral and otherwise a `fractions.Fraction` with
+denominator > 1; an F5 coefficient is its residue in range(5).  Only ints,
+numpy integers and Fractions are accepted as coefficients.  Work mod 5^K
+runs on integer arrays, not on these polynomials.
 
 Monomials are exponent tuples aligned with the ring's generators.  All
 per-degree enumeration is in graded-lexicographic order with the first
@@ -10,12 +13,14 @@ generator largest, so leading terms and basis orderings are reproducible.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .coefficients import LocalRational
+from .coefficients import v5
 
 Monomial = Tuple[int, ...]
 
@@ -59,17 +64,21 @@ class RingSpec:
         return 5 if self.mode == MODE_F5 else None
 
     def coeff(self, value) -> object:
-        """Normalize a raw coefficient into this ring's domain."""
+        """Normalize an int, numpy integer or Fraction into this ring's
+        domain; TypeError on anything else (a float is never truncated)."""
         m = self.modulus
-        if m is not None:
-            if isinstance(value, LocalRational):
-                if value.den % 5 == 0:
-                    raise ValueError("coefficient not 5-integral")
-                return value.num * pow(value.den, -1, m) % m
-            return int(value) % m
-        if isinstance(value, LocalRational):
-            return value
-        return LocalRational(int(value))
+        if type(value) is not int:
+            if not isinstance(value, Fraction):
+                value = operator.index(value)
+            elif value.denominator == 1:
+                value = value.numerator
+            elif m is None:
+                return value
+            elif value.denominator % m == 0:
+                raise ValueError("coefficient not 5-integral")
+            else:
+                return value.numerator * pow(value.denominator, -1, m) % m
+        return value if m is None else value % m
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
@@ -122,7 +131,7 @@ class Polynomial:
             raise RingMismatch("polynomials live in different rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, LocalRational)):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.ring, other)
         self._check_ring(other)
         out = dict(self.terms)
@@ -140,7 +149,7 @@ class Polynomial:
         return res
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else -other)
+        return self + (-other)
 
     def __neg__(self):
         res = Polynomial.__new__(Polynomial)
@@ -168,7 +177,7 @@ class Polynomial:
         return res
 
     def __mul__(self, other):
-        if isinstance(other, (int, LocalRational)):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
         ring = self.ring
@@ -222,7 +231,7 @@ class Polynomial:
             raise ZeroPolynomial("content valuation of 0 is undefined")
         if self.ring.mode != MODE_LOCAL:
             raise ValueError("content valuation needs exact rational coefficients")
-        return min(c.valuation() for c in self.terms.values())
+        return min(v5(c) for c in self.terms.values())
 
     def map_coefficients(self, target: RingSpec) -> "Polynomial":
         """Same generators, new coefficient mode (e.g. reduce mod 5)."""
@@ -267,12 +276,6 @@ def graded_piece_basis(ring: RingSpec, t: int) -> List[Monomial]:
 
 # --- canonical text form and parsing -------------------------------------
 
-def _coeff_text(c) -> str:
-    if isinstance(c, LocalRational):
-        return repr(c)
-    return str(c)
-
-
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text: terms in monomial order, e.g. "-2*a1^2 + 5*a2"."""
     if not p.terms:
@@ -285,7 +288,7 @@ def format_polynomial(p: Polynomial) -> str:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        ctxt = _coeff_text(c)
+        ctxt = str(c)
         neg = ctxt.startswith("-")
         if neg:
             ctxt = ctxt[1:]
@@ -327,7 +330,7 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
             i += 1
         if i >= n:
             break
-        coeff = LocalRational(1)
+        coeff = 1
         expo = [0] * len(ring.names)
         saw = False
         while i < n:
@@ -338,8 +341,10 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
                 i += 1
                 continue
             if "/" in tok:
-                num, den = tok.split("/")
-                coeff = coeff * LocalRational(int(num), int(den))
+                num, den = map(int, tok.split("/"))
+                if den == 0:
+                    raise ValueError(f"zero denominator in {tok!r}")
+                coeff = coeff * Fraction(num, den)
                 i += 1
             elif tok.isdigit():
                 coeff = coeff * int(tok)

@@ -20,6 +20,7 @@ depth heuristic, and reports Hilbert data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 from operator import itemgetter
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebroid import AlgebroidSpec, coefficient_piece, eta_block, eta_L, eta_R
-from .coefficients import LocalRational, kernel_saturated
+from .coefficients import kernel_saturated, v5
 from .flinalg import matmul_mod, rref_mod
 from .gradedpoly import (
     MODE_F5,
@@ -228,7 +229,7 @@ def c_closed_formula(i: int) -> Polynomial:
     return out
 
 
-def c_formula_discrepancy(i: int) -> LocalRational:
+def c_formula_discrepancy(i: int) -> Fraction:
     """Scalar lambda with closed_formula = lambda * listed c_i (exact)."""
     listed = c_class(i).polynomial
     closed = c_closed_formula(i)
@@ -236,7 +237,7 @@ def c_formula_discrepancy(i: int) -> LocalRational:
     top = closed.terms.get(lead_m)
     if top is None:
         raise AssertionError("formulas have different supports")
-    lam = LocalRational(top.num, lead_c.num)
+    lam = Fraction(top, lead_c)
     if closed != listed.scale(lam):
         raise AssertionError("closed formula is not proportional to the list")
     return lam
@@ -332,7 +333,7 @@ def table1_expand(name: str) -> GeneratorRecord:
         for factor in names:
             term = term * table1_expand(factor).polynomial
         p = p + term
-    p = p.scale(LocalRational(1, denom))
+    p = p.scale(Fraction(1, denom))
     t = R_DEG * deg_idx
     if any(A_RING.monomial_degree(m) != t for m in p.terms):
         raise AssertionError(f"{name} is not homogeneous of degree {t}")
@@ -401,12 +402,12 @@ def discriminant() -> Polynomial:
     lead = killed.get(a4_5)
     if lead is None:
         raise NormalizationFailure("no a4^5 term modulo (a1, a2, a3)")
-    if lead.valuation() != 0:
+    if v5(lead) != 0:
         raise NormalizationFailure("a4^5 coefficient is not a 5-unit")
-    disc = res.scale(LocalRational(1) / lead)
+    disc = res.scale(Fraction(1, lead))
     extra = [(m, c) for m, c in disc.terms.items()
              if not (m[0] or m[1] or m[2]) and m != a4_5
-             and c.valuation() == 0]
+             and v5(c) == 0]
     if extra:
         raise NormalizationFailure("residual unit terms modulo I_3")
     if not is_invariant(disc):
@@ -414,7 +415,7 @@ def discriminant() -> Polynomial:
     return disc
 
 
-def disc_unit_factor() -> Tuple[LocalRational, bool]:
+def disc_unit_factor() -> Tuple[Fraction, bool]:
     """(lambda, matches): lambda is Table 1's D row over the discriminant
     at the discriminant's leading monomial, and matches says lambda is a
     5-unit with lambda * disc = D.  A D row without that monomial gives
@@ -422,8 +423,8 @@ def disc_unit_factor() -> Tuple[LocalRational, bool]:
     disc = discriminant()
     d_row = table1_expand("D").polynomial
     lead_m, lead_c = disc.sorted_terms()[0]
-    lam = d_row.terms.get(lead_m, LocalRational(0)) / lead_c
-    return lam, bool(lam) and lam.valuation() == 0 and disc.scale(lam) == d_row
+    lam = Fraction(d_row.terms.get(lead_m, 0), lead_c)
+    return lam, bool(lam) and v5(lam) == 0 and disc.scale(lam) == d_row
 
 
 # --- generator census -------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -203,12 +204,24 @@ def test_cohomology_integral_tower():
 
 @pytest.fixture
 def fresh_smith(monkeypatch):
-    """monkeypatch, with the memoised Smith forms of d^{s-1} cleared before
-    and after, so a planted differential is read and then forgotten."""
+    """monkeypatch, with the memoised integral matrices of d and Smith forms
+    of d^{s-1} cleared before and after, so a planted differential is read
+    and then forgotten."""
+    cobar.differential_matrix_int.cache_clear()
     cobar._image_smith.cache_clear()
     yield monkeypatch
     monkeypatch.undo()
+    cobar.differential_matrix_int.cache_clear()
     cobar._image_smith.cache_clear()
+
+
+def test_differential_matrix_refuses_a_fraction(fresh_smith):
+    # plant a d whose image carries the structure constant 1/2
+    key = cochain_basis(RED, 1, 8)[0]
+    fresh_smith.setattr(cobar, "differential", lambda spec, x: basis_cochain(
+        spec, 1, key, Fraction(1, 2)))
+    with pytest.raises(AssertionError, match="not integral"):
+        cobar.differential_matrix_int(RED, 0, 8)
 
 
 def test_integral_cohomology_guards_d_squared(fresh_smith):
