@@ -5,17 +5,24 @@ generators the minimal (Nakayama) census finds, and the names of the
 tabulated elements of that degree.
 
 Usage: census_report.py [--tmax T]
+
+T defaults to the kernel ceiling H0_T_CEILING; a larger T is a usage
+error (exit 2), as for `hopfext invariants`.
 """
 
 import argparse
 
-from hopfext.invariants import (hilbert_h0, new_generators, table1_records)
+from hopfext.invariants import (H0_T_CEILING, hilbert_h0, new_generators,
+                                table1_records)
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tmax", type=int, default=176)
+    ap.add_argument("--tmax", type=int, default=H0_T_CEILING)
     args = ap.parse_args()
+    if args.tmax > H0_T_CEILING:
+        ap.error(f"--tmax needs T <= {H0_T_CEILING}, the largest degree"
+                 " whose kernels are tractable")
 
     by_degree = {}
     for rec in table1_records():

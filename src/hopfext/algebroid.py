@@ -22,7 +22,8 @@ rows of weight n - 1 times D, divided exactly by e (_translation_block),
 in int64 under a bound taken before the product.  Past that bound, and
 for residues, quotients and the reduced presentation, the blocks come
 from the generator recursion eta_R(m * a_i) = eta_R(m) * eta_R(a_i)
-(_generator_block).
+(_generator_block).  The invariant layer reads D alone (_derivation):
+its kernel is the ring of invariants.
 
 For the full presentation, letter_block is the block in the letter
 alphabet of the transfer layer, where the letter of weight w is

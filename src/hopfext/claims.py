@@ -29,8 +29,8 @@ from .gradedpoly import Polynomial, parse_polynomial
 from .invariants import (F5_RING, H0_T_CEILING, _mod5, _mod5_rows,
                          _products_of_degree, disc_unit_factor, discriminant,
                          hilbert_h0, invariant_basis, new_generators,
-                         table1_records)
-from .transfer import ext_dim, integral_structure, partitions_2345
+                         partitions_2345, table1_records)
+from .transfer import ext_dim, integral_structure
 from .v1algebra import presented_dim
 from .wordcx import dual_h_dim, reduced_word_h_dim
 

@@ -148,8 +148,13 @@ class Polynomial:
         res.terms = out
         return res
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self):
         res = Polynomial.__new__(Polynomial)
@@ -199,6 +204,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("a polynomial power needs a nonnegative exponent")
         out = Polynomial.constant(self.ring, 1)
         base = self
         while k:

@@ -1,20 +1,15 @@
 """The ring of translation invariants of the base, degree by degree.
 
-An element of A is invariant when the right unit fixes it; per degree this
-is the integer kernel, saturated over Z_(5), of the r^1 rows of the exact
-right-unit block (algebroid.eta_block, int64 in every degree up to
-H0_T_CEILING), certified against all of its r^(>=1) rows once its r^0
-rows are checked to be the identity.  The block is exp(rD) for the
-translation derivation D(a_i) = (6 - i) a_(i-1), built with an exact
-division that certifies it, and its r^1 rows are D itself.  The
-certificate is an exact product under a bound on every entry, taken in
-Python ints: one int64 moved @ v where the bound stays below 2^63, and
-past it moved @ v = 0 modulo primes below 2^21 until their product
-exceeds the bound (see _annihilates).  On top of the raw kernels the
-module builds the named generators (c classes, the Delta table, the
-discriminant), runs the generator census (one F5 echelon per degree, over
-products of the earlier generators memoised across degrees) with the
-depth heuristic, and reports Hilbert data.
+The right unit is eta_R = exp(rD) for the translation derivation
+D(a_i) = (6 - i) a_(i-1) (algebroid._derivation), so an element of A is
+invariant exactly when D kills it: per degree the invariants are the
+integer kernel, saturated over Z_(5), of D as a dense int64 matrix.  Each
+kernel is checked by an exact product D V = 0 in Python ints, and its rank
+against the rational rank of Q[c2..c5] (partitions_2345).  On top of the
+raw kernels the module builds the named generators (c classes, the Delta
+table, the discriminant), runs the generator census (one F5 echelon per
+degree, over products of the earlier generators memoised across degrees)
+with the depth heuristic, and reports Hilbert data.
 """
 
 from __future__ import annotations
@@ -22,18 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebroid import AlgebroidSpec, coefficient_piece, eta_block, eta_L, eta_R
+from .algebroid import (AlgebroidSpec, _derivation, coefficient_piece, eta_L,
+                        eta_R)
 from .coefficients import kernel_saturated, v5
-from .flinalg import matmul_mod, rref_mod
+from .flinalg import rref_mod
 from .gradedpoly import (
     MODE_F5,
-    Monomial,
     Polynomial,
     RingSpec,
     graded_piece_basis,
@@ -67,70 +62,30 @@ def is_invariant(p: Polynomial) -> bool:
 
 # --- degreewise kernels -----------------------------------------------------
 
-def _eta_minus_id_matrix(t: int) -> Tuple[np.ndarray, Tuple[Monomial, ...]]:
-    """eta_R - id on the degree-t piece: the r^(>=1) rows of eta_block, a
-    read-only view of the exact block (int64 at every degree up to
-    H0_T_CEILING), after one array comparison checks that its r^0 rows
-    are the identity; and the monomials of the piece, one per column."""
-    block = eta_block(SPEC, t // R_DEG)
-    cols = coefficient_piece(SPEC, t)
-    if not (block[:len(cols)] == np.eye(len(cols), dtype=np.int64)).all():
-        raise InvarianceFailure(f"the r^0 part of eta_R in degree {t} is not"
-                                " the identity")
-    moved = block[len(cols):]
-    moved.setflags(write=False)
-    return moved, cols
+def partitions_2345(n: int) -> int:
+    """Partitions of n into parts 2, 3, 4, 5: the rank of the rational
+    polynomial ring on c2..c5 in degree 8n."""
+    count = 0
+    for x5 in range(n // 5 + 1):
+        for x4 in range((n - 5 * x5) // 4 + 1):
+            rest = n - 5 * x5 - 4 * x4
+            count += sum(1 for x3 in range(rest // 3 + 1)
+                         if (rest - 3 * x3) % 2 == 0)
+    return count
 
 
-# Certificate primes stay below 2^21: then (p - 1)^2 < 2^42, so matmul_mod
-# sums at least 2^53 / 2^42 = 2,048 products exactly in one float64 pass
-# (the degree-176 piece, the largest below H0_T_CEILING, has 255 columns).
-_PRIME_CEILING = 1 << 21
-_INT64_MAX = 2 ** 63 - 1
-
-
-@lru_cache(maxsize=None)
-def _certificate_prime(i: int) -> int:
-    """The i-th prime below 2^21, counting down from the largest (i = 0)."""
-    p = _certificate_prime(i - 1) - 2 if i else _PRIME_CEILING - 1
-    while any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
-        p -= 2
-    return p
-
-
-def _certificate_primes(bound: int) -> List[int]:
-    """The fewest successive certificate primes whose product exceeds bound."""
-    primes: List[int] = []
-    product = 1
-    while product <= bound:
-        primes.append(_certificate_prime(len(primes)))
-        product *= primes[-1]
-    return primes
-
-
-def _annihilates(moved: np.ndarray, vecs: Sequence[Sequence[int]]) -> bool:
-    """Whether moved @ v = 0 over Z for every v in vecs, exactly.
-
-    moved holds exact integers, in int64 or (past 2^63) in an object
-    array.  Every entry x of a product, and every partial sum of it, has
-    absolute value at most B, the largest absolute row sum of moved times
-    the largest |v_k|, taken in Python ints (an int64 row sum could
-    wrap).  Where B <= 2^63 - 1 one int64 product is exact.  Past that,
-    the product is reduced modulo successive primes p < 2^21 until their
-    product exceeds B; if x = 0 mod every p, then by the Chinese remainder
-    theorem x = 0 mod their product, which exceeds |x|, so x = 0.  The
-    vectors are held in int64 while every |v_k| <= 2^63 - 1 and in an
-    object array past it, and both sides are reduced by `% p`, natively
-    on int64 and exactly on an object array, never cast to int64."""
-    if not vecs:
-        return True
-    v_max = max(abs(c) for vec in vecs for c in vec)
-    bound = max(sum(map(abs, row)) for row in moved.tolist()) * v_max
-    v = np.array(vecs, dtype=np.int64 if v_max <= _INT64_MAX else object).T
-    if bound <= _INT64_MAX:
-        return not (moved.astype(np.int64, copy=False) @ v).any()
-    return all(not matmul_mod(moved % p, v % p, p).any()
-               for p in _certificate_primes(bound))
+def _derivation_matrix(t: int) -> np.ndarray:
+    """The translation derivation D from the degree-t piece to the degree
+    t - 8 piece as a dense int64 matrix: one column per monomial of
+    coefficient_piece(SPEC, t), one row per monomial of
+    coefficient_piece(SPEC, t - 8)."""
+    srcs, coefs = _derivation(SPEC, t // R_DEG)
+    d = np.zeros((len(coefficient_piece(SPEC, t - R_DEG)), srcs.shape[1]),
+                 np.int64)
+    # unbuffered: the absent terms of a column all sit at row 0 with
+    # coefficient 0, and a buffered += could let one overwrite a real entry
+    np.add.at(d, (srcs, np.arange(srcs.shape[1])), coefs)
+    return d
 
 
 @lru_cache(maxsize=None)
@@ -140,17 +95,19 @@ def invariant_basis(t: int) -> Tuple[Polynomial, ...]:
         return ()
     if t == 0:
         return (Polynomial.constant(A_RING, 1),)
-    moved, cols = _eta_minus_id_matrix(t)
-    # eta_R is a G_a-coaction, exp(rD) with D its r^1 coefficient, so
-    # D v = 0 already forces invariance: the kernel is taken on the r^1
-    # rows, which come first and are D itself
-    r1 = moved[:len(graded_piece_basis(A_RING, t - R_DEG))]
-    vecs = kernel_saturated(r1)
-    # the r^0 part of eta_R is the identity (checked column by column in
-    # _eta_minus_id_matrix), so eta_R fixes v exactly when moved @ v = 0
-    # over Z on all r^(>=1) rows, which _annihilates decides exactly
-    if not _annihilates(moved, vecs):
-        raise InvarianceFailure("kernel vector moves under the right unit")
+    d, cols = _derivation_matrix(t), coefficient_piece(SPEC, t)
+    vecs = kernel_saturated(d)
+    # eta_R = exp(rD): its r^0 part is the identity and its r^e part is
+    # D^e / e!, so eta_R fixes v exactly when D v = 0, checked here in
+    # Python ints (the kernel entries pass 2^63 from t = 120)
+    if vecs and (d.astype(object) @ np.array(vecs, dtype=object).T).any():
+        raise InvarianceFailure(f"a kernel vector in degree {t} moves under"
+                                " the right unit")
+    want = partitions_2345(t // R_DEG)
+    if len(vecs) != want:
+        raise AssertionError(f"the invariants in degree {t} have rank"
+                             f" {len(vecs)}, not {want}, the rank of"
+                             " Q[c2..c5]")
     # coefficient_piece is in the polynomial term order, so the first
     # nonzero entry of v is the leading coefficient: it fixes the sign, and
     # its position the basis order (a stable sort, as by leading monomial)

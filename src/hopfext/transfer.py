@@ -48,6 +48,7 @@ from .algebroid import (
 )
 from .flinalg import diagonal_valuations, matmul_mod, rank_gf5
 from .gradedpoly import Monomial
+from .invariants import partitions_2345
 from .wordcx import (
     Contraction,
     block_contraction,
@@ -272,18 +273,6 @@ def ext_dim(spec: AlgebroidSpec, s: int, t: int) -> int:
 
 
 # --- integral structure -----------------------------------------------------
-
-def partitions_2345(n: int) -> int:
-    """Partitions of n into parts 2, 3, 4, 5: the rank of the rational
-    polynomial ring on c2..c5 in degree 8n."""
-    count = 0
-    for x5 in range(n // 5 + 1):
-        for x4 in range((n - 5 * x5) // 4 + 1):
-            rest = n - 5 * x5 - 4 * x4
-            count += sum(1 for x3 in range(rest // 3 + 1)
-                         if (rest - 3 * x3) % 2 == 0)
-    return count
-
 
 # 5-adic working precision K: the integral differentials are read mod 5^K.
 # certified_free_rank trusts valuations up to K - 2, here 2, one more than

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import hopfext.invariants as inv
-from hopfext import algebroid, bockstein, claims, transfer
+from hopfext import algebroid, bockstein, claims, cli, transfer
 from hopfext.algebroid import AlgebroidSpec
 from hopfext.claims import CLAIMS
 from hopfext.cli import RunConfig, build_parser, config_from_args, main, run
@@ -231,29 +231,38 @@ def test_projection_outside_small_basis_is_a_first_failure(monkeypatch, capsys,
 
 
 def test_invariance_failure_is_a_first_failure(monkeypatch, capsys):
-    # a doubled r^0 diagonal entry of eta_R in degree 32 trips the identity
-    # guard of the H^0 kernels
-    real = inv.eta_block
+    # a kernel vector that D moves in degree 16, the first degree with an
+    # invariant, trips the exact D V = 0 check of the H^0 kernels
+    real = inv.kernel_saturated
 
-    def wrong(spec, n, mod=None):
-        block = real(spec, n, mod)
-        if n == 4:
-            block = block.copy()
-            block[0, 0] *= 2
-        return block
+    def planted(mat):
+        vecs = real(mat)
+        return [(v[0] + 1,) + v[1:] for v in vecs[:1]] + vecs[1:]
 
-    monkeypatch.setattr(inv, "eta_block", wrong)
+    monkeypatch.setattr(inv, "kernel_saturated", planted)
     # the memoised basis would hide the plant, so read it unmemoised
     monkeypatch.setattr(inv, "invariant_basis", inv.invariant_basis.__wrapped__)
     failure = _first_failure_run(["invariants", "--tmax", "32"], capsys)
-    assert failure == ("InvarianceFailure: the r^0 part of eta_R in degree 32"
-                       " is not the identity")
+    assert failure == ("InvarianceFailure: a kernel vector in degree 16 moves"
+                       " under the right unit")
+
+
+def test_rank_drop_is_a_first_failure(monkeypatch, capsys):
+    # a kernel one vector short in degree 16 trips the rank check against
+    # the rational rank of Q[c2..c5]
+    real = inv.kernel_saturated
+    monkeypatch.setattr(inv, "kernel_saturated", lambda mat: real(mat)[:-1])
+    monkeypatch.setattr(inv, "invariant_basis", inv.invariant_basis.__wrapped__)
+    failure = _first_failure_run(["invariants", "--tmax", "32"], capsys)
+    assert failure == ("AssertionError: the invariants in degree 16 have rank"
+                       " 0, not 1, the rank of Q[c2..c5]")
 
 
 def test_translation_remainder_is_a_first_failure(monkeypatch, capsys):
     # a planted D(a2) = 3 a1 in weight 2 leaves a remainder in the exact
-    # division that builds the weight-2 block: the H^0 path stops with
-    # exit 1 and the AxiomViolation as its first failure
+    # division that builds the weight-2 block: the discriminant's
+    # invariance check reads the weight-20 block, built from it, so disc
+    # stops with exit 1 and the AxiomViolation as its first failure
     real = algebroid._derivation
 
     def planted(spec, n):
@@ -263,13 +272,15 @@ def test_translation_remainder_is_a_first_failure(monkeypatch, capsys):
         return srcs, coefs
 
     monkeypatch.setattr(algebroid, "_derivation", planted)
-    monkeypatch.setattr(inv, "invariant_basis", inv.invariant_basis.__wrapped__)
+    monkeypatch.setattr(cli, "discriminant", inv.discriminant.__wrapped__)
     algebroid._eta_block.cache_clear()
+    algebroid.eta_R_int.cache_clear()
     try:
-        failure = _first_failure_run(["invariants", "--tmax", "40"], capsys)
+        failure = _first_failure_run(["disc"], capsys)
     finally:
         monkeypatch.undo()
         algebroid._eta_block.cache_clear()
+        algebroid.eta_R_int.cache_clear()
     assert failure.startswith("AxiomViolation: eta_R in weight 2: ")
 
 

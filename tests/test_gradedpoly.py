@@ -45,6 +45,29 @@ def test_basic_arithmetic_and_degrees():
         mixed.degree()
 
 
+@pytest.mark.parametrize("ring", [A_RING, A_F5], ids=["local", "f5"])
+def test_scalar_on_the_left(ring):
+    # 1 + p, 1 - p and sum() reach __radd__ and __rsub__
+    p, q = gen("a1", ring), gen("a2", ring)
+    one = Polynomial.constant(ring, 1)
+    assert 1 + p == p + 1 == one + p
+    assert 1 - p == one - p
+    assert (1 - p) + p == one
+    assert 7 - p == Polynomial.constant(ring, 7) - p
+    assert Fraction(1, 2) + p == p + Fraction(1, 2)
+    assert sum([p, q]) == p + q
+    assert sum([p, -p]).is_zero()
+
+
+@pytest.mark.parametrize("ring", [A_RING, A_F5], ids=["local", "f5"])
+def test_negative_power_is_refused(ring):
+    p = gen("a1", ring) + 1
+    assert p ** 0 == Polynomial.constant(ring, 1)
+    assert p ** 3 == p * p * p
+    with pytest.raises(ValueError):
+        p ** -1
+
+
 def test_mod5_reduction():
     p = Polynomial(A_F5, {(1, 0, 0, 0, 0): 5})
     assert p.is_zero()

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import prod
 
 import numpy as np
 import pytest
@@ -9,9 +8,8 @@ from hypothesis import strategies as st
 import hopfext.algebroid as algebroid
 from hopfext.algebroid import eta_block
 from hopfext.coefficients import kernel_saturated, v5
-from hopfext.flinalg import matmul_mod, rank_mod
+from hopfext.flinalg import rank_mod
 from hopfext.gradedpoly import graded_piece_basis, parse_polynomial
-from hopfext.transfer import partitions_2345
 import hopfext.invariants as inv
 from hopfext.invariants import (
     A_RING,
@@ -32,6 +30,7 @@ from hopfext.invariants import (
     invariant_basis,
     is_invariant,
     new_generators,
+    partitions_2345,
     table1_expand,
     table1_records,
 )
@@ -79,84 +78,27 @@ def test_kernel_certificate_catches_a_moved_vector(monkeypatch):
         invariant_basis.__wrapped__(t)
 
 
-@pytest.mark.parametrize("primes_missed", [1, 3])
-def test_kernel_certificate_catches_a_prime_multiple(monkeypatch,
-                                                     primes_missed):
-    # plant v0 + P e_0 for a kernel vector v0, so that moved @ v moves by
-    # P * moved[:, 0]: zero modulo every prime dividing P.  P is the first
-    # certificate prime, then the product of all primes the bound needs but
-    # the last; the second planted vector passes 2^63
-    t = 32
-    moved, _ = inv._eta_minus_id_matrix(t)
-    assert moved.dtype == np.int64 and moved[:, 0].any()
-    missed = [inv._certificate_prime(i) for i in range(primes_missed)]
+def test_certificate_is_exact_past_int64(monkeypatch):
+    # plant v0 + 2^64 e_j for a kernel vector v0 and a column j that D
+    # moves: D v moves by 2^64 D e_j, which an int64 product wraps back to
+    # zero, so only the exact product catches it, below 2^63 (t = 32) and
+    # past it (t = 128)
     real = inv.kernel_saturated
-    planted = []
+    for t in (32, 128):
+        d = inv._derivation_matrix(t)
+        j = int(np.flatnonzero(d.any(axis=0))[0])
+        shift = np.int64(2 ** 32)
+        assert not (d[:, j] * shift * shift).any()
 
-    def perturbed(mat):
-        vecs = real(mat)
-        planted[:] = [(vecs[0][0] + prod(missed),) + vecs[0][1:]] + vecs[1:]
-        return list(planted)
+        def planted(mat):
+            vecs = real(mat)
+            v0 = list(vecs[0])
+            v0[j] += 2 ** 64
+            return [tuple(v0)] + vecs[1:]
 
-    monkeypatch.setattr(inv, "kernel_saturated", perturbed)
-    with pytest.raises(InvarianceFailure):
-        invariant_basis.__wrapped__(t)
-    # the bound in Python ints: as numpy int64 scalars it would wrap
-    bound = (max(sum(map(abs, row)) for row in moved.tolist())
-             * max(abs(c) for v in planted for c in v))
-    assert inv._certificate_primes(bound)[:-1] == missed
-    v = np.array(planted, dtype=object).T
-    for p in missed:
-        assert not matmul_mod(moved % p, v % p, p).any()
-
-
-def test_certificate_is_exact_past_int64():
-    # object blocks past 2^63 are reduced exactly, never cast to int64: a
-    # product of 2^64 would wrap to 0 in int64 arithmetic
-    big = 2 ** 70
-    moved = np.array([[big, -1, 0], [3, 0, -3 * big]], dtype=object)
-    assert inv._annihilates(moved, [(big, big * big, 1)])
-    assert not inv._annihilates(moved, [(big, big * big + 1, 1)])
-    assert not inv._annihilates(moved[:1], [(1, big - 2 ** 64, 0)])
-    assert inv._annihilates(moved, [])
-
-
-def test_certificate_bound_does_not_wrap_in_int64():
-    # the absolute row sum 2^63 wraps to -2^63 as an int64 sum, and a
-    # negative bound needs no prime at all, so every vector would pass
-    moved = np.array([[2 ** 62, 2 ** 62, 0]], dtype=np.int64)
-    assert np.abs(moved).sum(axis=1)[0] < 0
-    assert not inv._annihilates(moved, [(1, 0, 0)])
-    assert not inv._annihilates(moved, [(1, 0, 5)])
-    assert inv._annihilates(moved, [(1, -1, 7)])
-
-
-@pytest.mark.parametrize("t, by_primes", [(96, False), (112, True)])
-def test_certificate_routes_catch_a_planted_product(monkeypatch, t, by_primes):
-    # the bound on moved @ v stays below 2^63 through t = 96, so one int64
-    # product decides; at t = 112 it does not, and the kernel vectors, all
-    # below 2^63, reach the certificate primes as int64.  On both routes the
-    # kernel passes and a kernel vector plus a unit vector on a moved
-    # column is caught
-    moved, _ = inv._eta_minus_id_matrix(t)
-    vecs = kernel_saturated(moved[:len(graded_piece_basis(A_RING, t - R_DEG))])
-    j = int(np.flatnonzero(moved.any(axis=0))[0])
-    planted = [tuple(c + (k == j) for k, c in enumerate(vecs[0]))] + vecs[1:]
-    seen = []
-    real = inv.matmul_mod
-
-    def spy(a, b, mod):
-        seen.append(b.dtype)
-        return real(a, b, mod)
-
-    monkeypatch.setattr(inv, "matmul_mod", spy)
-    assert inv._annihilates(moved, vecs)
-    assert bool(seen) == by_primes
-    assert all(dtype == np.int64 for dtype in seen)
-    assert not inv._annihilates(moved, planted)
-    with pytest.raises(InvarianceFailure):
-        monkeypatch.setattr(inv, "kernel_saturated", lambda mat: planted)
-        invariant_basis.__wrapped__(t)
+        monkeypatch.setattr(inv, "kernel_saturated", planted)
+        with pytest.raises(InvarianceFailure):
+            invariant_basis.__wrapped__(t)
 
 
 def test_basis_sign_and_order_from_leading_coefficient():
@@ -170,75 +112,32 @@ def test_basis_sign_and_order_from_leading_coefficient():
         assert keys == sorted(keys)
 
 
-def test_r1_block_kernel_matches_full_kernel(monkeypatch):
-    # invariant_basis takes the kernel of the r^1 rows alone; it is the
-    # kernel of every stacked r^k row, vector for vector
-    seen = []
-
-    def recorded(mat):
-        seen.append(kernel_saturated(mat))
-        return seen[-1]
-
-    monkeypatch.setattr(inv, "kernel_saturated", recorded)
+def test_r1_block_kernel_matches_full_kernel():
+    # D is the r^1 rows of the exact right-unit block, dtype included, and
+    # its kernel is the kernel of every stacked r^k row, vector for vector
     for t in range(8, 129, 8):
-        seen.clear()
-        invariant_basis.__wrapped__(t)
-        moved, cols = inv._eta_minus_id_matrix(t)
-        assert moved.shape[1] == len(cols)
-        assert seen == [kernel_saturated(moved)], t
+        d = inv._derivation_matrix(t)
+        # the r^(>=1) rows of the exact right-unit block
+        moved = eta_block(inv.SPEC, t // R_DEG)[len(graded_piece_basis(A_RING, t)):]
+        assert d.dtype == moved.dtype == np.int64
+        assert np.array_equal(d, moved[:len(d)]), t
+        assert kernel_saturated(d) == kernel_saturated(moved), t
 
 
 def test_kernel_matches_tracked_transform_on_r1_blocks():
     # the backward replay gives the tracked transform's vectors on every
     # kernel the H^0 path takes up to degree 128
     for t in range(8, 129, 8):
-        moved, _ = inv._eta_minus_id_matrix(t)
-        r1 = moved[:len(graded_piece_basis(A_RING, t - R_DEG))]
-        assert kernel_saturated(r1) == kernel_saturated_tracked(r1), t
+        d = inv._derivation_matrix(t)
+        assert kernel_saturated(d) == kernel_saturated_tracked(d), t
 
 
-def test_moved_rows_are_a_read_only_view():
-    moved, cols = inv._eta_minus_id_matrix(96)
-    block = eta_block(inv.SPEC, 96 // R_DEG)
-    assert moved.dtype == np.int64 and not moved.flags.writeable
-    assert (moved == block[len(cols):]).all()
-
-
-def test_h0_path_builds_each_block_once(monkeypatch):
-    # the kernels read eta_block(SPEC, n) and the table eta_R_int reads
-    # eta_block(SPEC, n, None): one memo entry serves both, so hilbert_h0
-    # up to t = 112 builds the blocks of weights 0..14 once each
+def test_h0_path_builds_no_eta_block(monkeypatch):
+    # the kernels read D alone, so hilbert_h0 builds no right-unit block
     monkeypatch.setattr(inv, "invariant_basis", inv.invariant_basis.__wrapped__)
     algebroid._eta_block.cache_clear()
     hilbert_h0(112)
-    assert algebroid._eta_block.cache_info().misses == 15
-    a1_14 = (14, 0, 0, 0, 0)
-    assert algebroid.eta_R_int.__wrapped__(inv.SPEC, a1_14)[0] == (0, a1_14, 1)
-    assert algebroid._eta_block.cache_info().misses == 15
-
-
-@pytest.mark.parametrize("corrupt", ["scale", "extra"])
-def test_identity_term_guard(monkeypatch, corrupt):
-    # _eta_minus_id_matrix drops the r^0 rows of eta_block, which is only
-    # right when they are the identity: plant a doubled diagonal entry, or
-    # the second monomial of the piece in the first one's image
-    t = 32
-    real = inv.eta_block
-
-    def wrong(spec, n, mod=None):
-        block = real(spec, n, mod)
-        if n != t // R_DEG:
-            return block
-        block = block.copy()
-        if corrupt == "scale":
-            block[0, 0] *= 2
-        else:
-            block[1, 0] = 1
-        return block
-
-    monkeypatch.setattr(inv, "eta_block", wrong)
-    with pytest.raises(InvarianceFailure):
-        inv._eta_minus_id_matrix(t)
+    assert algebroid._eta_block.cache_info().misses == 0
 
 
 def test_c_classes():
