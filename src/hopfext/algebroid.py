@@ -14,16 +14,10 @@ The right unit is built once per weight, as the integer matrix eta_block
 on the whole coefficient piece (exact or mod 5^K); eta_R_int reads one
 monomial's column of it, and _r_power_int gives the normal form of r^e.
 eta_R, reduce_gamma, push_coefficient, the cobar differential and the
-numeric layers read those, and check_axioms certifies the table.  The
-exact blocks of the full presentation come from the translation
-x -> x + r of the quintic: eta_R = exp(rD) for the derivation D(a_i) =
-(6 - i) a_(i-1), a_0 = 1, so the r^e rows of weight n are the r^(e-1)
-rows of weight n - 1 times D, divided exactly by e (_translation_block),
-in int64 under a bound taken before the product.  Past that bound, and
-for residues, quotients and the reduced presentation, the blocks come
-from the generator recursion eta_R(m * a_i) = eta_R(m) * eta_R(a_i)
-(_generator_block).  The invariant layer reads D alone (_derivation):
-its kernel is the ring of invariants.
+numeric layers read those, and check_axioms certifies the table.  Every
+block, exact or residue, full or reduced, in r-exponents or letters,
+comes from the blocks below it by the generator recursion
+eta_R(m * a_i) = eta_R(m) * eta_R(a_i) (_eta_block).
 
 For the full presentation, letter_block is the block in the letter
 alphabet of the transfer layer, where the letter of weight w is
@@ -415,13 +409,8 @@ def eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None) -> np.ndar
     works mod 5 (see coefficient_modulus).  Each block is built once per
     (spec, weight, working modulus), however the modulus is asked for.
 
-    The exact blocks of the unquotiented full presentation come from the
-    translation derivation (_translation_block) wherever its int64 bound
-    holds (weight <= 23), every other block from the generator recursion
-    (_generator_block): the path follows from the variant, the modulus
-    and the bound alone.  The derivation's exact division certifies each
-    block it builds, and check_axioms certifies the table through
-    eta_R_int."""
+    Every block comes from the generator recursion (_eta_block), and
+    check_axioms certifies the table through eta_R_int."""
     return _eta_block(spec, n, coefficient_modulus(spec, mod), False)
 
 
@@ -435,87 +424,11 @@ def _letters(spec: AlgebroidSpec, n: int) -> bool:
 def _eta_block(spec: AlgebroidSpec, n: int, mod: Optional[int], letters: bool
                ) -> np.ndarray:
     """eta_block at the working modulus `mod`, or letter_block where
-    `letters`: every call passes `letters` positionally, false wherever
-    _letters is, so each block has one key."""
-    if not letters and mod is None and spec.variant == "full" \
-            and spec.quotient_level is None and n > 0:
-        block = _translation_block(spec, n)
-        if block is not None:
-            return block
-    return _generator_block(spec, n, mod, letters)
-
-
-def _derivation(spec: AlgebroidSpec, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The derivation D(a_i) = (6 - i) a_(i-1), a_0 = 1, from the weight-n
-    piece to the weight-(n - 1) piece, as (sources, coefficients), each one
-    row per generator a_i and one column per monomial m of
-    coefficient_piece(spec, 8n): where m_i > 0, the position of
-    m a_(i-1) / a_i in the weight-(n - 1) piece and the coefficient
-    m_i (6 - i) of that term of D(m); elsewhere position 0 and coefficient
-    0.  So column j of M D, for M with a column per monomial of the
-    weight-(n - 1) piece, is the sum over i of coefs[i, j] times column
-    srcs[i, j] of M."""
-    index = piece_index(spec, R_DEGREE * (n - 1))
-    piece = coefficient_piece(spec, R_DEGREE * n)
-    srcs = np.zeros((spec.num_generators, len(piece)), np.intp)
-    coefs = np.zeros((spec.num_generators, len(piece)), np.int64)
-    for j, mono in enumerate(piece):
-        for g, x in enumerate(mono):
-            if x:
-                src = list(mono)
-                src[g] -= 1
-                if g:
-                    src[g - 1] += 1
-                srcs[g, j] = index[tuple(src)]
-                coefs[g, j] = x * (P - g)
-    return srcs, coefs
-
-
-def _translation_block(spec: AlgebroidSpec, n: int) -> Optional[np.ndarray]:
-    """The exact weight-n block of the full presentation from the weight
-    n - 1 block, or None where the int64 bound below fails.
-
-    eta_R is the translation x -> x + r of the quintic, so over Z_(5) the
-    r^e coefficient of eta_R is D^e / e!, the divided powers of the
-    derivation D of _derivation (a Hasse-Schmidt system).  Hence the r^0
-    rows are the identity, and the r^e rows on the weight-n piece are the
-    r^(e - 1) rows on the weight-(n - 1) piece times D, divided by e.
-    The product is one gather-add per generator, exact in int64 when the
-    largest column sum of |D| times the largest |entry| of the weight
-    n - 1 block is at most 2^63 - 1 (no partial sum is larger); the
-    division must leave no remainder, else AxiomViolation."""
-    prev = _eta_block(spec, n - 1, None, False)
-    if prev.dtype == object:
-        return None
-    srcs, coefs = _derivation(spec, n)
-    if int(coefs.sum(axis=0).max()) * int(np.abs(prev).max()) > _INT64_MAX:
-        return None
-    width = srcs.shape[1]
-    out = np.zeros((eta_block_offsets(spec, n)[-1], width), np.int64)
-    np.fill_diagonal(out, 1)
-    # the rows of prev at r-exponent e - 1 become the exponent-e rows
-    moved, term = out[width:], np.empty((prev.shape[0], width), np.int64)
-    for src, coef in zip(srcs, coefs):
-        np.take(prev, src, axis=1, out=term)
-        term *= coef
-        moved += term
-    low = eta_block_offsets(spec, n - 1)
-    exps = np.repeat(np.arange(1, len(low)), np.diff(low))[:, None]
-    if np.remainder(moved, exps, out=term).any():
-        e = int(exps[np.flatnonzero(term.any(axis=1))[0], 0])
-        raise AxiomViolation(f"eta_R in weight {n}: D times the r^{e - 1} rows"
-                             f" of weight {n - 1} is not divisible by {e}")
-    moved //= exps
-    out.setflags(write=False)
-    return out
-
-
-def _generator_block(spec: AlgebroidSpec, n: int, mod: Optional[int],
-                     letters: bool) -> np.ndarray:
-    """eta_block, or letter_block where `letters`, by the generator
-    recursion eta_R(m * a_i) = eta_R(m) * eta_R(a_i): the columns whose
-    last live generator is a_i are eta_R(a_i) times columns of the
-    weight-(n - i) block, which _move_runs moves by _times_eta_generator."""
+    `letters` (every call passes `letters` positionally, false wherever
+    _letters is, so each block has one key), by the generator recursion
+    eta_R(m * a_i) = eta_R(m) * eta_R(a_i): the columns whose last live
+    generator is a_i are eta_R(a_i) times columns of the weight-(n - i)
+    block, which _move_runs moves by _times_eta_generator."""
     cmod = coefficient_modulus(spec, None)
     parts = [(cols, _move_runs(
         spec, _eta_block(spec, n - i, mod, letters and _letters(spec, n - i))[:, srcs],
@@ -540,7 +453,7 @@ def letter_block(spec: AlgebroidSpec, n: int, mod: Optional[int] = None
                  ) -> np.ndarray:
     """eta_block(spec, n, mod) in letters: the rows of letter weight w sit
     where the exponent-w rows do.  It is built by the generator recursion
-    run in letters (_generator_block), in the dtypes of that recursion:
+    run in letters (_eta_block), in the dtypes of that recursion:
     exact full letter blocks are int64 through weight 22 and object arrays
     past it.  A block with no exponent >= 5 (every reduced block, every
     full block below weight 5) is eta_block itself."""

@@ -244,13 +244,16 @@ def is_coboundary(spec: AlgebroidSpec, z: Polynomial) -> Optional[Polynomial]:
     """A cochain w with d(w) = z exactly, or None.
 
     Raises NotACocycle when d(z) != 0.  Over Z_(5) the solve goes through
-    Smith normal form, allowing division by 5-units only.
+    Smith normal form, allowing division by 5-units only, so a z that is
+    not 5-integral raises ValueError.
     """
     if differential(spec, z):
         raise NotACocycle("input is not a cocycle")
     s = cobar_degree(spec, z)
     if z.is_zero():
         return Polynomial.zero(gamma_ring(spec, max(s - 1, 0)))
+    if spec.quotient_level is None and z.content_valuation() < 0:
+        raise ValueError("cochain is not 5-integral")
     t = z.degree()
     if s == 0:
         return None

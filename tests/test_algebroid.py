@@ -1,4 +1,5 @@
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hopfext.algebroid import (
 )
 from hopfext.cobar import differential
 from hopfext.gradedpoly import Polynomial, format_polynomial, graded_piece_basis
+from translation_reference import translation_block
 
 FULL = AlgebroidSpec("full")
 RED = AlgebroidSpec("reduced")
@@ -209,11 +211,10 @@ def test_check_axioms_ring_map_negative_control(plant_eta_row):
 def test_eta_block_residues_are_exact_residues(spec, monkeypatch):
     # an exact block sums in int64 only under a bound proved before the
     # sum: it equals, value for value, the block built with the int64
-    # ceiling at 0, where the translation derivation is refused and every
-    # sum of the generator recursion runs on Python ints in an object
-    # array, and so does its letter form.  Mod 5^K the block, built by the
-    # generator recursion, is the exact block (from the derivation, for
-    # FULL) reduced, in the smallest unsigned dtype that holds a residue
+    # ceiling at 0, where every sum of the generator recursion runs on
+    # Python ints in an object array, and so does its letter form.  Mod 5^K
+    # the block is the exact block reduced, in the smallest unsigned dtype
+    # that holds a residue
     weights = range(13)
     exact = {n: (algebroid.eta_block(spec, n), algebroid.letter_block(spec, n))
              for n in weights}
@@ -240,8 +241,7 @@ def test_eta_block_residues_are_exact_residues(spec, monkeypatch):
 def test_first_blocks_past_int64_are_object(spec, n, bits):
     # entries first pass 2^63 at full weight 26 and reduced weight 24;
     # those blocks hold exact integers in an object array that reduce to
-    # the residue block, while every block the H^0 path reads (weight <= 22)
-    # sums in int64
+    # the residue block, while every block through weight 22 sums in int64
     def top_bits(block):
         return max(abs(int(x)) for x in block.flat).bit_length()
 
@@ -262,46 +262,16 @@ def fresh_blocks():
     algebroid._eta_block.cache_clear()
 
 
-def test_translation_blocks_equal_the_generator_recursion(monkeypatch,
-                                                         fresh_blocks):
-    # the exact FULL blocks come from the derivation exactly through weight
-    # 23, where its int64 bound holds, and equal, in values and dtype, the
-    # blocks of the generator recursion run on its own
-    real = algebroid._translation_block
-    chained = []
-
-    def counted(spec, n):
-        block = real(spec, n)
-        chained.append((n, block is not None))
-        return block
-
-    monkeypatch.setattr(algebroid, "_translation_block", counted)
-    chain = {n: algebroid.eta_block(FULL, n) for n in range(25)}
-    assert chained == [(n, n <= 23) for n in range(1, 25)]
-    algebroid._eta_block.cache_clear()
-    monkeypatch.setattr(algebroid, "_translation_block", lambda spec, n: None)
-    for n, block in chain.items():
-        ref = algebroid.eta_block(FULL, n)
+def test_exact_full_blocks_are_exp_rD():
+    # the exact FULL blocks of the generator recursion equal, value for
+    # value and in int64, the divided powers of D (exp(rD)) through weight
+    # 23, where that construction's int64 bound holds: the identity that
+    # is_invariant and invariant_basis rest on
+    for n in range(24):
+        block, ref = algebroid.eta_block(FULL, n), translation_block(n)
         assert block.dtype == ref.dtype == np.int64 and block.shape == ref.shape
         assert (block == ref).all(), n
         assert not block.flags.writeable
-
-
-def test_translation_remainder_is_an_axiom_violation(monkeypatch, fresh_blocks):
-    # D(a2) = 3 a1 in place of 4 a1: the r^2 row of a2 in weight 2 would be
-    # D(a1) * 3 / 2 = 15/2, which the exact division refuses
-    real = algebroid._derivation
-
-    def planted(spec, n):
-        srcs, coefs = real(spec, n)
-        if n == 2:
-            coefs[1, coefs[1] == 4] = 3
-        return srcs, coefs
-
-    monkeypatch.setattr(algebroid, "_derivation", planted)
-    assert algebroid.eta_block(FULL, 1).any()
-    with pytest.raises(AxiomViolation, match=r"weight 2: .* r\^1 rows .* by 2"):
-        algebroid.eta_block(FULL, 2)
 
 
 @pytest.mark.parametrize("spec", [FULL, RED, quotient(FULL, 1)])
@@ -333,17 +303,18 @@ def test_eta_block_is_built_once_per_working_modulus(spec, mods, fresh_blocks):
 def test_letters_built_once_in_the_block_memo(monkeypatch, fresh_blocks):
     # a letter block runs the generator recursion in letters: it reads the
     # letter blocks below it and, under weight 5 where the two alphabets
-    # agree, the r-exponent blocks, each built once, all in one memo that
-    # _eta_block.cache_clear() empties; no r-exponent block of weight >= 5
-    # is built on the way
+    # agree, the r-exponent blocks, each built once, all through the one
+    # memo _eta_block; no r-exponent block of weight >= 5 is built on the
+    # way.  The memo is swapped for one around a counting body, which the
+    # recursion reaches because it reads _eta_block from the module
     built = []
-    real = algebroid._generator_block
+    real = algebroid._eta_block.__wrapped__
 
     def counted(spec, n, mod, letters):
         built.append((n, letters))
         return real(spec, n, mod, letters)
 
-    monkeypatch.setattr(algebroid, "_generator_block", counted)
+    monkeypatch.setattr(algebroid, "_eta_block", lru_cache(maxsize=None)(counted))
     spec = quotient(FULL, 0)
     block = algebroid.letter_block(spec, 30, 5)
     assert len(built) == len(set(built)) == algebroid._eta_block.cache_info().currsize

@@ -258,30 +258,26 @@ def test_rank_drop_is_a_first_failure(monkeypatch, capsys):
                        " 0, not 1, the rank of Q[c2..c5]")
 
 
-def test_translation_remainder_is_a_first_failure(monkeypatch, capsys):
-    # a planted D(a2) = 3 a1 in weight 2 leaves a remainder in the exact
-    # division that builds the weight-2 block: the discriminant's
-    # invariance check reads the weight-20 block, built from it, so disc
-    # stops with exit 1 and the AxiomViolation as its first failure
-    real = algebroid._derivation
+def test_disc_invariance_failure_is_a_first_failure(monkeypatch, capsys):
+    # a planted D(a4^5) = 11 a3 a4^4, not 10 a3 a4^4, in degree 160: the
+    # discriminant has a4^5 with coefficient 1, so D moves it, and disc
+    # stops with exit 1 and the InvarianceFailure as its first failure
+    real = inv._derivation_matrix
+    a4_5, a3_a4_4 = (0, 0, 0, 5, 0), (0, 0, 1, 4, 0)
 
-    def planted(spec, n):
-        srcs, coefs = real(spec, n)
-        if n == 2:
-            coefs[1, coefs[1] == 4] = 3
-        return srcs, coefs
+    def planted(t):
+        d = real(t)
+        if t == 160:
+            row = algebroid.piece_index(inv.SPEC, 152)[a3_a4_4]
+            col = algebroid.piece_index(inv.SPEC, 160)[a4_5]
+            assert d[row, col] == 10
+            d[row, col] = 11
+        return d
 
-    monkeypatch.setattr(algebroid, "_derivation", planted)
+    monkeypatch.setattr(inv, "_derivation_matrix", planted)
     monkeypatch.setattr(cli, "discriminant", inv.discriminant.__wrapped__)
-    algebroid._eta_block.cache_clear()
-    algebroid.eta_R_int.cache_clear()
-    try:
-        failure = _first_failure_run(["disc"], capsys)
-    finally:
-        monkeypatch.undo()
-        algebroid._eta_block.cache_clear()
-        algebroid.eta_R_int.cache_clear()
-    assert failure.startswith("AxiomViolation: eta_R in weight 2: ")
+    failure = _first_failure_run(["disc"], capsys)
+    assert failure == "InvarianceFailure: discriminant moves under the right unit"
 
 
 def test_ext_top_quotient_pattern(tmp_path):

@@ -297,6 +297,19 @@ def test_is_coboundary_cases():
         is_coboundary(I0, cb(I0, 0, "a3"))
 
 
+def test_is_coboundary_refuses_a_cochain_that_is_not_5_integral():
+    # d(a2) has the integral preimage a2; d(a2) / 5 would need a division
+    # by 5, which an integral coboundary never takes, so it is refused
+    # rather than answered with a cochain of content valuation -1
+    a2 = Polynomial.generator(RED.base_ring, "a2")
+    z = differential(RED, a2)
+    w = is_coboundary(RED, z)
+    assert w is not None and w.content_valuation() >= 0
+    assert differential(RED, w) == z
+    with pytest.raises(ValueError, match="5-integral"):
+        is_coboundary(RED, z.scale(Fraction(1, 5)))
+
+
 def test_massey_products():
     a = cb(I1, 1, "[r]")
     x1 = cb(I1, 1, "a2*[r^3] + a3*[r^2] + a4*[r]")

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfext.algebroid as algebroid
-from hopfext.algebroid import eta_block
+from hopfext.algebroid import eta_L, eta_R, eta_block
 from hopfext.coefficients import kernel_saturated, v5
 from hopfext.flinalg import rank_mod
-from hopfext.gradedpoly import graded_piece_basis, parse_polynomial
+from hopfext.gradedpoly import Polynomial, graded_piece_basis, parse_polynomial
 import hopfext.invariants as inv
 from hopfext.invariants import (
     A_RING,
@@ -132,6 +132,24 @@ def test_kernel_matches_tracked_transform_on_r1_blocks():
         assert kernel_saturated(d) == kernel_saturated_tracked(d), t
 
 
+def test_d_invariance_agrees_with_the_right_unit():
+    # is_invariant tests D(p) = 0; the symbolic eta_R(p) == eta_L(p) must
+    # say the same on every Table 1 record, the discriminant, each record
+    # plus a1^n for its weight n (not invariant, as D(a1^n) = 5n a1^(n-1)
+    # is not 0), and two inhomogeneous sums; a polynomial over F5 is
+    # refused
+    a1 = Polynomial.generator(A_RING, "a1")
+    c2 = c_class(2).polynomial
+    recs = table1_records()
+    cases = [(r.polynomial, True) for r in recs] + [(discriminant(), True)]
+    cases += [(r.polynomial + a1 ** (r.degree // R_DEG), False) for r in recs]
+    cases += [(1 + c2, True), (c2 + a1, False)]
+    for p, want in cases:
+        assert is_invariant(p) == (eta_R(inv.SPEC, p) == eta_L(inv.SPEC, p)) == want
+    with pytest.raises(ValueError):
+        is_invariant(_mod5(c2))
+
+
 def test_h0_path_builds_no_eta_block(monkeypatch):
     # the kernels read D alone, so hilbert_h0 builds no right-unit block
     monkeypatch.setattr(inv, "invariant_basis", inv.invariant_basis.__wrapped__)
@@ -173,7 +191,6 @@ def test_table1_all_rows_certify():
 def test_corrupted_table_row_fails_integrality():
     # flipping one coefficient of the degree-80 combination destroys the
     # exact divisibility by 200
-    from hopfext.gradedpoly import Polynomial
     good = {("D5", "D5"): 2, ("c2", "D4", "D4"): 1, ("D4", "D6"): -15}
     bad = dict(good)
     bad[("D5", "D5")] = 3
