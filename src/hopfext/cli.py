@@ -342,11 +342,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (AssertionError, ArithmeticError) as exc:
+    except (AssertionError, IntegralityFailure) as exc:
         # a tripped consistency guard is the run's first failure, not a crash
-        from .wordcx import MatchingError
-        if not isinstance(exc, (AssertionError, MatchingError, IntegralityFailure)):
-            raise
         failure = f"{type(exc).__name__}: {exc}"
         sys.stderr.write(f"error: {failure}\n")
         _emit(config, {"schema": f"{SCHEMA_PREFIX}/{config.command}/1",

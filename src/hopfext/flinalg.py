@@ -19,7 +19,7 @@ import numpy as np
 # Largest 5-adic precision K the int64/float64 kernels keep exact.  One
 # product of entries is below 5^(2K), so each echelon update stays below
 # 2^63 (at K = 14 one product overflows).  The transfer reduces every sum
-# as it goes: its word-side scalars are reduced on every dict add, and
+# as it goes: each scalar of its closed form is a residue below 5^K, and
 # each block add is c * P with c and every entry of P below 5^K, reduced
 # after the add, so no int64 sum there holds more than one product.  Its
 # delta products go through matmul_mod, whose float64 sums stay exact

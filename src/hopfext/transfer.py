@@ -2,41 +2,64 @@
 
 The cobar complex in a fixed internal degree splits coefficient-side
 (monomials) against word-side (bar slots).  The word-side part is
-contracted by the wordcx module in closed form, by an acyclic matching on
-words; each read of it here (h, iota pi or pi on a tensor factor of a
-word) asks for the maps at that one word, so no word basis is enumerated.
-This module perturbs that contraction by the coefficient-feeding part of
-the differential, giving a small complex with the same cohomology.  All
-the large-window computations (Ext tables, integral structure, spectral
-sequence pages) run here.
+contracted by an acyclic matching on words (wordcx); perturbing that
+contraction by the coefficient-feeding part delta of the differential
+gives a small complex with the same cohomology.  All the large-window
+computations (Ext tables, integral structure, spectral sequence pages)
+run here.
 
-The perturbation series pi delta sum_k (h delta)^k iota factors (Crainic,
-arXiv math/0403266).  delta touches only coefficients: it multiplies a
-chain on a word by a slot matrix T_w (rows of algebroid.letter_block) and
-prepends the slot weight w to the word.  h, pi and iota only take scalar
-combinations across words.  So the block of the transferred matrix from a
-source label to a target label is a sum of c * T_seq over sequences seq of
-slot weights, T_seq applying their matrices in order.  The scalars c come
-from running the series on words alone, with no coefficient arrays; each
-T_seq is memoised per piece degree, so cells that share a piece share it,
-and is one float64 BLAS product (flinalg.matmul_mod, exact under its
-bound) on its prefix.  The small basis is label-major over the coefficient
-pieces, and its labels are the critical words.
+delta touches only coefficients: it multiplies a chain on a word by a
+slot matrix T_w (rows of algebroid.letter_block) and prepends the slot
+weight w to the word.  So the perturbation series pi delta sum_k
+(h delta)^k iota (Crainic, arXiv math/0403266) sends a source label to
+sums c * T_seq at target labels, T_seq applying the slot matrices of a
+sequence seq of slot weights in order, and each scalar c is read on words
+alone.  The small basis is label-major over the coefficient pieces, and
+its labels are the critical words: z letters (5k,), then a critical
+bounded word (1, 4)^k [1].  The series sums to a closed form, which
+_label_terms lists:
 
-For the full presentation, cochains are written in the extended letter
-alphabet, where z = eta_R(a5), the right-unit image of the top base
-generator, occupies its own letter: the letter of weight w is
-z^(w div 5) r^(w mod 5).  delta's matrices are the right-unit block built
-in letters (algebroid.letter_block), and the transfer data assembles
-tensorially from block and tail contractions.  A reduced word is a letter
-word with no blocks and a reduced block is its own letter block, so both
-presentations share one path.
+- a z letter (5k,) prepended to any label reaches (5k,) + label with
+  scalar 1;
+- a label with no z letter and weight n, of length s, also reaches
+  critical_word(n + 1) by T_1 with scalar 1 for s even, and
+  critical_word(n + 4) by T_1^4 with scalar -1/4! for s odd;
+- nothing else.
+
+Why: the maps assemble tensorially over the z-terminated blocks and the
+bounded tail of a word, and pi is pi0, which keeps a critical word and
+kills the rest.  A (5k,) block is critical, so h kills it; pi sends
+(5k,) iota(label) to (5k,) + label, and with h iota = 0, pi h = 0 and
+h h = 0 nothing that begins with a prepended z letter survives a further
+h.  A letter 5m + j with j >= 1 makes a block that is a lower cell, and a
+bounded letter before a z letter (5k,) makes an upper cell that h sends
+to the lower cell (w + 5k,); pi kills a word with a lower-cell block and
+every word h and later prepends make from it, so these reach no label,
+and a label with z letters gets only z terms.  What is left is the series
+on the bounded words of a z-free label.  Its target has no z letter and
+is critical one level up, so seq has weight 1 for s even and 4 for s odd;
+for s even the scalar 1 is the coefficient of (4, 1)^k in
+iota((1, 4)^k) = b^k (see wordcx.reduced_contraction).  That (1, 1, 1, 1)
+is the only weight-4 sequence with a nonzero scalar for s odd, and that
+the scalar is -1/24, is not proved here: tests/test_closed_form.py
+compares every term with the series, run word by word in
+tests/series_reference.py, at every quotient level for s <= 7, t <= 200
+(reduced) and s <= 6, t <= 240 (full).
+
+Each T_seq is memoised per piece degree, so cells that share a piece
+share it, and is one float64 BLAS product (flinalg.matmul_mod, exact
+under its bound) on its prefix.  In the full presentation cochains are
+written in the extended letter alphabet, where z = eta_R(a5), the
+right-unit image of the top base generator, occupies its own letter: the
+letter of weight w is z^(w div 5) r^(w mod 5), and delta's matrices are
+the right-unit block built in letters.  A reduced word is a letter word
+with no z letters, so both presentations share one path.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -49,55 +72,10 @@ from .algebroid import (
 from .flinalg import diagonal_valuations, matmul_mod, rank_gf5
 from .gradedpoly import Monomial
 from .invariants import partitions_2345
-from .wordcx import (
-    Contraction,
-    block_contraction,
-    critical_word,
-    reduced_contraction,
-    split_blocks,
-)
+from .wordcx import critical_word
 
 Word = Tuple[int, ...]
 R_DEG = 8
-
-
-# --- per-word contraction actions ------------------------------------------
-
-def _factor_maps(word: Word, mod: int) -> List[Tuple[Word, Contraction]]:
-    """The tensor factors of a word, its z-terminated blocks and then its
-    bounded tail, each with the Morse maps at it."""
-    blocks, tailw = split_blocks(word)
-    return [(f, block_contraction(f, mod)) for f in blocks] + \
-        [(tailw, reduced_contraction(tailw, mod))]
-
-
-def _tensor(parts: Sequence[Dict[Word, int]], mod: int) -> Dict[Word, int]:
-    """Tensor product of per-factor images, as concatenated words.  Each
-    part's words share one length, so no two products concatenate alike."""
-    out: Dict[Word, int] = {(): 1}
-    for part in parts:
-        out = {w + w2: c * c2 % mod
-               for w, c in out.items() for w2, c2 in part.items()}
-    return out
-
-
-@lru_cache(maxsize=None)
-def _h_word(word: Word, mod: int) -> Tuple[Tuple[Word, int], ...]:
-    """Homotopy applied to a single word, as (lower word, coeff) pairs.
-
-    The word factors into z-terminated blocks and a bounded tail (a
-    reduced word is all tail); h acts on one factor, iota pi on the later
-    ones."""
-    factors = _factor_maps(word, mod)
-    out: Dict[Word, int] = {}
-    prefix: Word = ()
-    for i, (f, con) in enumerate(factors):
-        sign = -1 if len(prefix) % 2 else 1
-        parts = [{prefix: sign}, con.h] + [g.proj for _, g in factors[i + 1:]]
-        for w, c in _tensor(parts, mod).items():
-            out[w] = (out.get(w, 0) + c) % mod
-        prefix = prefix + f
-    return tuple((w, c) for w, c in out.items() if c)
 
 
 # --- small basis ------------------------------------------------------------
@@ -127,20 +105,6 @@ def _zweight_tuples(b: int, n_max: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _pi_word(word: Word, mod: int) -> Tuple[Tuple[Word, int], ...]:
-    """Projection of a word onto the critical words (monomial untouched)."""
-    return tuple(_tensor([con.pi for _, con in _factor_maps(word, mod)],
-                         mod).items())
-
-
-@lru_cache(maxsize=None)
-def _iota_label(label: Word, mod: int) -> Tuple[Tuple[Word, int], ...]:
-    # each factor of a critical word is critical, so its proj is its iota
-    return tuple(_tensor([con.proj for _, con in _factor_maps(label, mod)],
-                         mod).items())
-
-
 def _label_runs(spec: AlgebroidSpec, s: int, t: int
                 ) -> Tuple[Tuple[Word, int], ...]:
     """(label, coefficient degree) runs of the small basis at (s, t).
@@ -160,7 +124,7 @@ def small_basis(spec: AlgebroidSpec, s: int, t: int
                  for mono in coefficient_piece(spec, d))
 
 
-# --- perturbation series, factored (see the module docstring) -------------
+# --- the transferred differential (see the module docstring) ---------------
 
 Seq = Tuple[int, ...]
 
@@ -187,7 +151,7 @@ def _eta_matrices(spec: AlgebroidSpec, d: int, mod: int
 def _delta_product(spec: AlgebroidSpec, d: int, seq: Seq, mod: int
                    ) -> np.ndarray:
     """T_seq on the piece of degree d: the slot matrices of seq applied in
-    order, each on the piece its predecessors reach, where _word_scalars
+    order, each on the piece its predecessors reach, where _label_terms
     has checked it is nonzero."""
     *head, w = seq
     mat = dict(_eta_matrices(spec, d - R_DEG * sum(head), mod))[w]
@@ -197,41 +161,32 @@ def _delta_product(spec: AlgebroidSpec, d: int, seq: Seq, mod: int
     return matmul_mod(mat, prev, mod).astype(mat.dtype)
 
 
-def _word_scalars(spec: AlgebroidSpec, label: Word, d: int, mod: int
-                  ) -> Dict[Tuple[Word, Seq], int]:
-    """c(target label, seq) of the series from one source label on the
-    piece of degree d, run on a scalar per (word, seq): delta prepends a
-    slot weight w to the word and appends it to seq, trying only the
-    weights whose slot matrix on the piece reached is nonzero, so the
-    series ends once the piece is spent."""
-    out: Dict[Tuple[Word, Seq], int] = {}
-    chains: Dict[Seq, Dict[Word, int]] = {(): dict(_iota_label(label, mod))}
-    while chains:
-        chains = {seq + (w,): {(w,) + word: c for word, c in words.items()}
-                  for seq, words in chains.items()
-                  for w, _ in _eta_matrices(spec, d - R_DEG * sum(seq), mod)}
-        nxt: Dict[Seq, Dict[Word, int]] = {}
-        for seq, words in chains.items():
-            low: Dict[Word, int] = {}
-            for word, c in words.items():
-                for target, cf in _pi_word(word, mod):
-                    key = (target, seq)
-                    out[key] = (out.get(key, 0) + c * cf) % mod
-                for w2, cf in _h_word(word, mod):
-                    low[w2] = (low.get(w2, 0) + c * cf) % mod
-            low = {w2: c for w2, c in low.items() if c}
-            if low:
-                nxt[seq] = low
-        chains = nxt
-    return out
+def _label_terms(spec: AlgebroidSpec, label: Word, d: int, mod: int
+                 ) -> Iterator[Tuple[Word, Seq, int]]:
+    """(target label, seq, c) of the differential out of one source label
+    on the piece of degree d, in the closed form of the module docstring.
+    A term is kept only where each slot matrix of seq is nonzero on the
+    piece it meets."""
+    for w, _ in _eta_matrices(spec, d, mod):
+        if w % 5 == 0:
+            yield (w,) + label, (w,), 1
+    if any(w >= 5 for w in label):
+        return
+    if len(label) % 2:
+        seq, c = (1, 1, 1, 1), -pow(24, -1, mod) % mod
+    else:
+        seq, c = (1,), 1
+    if all(1 in dict(_eta_matrices(spec, d - R_DEG * i, mod))
+           for i in range(len(seq))):
+        yield critical_word(sum(label) + sum(seq)), seq, c
 
 
 def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, mod: int
                        ) -> np.ndarray:
     """Matrix of the perturbed differential small(s, t) -> small(s+1, t),
-    the sum pi delta (h delta)^k iota over k >= 0, as sums of c * T_seq
-    reduced after every add; a fresh array per call, since each caller
-    memoises only what it reads again."""
+    the sum pi delta (h delta)^k iota over k >= 0, as the sums of
+    c * T_seq that _label_terms lists, reduced after every add; a fresh
+    array per call, since each caller memoises only what it reads again."""
     offsets: Dict[Word, int] = {}
     height = 0
     for label, d in _label_runs(spec, s + 1, t):
@@ -244,15 +199,14 @@ def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, mod: int
         return out
     col = 0
     for label, d in src:
-        for (target, seq), c in _word_scalars(spec, label, d, mod).items():
+        for target, seq, c in _label_terms(spec, label, d, mod):
             row = offsets.get(target)
             if row is None:
                 raise AssertionError("projection left the small basis")
-            if c:
-                prod = _delta_product(spec, d, seq, mod)
-                part = out[row:row + prod.shape[0], col:col + prod.shape[1]]
-                part += np.int64(c) * prod
-                part %= mod
+            prod = _delta_product(spec, d, seq, mod)
+            part = out[row:row + prod.shape[0], col:col + prod.shape[1]]
+            part += np.int64(c) * prod
+            part %= mod
         col += len(coefficient_piece(spec, d))
     return out
 

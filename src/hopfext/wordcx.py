@@ -5,8 +5,10 @@ The cobar differential is the sum of a slot-splitting part (coefficient
 untouched) and a coefficient-feeding part.  The splitting part preserves
 the total r-weight of the bar word and is block-diagonal over it, so each
 weight gives a finite complex of words.  This module contracts those
-complexes onto their critical words and exposes the projection /
-inclusion / homotopy triple that the transfer layer perturbs.
+complexes onto their critical words.  The perturbation series over this
+contraction sums to a closed form (see the transfer module docstring), so
+the transfer layer reads only critical_word here; tests run the series on
+the projection / inclusion / homotopy maps below to check that form.
 
 Two alphabets appear.  The bounded alphabet has one letter of each weight
 1..4 (bar slots r..r^4), used for the reduced presentation.  The extended
@@ -90,18 +92,6 @@ def word_d_entries(word: Word) -> Dict[Word, int]:
 @lru_cache(maxsize=None)
 def reduced_words(n: int, s: int) -> Tuple[Word, ...]:
     return tuple(compositions(n, s, CAP))
-
-
-def split_blocks(word: Word) -> Tuple[Tuple[Word, ...], Word]:
-    """Factor an extended word into z-terminated blocks and the bounded tail."""
-    blocks = []
-    cur: List[int] = []
-    for w in word:
-        cur.append(w)
-        if w >= 5:
-            blocks.append(tuple(cur))
-            cur = []
-    return tuple(blocks), tuple(cur)
 
 
 def word_matrix(src: Tuple[Word, ...], dst: Tuple[Word, ...], mod: int,

@@ -1,6 +1,6 @@
 """The echelon contraction of the word complexes: the oracle the Morse
-contraction of hopfext.wordcx is checked against, and a transfer
-contracted by it.
+contraction of hopfext.wordcx is checked against, and the maps the series
+of tests/series_reference.py reads to transfer by it.
 
 Each level costs four eliminations (a nullspace, two greedy column picks
 and the inverse of the full basis), so it only serves small weights."""
@@ -20,7 +20,9 @@ from hopfext.flinalg import (
     rref_gf5,
     rref_mod,
 )
-from hopfext.wordcx import CAP, reduced_words, split_blocks, word_matrix
+from hopfext.wordcx import CAP, reduced_words, word_matrix
+
+from series_reference import Maps, split_blocks, tensor
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +112,7 @@ def echelon_contraction(block, n, mod, top):
 
 # --- a transfer contracted by the echelon oracle ---------------------------
 #
-# The same tensor assembly as hopfext.transfer, on the oracle's columns.  A
+# The same tensor assembly as series_reference, on the oracle's columns.  A
 # label is one (weight, level, harmonic index) triple per tensor factor.
 
 TOP = 5  # the longest word a transfer from word length 4 reads
@@ -148,7 +150,7 @@ def h_word(word, mod):
     for i, (f, h_img, _, _) in enumerate(factors):
         sign = -1 if len(prefix) % 2 else 1
         parts = [{prefix: sign}, h_img] + [g[3] for g in factors[i + 1:]]
-        for w, c in transfer._tensor(parts, mod).items():
+        for w, c in tensor(parts, mod).items():
             out[w] = (out.get(w, 0) + c) % mod
         prefix = prefix + f
     return tuple((w, c) for w, c in out.items() if c)
@@ -167,7 +169,7 @@ def iota_label(label, mod):
     for i, (n, s, k) in enumerate(label):
         words, iota, _, _ = echelon_contraction(i < len(label) - 1, n, mod, TOP)
         parts.append(_column(iota[s], k, words[s], mod))
-    return tuple(transfer._tensor(parts, mod).items())
+    return tuple(tensor(parts, mod).items())
 
 
 def small_word_labels(spec, s, n):
@@ -183,8 +185,5 @@ def small_word_labels(spec, s, n):
     return tuple(out)
 
 
-def patch_transfer(monkeypatch):
-    """Point hopfext.transfer's contraction reads at the echelon oracle."""
-    for name in ("h_word", "pi_word", "iota_label"):
-        monkeypatch.setattr(transfer, "_" + name, globals()[name])
-    monkeypatch.setattr(transfer, "small_word_labels", small_word_labels)
+# the series of series_reference on the echelon contraction
+MAPS = Maps(h_word, pi_word, iota_label, small_word_labels)

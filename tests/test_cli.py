@@ -214,9 +214,13 @@ def test_projection_outside_small_basis_is_a_first_failure(monkeypatch, capsys,
                                                            argv, memos):
     # the transfer's guard trips mid-run: exit 1 and a structured
     # first_failure on stdout, not a traceback
-    real = transfer._pi_word
-    monkeypatch.setattr(transfer, "_pi_word",
-                        lambda word, mod: real(word, mod) + ((("out",), 1),))
+    real = transfer._label_terms
+
+    def planted(spec, label, d, mod):
+        yield from real(spec, label, d, mod)
+        yield ("out",), (1,), 1
+
+    monkeypatch.setattr(transfer, "_label_terms", planted)
     caches = [getattr(transfer if argv[0] == "ext" else bockstein, name)
               for name in memos]
     # a cell memoised by an earlier test would hide the plant

@@ -31,6 +31,7 @@ from hopfext.transfer import (
 from hopfext.wordcx import reduced_word_h_dim, word_d_entries
 
 import echelon
+import series_reference as series
 
 RED = AlgebroidSpec("reduced")
 FULL = AlgebroidSpec("full")
@@ -388,13 +389,13 @@ def test_extended_word_homotopy_identities(mod):
     assert len(words) == 2 ** 14 - 1
     for word in words:
         got = {}
-        for y, c in transfer._h_word(word, mod):
+        for y, c in series.h_word(word, mod):
             add(got, word_d_entries(y).items(), c)
         for y, c in word_d_entries(word).items():
-            add(got, transfer._h_word(y, mod), c)
+            add(got, series.h_word(y, mod), c)
         want = {word: 1}
-        for label, c in transfer._pi_word(word, mod):
-            add(want, transfer._iota_label(label, mod), -c)
+        for label, c in series.pi_word(word, mod):
+            add(want, series.iota_label(label, mod), -c)
         assert {w: c for w, c in got.items() if c} == \
             {w: c for w, c in want.items() if c}, word
 
@@ -414,9 +415,9 @@ def _small_basis_reference(spec, s, t):
 
 
 def _transferred_reference(spec, s, t, mod):
-    """transferred_matrix by the per-(monomial, word) loop: one int64 row
-    per key, delta one item of the symbolic right unit's tail and h one
-    word image at a time."""
+    """The series by the per-(monomial, word) loop: one int64 row per key,
+    delta one item of the symbolic right unit's tail and h one word image
+    of the series reference at a time."""
     items = (_eta_items_L_reference if spec.variant == "full"
              else _eta_items_reference)
 
@@ -431,7 +432,7 @@ def _transferred_reference(spec, s, t, mod):
     def h(data):
         out = {}
         for (mono, word), arr in data.items():
-            for w2, cf in transfer._h_word(word, mod):
+            for w2, cf in series.h_word(word, mod):
                 out[(mono, w2)] = out.get((mono, w2), 0) + cf * arr
         return {k: v % mod for k, v in out.items() if np.any(v % mod)}
 
@@ -443,13 +444,13 @@ def _transferred_reference(spec, s, t, mod):
         return out
     data = {}
     for col, (label, mono) in enumerate(src):
-        for word, cf in transfer._iota_label(label, mod):
+        for word, cf in series.iota_label(label, mod):
             arr = data.setdefault((mono, word), np.zeros(len(src), np.int64))
             arr[col] = (arr[col] + cf) % mod
     while data:
         data = delta(data)
         for (mono, word), arr in data.items():
-            for label, cf in transfer._pi_word(word, mod):
+            for label, cf in series.pi_word(word, mod):
                 row = dst_idx[(label, mono)]
                 out[row] = (out[row] + cf * arr) % mod
         data = h(data)
@@ -465,8 +466,8 @@ TRANSFER_GRID = (
 
 @pytest.mark.parametrize("variant,level,mod,t_max", TRANSFER_GRID)
 def test_transferred_matrix_matches_reference(variant, level, mod, t_max):
-    # the factored series (word-side scalars times delta products)
-    # equals the per-key loop in value and dtype
+    # the closed form equals the series, run by the per-key loop, in value
+    # and dtype
     spec = AlgebroidSpec(variant, level)
     for s in range(5):
         for t in range(8, t_max + 1, 8):
@@ -525,12 +526,13 @@ def test_delta_makes_one_product_per_piece_and_sequence(spec, mod,
 
 
 def test_projection_outside_small_basis_raises(monkeypatch):
-    real = transfer._pi_word
+    real = transfer._label_terms
 
-    def planted(word, mod):
-        return real(word, mod) + ((("outside",), 1),)
+    def planted(spec, label, d, mod):
+        yield from real(spec, label, d, mod)
+        yield ("outside",), (1,), 1
 
-    monkeypatch.setattr(transfer, "_pi_word", planted)
+    monkeypatch.setattr(transfer, "_label_terms", planted)
     with pytest.raises(AssertionError, match="left the small basis"):
         transferred_matrix(RED, 0, 8, 625)
 
@@ -566,20 +568,16 @@ def test_sweep_builds_each_cell_once(spec, sweep, memo, mod, monkeypatch):
 
 
 @pytest.mark.parametrize("variant,level,mod,t_max", TRANSFER_GRID)
-def test_echelon_transfer_matches_morse(variant, level, mod, t_max,
-                                        monkeypatch):
-    # a different contraction gives an isomorphic transferred complex:
-    # equal basis sizes, F5 ranks and mod-5^K elementary divisors
+def test_echelon_transfer_matches_morse(variant, level, mod, t_max):
+    # the series on a different contraction gives a complex isomorphic to
+    # the closed form's: equal basis sizes, F5 ranks and mod-5^K
+    # elementary divisors
     spec = AlgebroidSpec(variant, level)
-    cells = [(s, t) for s in range(5) for t in range(8, t_max + 1, 8)]
-    morse = {c: (len(small_basis(spec, *c)), transferred_matrix(spec, *c, mod))
-             for c in cells}
-    echelon.patch_transfer(monkeypatch)
     k_power = round(math.log(mod, 5))
-    for c in cells:
-        dim, want = morse[c]
-        got = transferred_matrix(spec, *c, mod)
-        assert len(small_basis(spec, *c)) == dim, c
+    for c in [(s, t) for s in range(5) for t in range(8, t_max + 1, 8)]:
+        want = transferred_matrix(spec, *c, mod)
+        got = series.transferred_matrix(spec, *c, mod, echelon.MAPS)
+        assert want.shape[1] == len(small_basis(spec, *c)), c
         assert got.shape == want.shape, c
         if mod == 5:
             assert rank_gf5(got) == rank_gf5(want), c

@@ -14,12 +14,12 @@ from hopfext.wordcx import (
     reduced_contraction,
     reduced_word_h_dim,
     reduced_words,
-    split_blocks,
     word_d_entries,
     word_matrix,
 )
 
 from echelon import block_words, complex_levels, contract_reference
+from series_reference import split_blocks
 
 I4 = quotient(AlgebroidSpec("reduced"), 4)
 
