@@ -34,6 +34,7 @@ from .transfer import (
     K_POWER,
     R_DEG,
     integral_valuations,
+    periodic_cell,
     small_basis,
     transferred_matrix,
 )
@@ -100,7 +101,13 @@ def _z_dim(fspec: FiltrationSpec, s: int, t: int, u: int, r: int) -> int:
     """dim {x in F^u C^s : D x in F^(u+r)} over F5.
 
     u may be negative (F^u is then the whole space) while the target
-    filtration u + r keeps its stated value."""
+    filtration u + r keeps its stated value.  A cell reads its
+    transfer.periodic_cell, whose filtered cell is the same arrays (the
+    same coefficient pieces under the same differential), so each is built
+    and ranked once."""
+    cell = periodic_cell(fspec.base, s, t)
+    if cell != (s, t):
+        return _z_dim(fspec, *cell, u, r)
     d, filt_src, filt_dst = _filtered_cell(fspec, s, t)
     cols = np.nonzero(filt_src >= max(u, 0))[0]
     if cols.size == 0:

@@ -54,6 +54,24 @@ right-unit image of the top base generator, occupies its own letter: the
 letter of weight w is z^(w div 5) r^(w mod 5), and delta's matrices are
 the right-unit block built in letters.  A reduced word is a letter word
 with no z letters, so both presentations share one path.
+
+The reduced transferred complex is b-periodic cell by cell, b in
+(2, 40).  At length s the one reduced label is critical_word(n), n =
+5 floor(s/2) + (s mod 2); at s + 2 it is (1, 4) + that label, of weight
+n + 5, so at (s + 2, t + 40) it sits on the same piece of degree t - 8n.
+_label_terms reads a reduced label only through the parity of its length
+and its weight (the reduced slot weights are 1..4, so no z term), and its
+target critical_word(n + 1) or critical_word(n + 4) shifts by (1, 4) in
+the same way, onto the same piece.  So transferred_matrix(spec, s + 2,
+t + 40, mod) equals transferred_matrix(spec, s, t, mod) entry for entry,
+at every quotient level and modulus.  This is a fact about the closed
+form as written, not about the cohomology: the odd scalar -1/24 enters
+both cells alike, so the key holds whatever the scalar is, and whether
+it is the series' scalar is left to tests/test_closed_form.py.
+periodic_cell writes the rule once, and the memos that eliminate a cell
+(_rank_f5, differential_valuations, bockstein._z_dim) read through it,
+so each reduced cell is built and eliminated once.  The full
+presentation keeps its own cells: its z-letter labels do not repeat.
 """
 
 from __future__ import annotations
@@ -124,6 +142,27 @@ def small_basis(spec: AlgebroidSpec, s: int, t: int
                  for mono in coefficient_piece(spec, d))
 
 
+def _cochain_dim(spec: AlgebroidSpec, s: int, t: int) -> int:
+    """len(small_basis(spec, s, t)), without building the basis."""
+    return sum(len(coefficient_piece(spec, d))
+               for _, d in _label_runs(spec, s, t))
+
+
+def periodic_cell(spec: AlgebroidSpec, s: int, t: int) -> Tuple[int, int]:
+    """The cell whose transferred differential is the one out of (s, t),
+    for t >= 0.
+
+    In the reduced presentation (s, t) steps down by (2, 40) (see the
+    module docstring) to (s mod 2, t - 40 floor(s/2)).  The steps stop
+    before t goes negative: a cell they stop short on has no label at
+    either end, and is represented by an empty cell at t mod 40.  The full
+    presentation keeps every cell."""
+    if spec.variant == "full":
+        return s, t
+    j = min(s // 2, t // 40)
+    return s - 2 * j, t - 40 * j
+
+
 # --- the transferred differential (see the module docstring) ---------------
 
 Seq = Tuple[int, ...]
@@ -192,13 +231,12 @@ def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, mod: int
     for label, d in _label_runs(spec, s + 1, t):
         offsets[label] = height
         height += len(coefficient_piece(spec, d))
-    src = _label_runs(spec, s, t)
-    width = sum(len(coefficient_piece(spec, d)) for _, d in src)
+    width = _cochain_dim(spec, s, t)
     out = np.zeros((height, width), dtype=np.int64)
     if not width or not height:
         return out
     col = 0
-    for label, d in src:
+    for label, d in _label_runs(spec, s, t):
         for target, seq, c in _label_terms(spec, label, d, mod):
             row = offsets.get(target)
             if row is None:
@@ -213,13 +251,17 @@ def transferred_matrix(spec: AlgebroidSpec, s: int, t: int, mod: int
 
 @lru_cache(maxsize=None)
 def _rank_f5(spec: AlgebroidSpec, s: int, t: int) -> int:
-    """F5 rank of the transferred differential out of (s, t)."""
+    """F5 rank of the transferred differential out of (s, t), built and
+    ranked once per periodic_cell."""
+    cell = periodic_cell(spec, s, t)
+    if cell != (s, t):
+        return _rank_f5(spec, *cell)
     return rank_gf5(transferred_matrix(spec, s, t, 5))
 
 
 def ext_dim(spec: AlgebroidSpec, s: int, t: int) -> int:
     """Mod-5 cohomology dimension at (s, t) via the transferred complex."""
-    dim = len(small_basis(spec, s, t))
+    dim = _cochain_dim(spec, s, t)
     if dim == 0:
         return 0
     r_below = _rank_f5(spec, s - 1, t) if s else 0
@@ -265,7 +307,11 @@ def certified_free_rank(dim: int, valuations: Sequence[int], s: int, t: int
 def differential_valuations(spec: AlgebroidSpec, s: int, t: int
                             ) -> Tuple[int, ...]:
     """Elementary divisor valuations, read mod 5^K, of the transferred
-    differential out of (s, t)."""
+    differential out of (s, t), built and eliminated once per
+    periodic_cell."""
+    cell = periodic_cell(spec, s, t)
+    if cell != (s, t):
+        return differential_valuations(spec, *cell)
     return tuple(diagonal_valuations(
         transferred_matrix(spec, s, t, 5 ** K_POWER), K_POWER))
 
@@ -276,7 +322,7 @@ def integral_valuations(spec: AlgebroidSpec, s: int, t: int
     over Z_(5), read mod 5^K on the transferred complex."""
     if spec.quotient_level is not None:
         raise ValueError("integral structure needs the unquotiented spec")
-    dim = len(small_basis(spec, s, t))
+    dim = _cochain_dim(spec, s, t)
     if dim == 0:
         return 0, (), ()
     below = differential_valuations(spec, s - 1, t) if s else ()

@@ -193,8 +193,10 @@ def test_five_adic_page_rejects_planted_5K_divisor(monkeypatch):
 
 
 def test_page_dimensions_build_each_cell_once(monkeypatch):
-    # the rank queries of a page read one memoised filtered cell per (s, t):
-    # each transferred matrix is built once and kept read-only
+    # the rank queries of a page read one memoised filtered cell per
+    # b-periodic representative: (s, t) steps down by (2, 40) while t stays
+    # >= 0, and each representative's transferred matrix is built once and
+    # kept read-only
     real = bockstein.transferred_matrix
     built = {}
 
@@ -207,8 +209,11 @@ def test_page_dimensions_build_each_cell_once(monkeypatch):
         memo.cache_clear()
     try:
         page_dimensions(F1, 1, 4, 120)
-        assert built == {(s, t): 1 for t in range(0, 121, 8)
-                         for s in range(min(4, t // 8) + 1)}
+        steps = {(s, t): min(s // 2, t // 40) for t in range(0, 121, 8)
+                 for s in range(min(4, t // 8) + 1)}
+        assert built == {(s - 2 * j, t - 40 * j): 1
+                         for (s, t), j in steps.items()}
+        assert all(t >= 0 for _, t in built)
         cells = [bockstein._filtered_cell(F1, s, t) for s, t in built]
         assert all(not a.flags.writeable for cell in cells for a in cell)
         assert set(built.values()) == {1}

@@ -413,6 +413,10 @@ def test_symbolic_outputs_pinned(tmp_path, argv, digest):
     (["bockstein", "--k", "2", "--page", "2", "--smax", "4", "--tmax", "160"],
      "286d64d08631"),
     (["invariants"], "518f2560c19e"),
+    (["ext", "--smax", "6", "--tmax", "200"], "37675c4815d5"),
+    (["ext", "--ideal", "0", "--smax", "6", "--tmax", "200"], "252b8c83c7a8"),
+    (["bockstein", "--k", "1", "--page", "1", "--smax", "6", "--tmax", "200"],
+     "c48a83215371"),
 ])
 def test_numeric_outputs_pinned(tmp_path, argv, digest):
     # these commands read the right unit as matrices (the transfer and the

@@ -13,10 +13,13 @@ for s >= 1 (b-periodicity).  Where a slot matrix of that term vanishes on
 the piece it meets, there is no term at all.
 """
 
+import numpy as np
 import pytest
 
+import hopfext.bockstein as bockstein
 import hopfext.transfer as transfer
 from hopfext.algebroid import AlgebroidSpec
+from hopfext.bockstein import FiltrationSpec
 from hopfext.transfer import integral_structure
 
 import series_reference as series
@@ -92,8 +95,51 @@ def test_closed_form_check_catches_a_plant(spec, plant, monkeypatch):
 
 
 @pytest.mark.parametrize("s", range(1, 5))
-def test_b_periodicity(s):
-    # the cells (s, t) and (s + 2, t + 40) share both differentials
-    for t in range(0, 201, 8):
-        assert integral_structure(RED, s, t) == \
-            integral_structure(RED, s + 2, t + 40), t
+def test_b_periodicity(s, monkeypatch):
+    # the cells (s, t) and (s + 2, t + 40) share both differentials; with
+    # the periodicity key switched off each side is eliminated on its own
+    monkeypatch.setattr(transfer, "periodic_cell", lambda spec, *cell: cell)
+    transfer.differential_valuations.cache_clear()
+    try:
+        for t in range(0, 201, 8):
+            assert integral_structure(RED, s, t) == \
+                integral_structure(RED, s + 2, t + 40), t
+    finally:
+        transfer.differential_valuations.cache_clear()
+
+
+def _same_array(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_transferred_cells_b_periodic(level):
+    # the fact periodic_cell rests on, read on fresh builds: in the reduced
+    # presentation the transferred matrix at (s + 2, t + 40), and the
+    # filtered cell bockstein ranks over this level, equal those at (s, t)
+    # in shape, dtype and values, and periodic_cell maps both to one cell
+    spec = AlgebroidSpec("reduced", level)
+    fspec = next((f for f in map(FiltrationSpec, range(5)) if f.base == spec),
+                 None)
+    for s, t in [(s, t) for s in range(5) for t in range(0, 201, 8)]:
+        for mod in (5, 625):
+            assert _same_array(
+                transfer.transferred_matrix(spec, s, t, mod),
+                transfer.transferred_matrix(spec, s + 2, t + 40, mod)), \
+                (s, t, mod)
+        assert transfer.periodic_cell(spec, s + 2, t + 40) == \
+            transfer.periodic_cell(spec, s, t)
+        if fspec is not None:
+            here = bockstein._filtered_cell.__wrapped__(fspec, s, t)
+            there = bockstein._filtered_cell.__wrapped__(fspec, s + 2, t + 40)
+            assert all(map(_same_array, here, there)), (s, t)
+    assert transfer.periodic_cell(spec, 6, 240) == (0, 120)
+    assert transfer.periodic_cell(spec, 5, 48) == (3, 8)
+
+
+def test_full_cells_are_not_periodic():
+    # z letters make new labels at s + 2, so the full presentation keeps
+    # every cell
+    assert transfer.periodic_cell(FULL, 4, 160) == (4, 160)
+    assert transfer.transferred_matrix(FULL, 2, 80, 5).shape != \
+        transfer.transferred_matrix(FULL, 0, 40, 5).shape

@@ -543,7 +543,9 @@ def test_projection_outside_small_basis_raises(monkeypatch):
 ])
 def test_sweep_builds_each_cell_once(spec, sweep, memo, mod, monkeypatch):
     # transferred_matrix keeps nothing, so a sweep builds each cell it reads
-    # exactly once: the rank or valuation memo above it is the only re-read
+    # exactly once: the rank or valuation memo above it is the only re-read.
+    # A reduced cell (u, t) reads its b-periodic representative
+    # (u mod 2, t - 40 floor(u/2)), which a sweep reaches at t >= 0 only
     real = transfer.transferred_matrix
     built = {}
 
@@ -560,9 +562,11 @@ def test_sweep_builds_each_cell_once(spec, sweep, memo, mod, monkeypatch):
             sweep(spec, s, t)
     finally:
         getattr(transfer, memo).cache_clear()
-    want = {(spec, u, t, mod): 1 for s, t in cells if small_basis(spec, s, t)
+    want = {(spec, u % 2, t - 40 * (u // 2), mod): 1
+            for s, t in cells if small_basis(spec, s, t)
             for u in (s - 1, s) if u >= 0}
     assert built == want
+    assert all(t >= 0 for _, _, t, _ in built)
     first, again = real(spec, 1, 40, mod), real(spec, 1, 40, mod)
     assert first is not again and first.flags.writeable
 
