@@ -1,12 +1,7 @@
 """Dense linear algebra mod 5^K (numpy-backed, exact); K = 1 is F5.
 
 Internal helper layer.  Matrices are int64 arrays with entries reduced mod
-the modulus, except inside a count-only elimination (rank_mod,
-diagonal_valuations), which returns no matrix and works in the narrowest
-signed dtype that :func:`count_dtype` finds exact for the modulus: int16
-up to 125, int32 up to 5^6, int64 up to 5^13 (the delayed-reduction bound
-of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008, with no
-delay).  Every elimination -- rref, rank, nullspace, inverse, solve
+the modulus.  Every elimination -- rref, rank, nullspace, inverse, solve
 and the elementary-divisor valuations -- runs on one scalar echelon,
 :func:`_echelon`, whose pivots are always 5-units so every division is
 exact.  Each step updates only the rows with an entry in the pivot column
@@ -30,54 +25,26 @@ import numpy as np
 # delta products go through matmul_mod, whose float64 sums stay exact
 # while inner * (5^K - 1)^2 < 2^53: at K = 9 that is 2,361 terms, and the
 # largest coefficient piece the transfer reaches at t <= 400 has 1,154
-# monomials (a longer inner dimension is summed in chunks).  A count-only
-# elimination mod 5^K needs (5^K - 1)^2 below its dtype's maximum
-# (count_dtype): int16 through K = 3, int32 through K = 6, int64 beyond.
+# monomials (a longer inner dimension is summed in chunks).
 K_MAX = 9
-
-
-def count_dtype(mod: int) -> type:
-    """Narrowest signed integer dtype in which an echelon mod `mod` is exact.
-
-    One echelon update forms a - f*b or a*inv from residues below mod, so a
-    dtype holds it while (mod - 1)^2 is at most its maximum: int16 while
-    (mod - 1)^2 < 2^15, int32 while < 2^31, int64 while < 2^63.  A larger
-    modulus is refused (ValueError)."""
-    for dtype in (np.int16, np.int32, np.int64):
-        if (mod - 1) ** 2 <= np.iinfo(dtype).max:
-            return dtype
-    raise ValueError(f"modulus {mod} too large for exact int64 elimination")
-
-
-def _count_residues(a: np.ndarray, mod: int) -> np.ndarray:
-    """`a` mod `mod` in count_dtype(mod).  The remainder casts its int64
-    results into the narrow array chunk by chunk, exactly since each lies
-    in [0, mod), so no full-size int64 temporary is made."""
-    out = np.empty(np.shape(a), dtype=count_dtype(mod))
-    np.remainder(np.asarray(a, dtype=np.int64), mod, out=out,
-                 casting="unsafe")
-    return out
 
 
 def _echelon(a: np.ndarray, mod: int, full: bool) -> List[int]:
     """Unit-pivot echelon of `a` in place; returns the pivot columns.
 
-    `a` is a signed integer array with entries in [0, mod).  Each column
-    takes as pivot the first row at or below the current one holding a
-    5-unit; a column with none is skipped.  The pivot row is scaled to 1
-    and cleared from the rows below it, and also from the rows above when
-    `full` (reduced row echelon form).  Over 5^K a skipped column can keep
-    5-divisible entries below the pivot row, so a step also updates every
-    skipped column where the pivot row is nonzero; the result equals
-    eliminating whole rows.
+    `a` is int64 with entries in [0, mod).  Each column takes as pivot the
+    first row at or below the current one holding a 5-unit; a column with
+    none is skipped.  The pivot row is scaled to 1 and cleared from the
+    rows below it, and also from the rows above when `full` (reduced row
+    echelon form).  Over 5^K a skipped column can keep 5-divisible entries
+    below the pivot row, so a step also updates every skipped column where
+    the pivot row is nonzero; the result equals eliminating whole rows.
 
-    Each update forms a - f*b or a*inv from entries below mod, so the dtype
-    of `a` holds it exactly while (mod - 1)^2 is at most its maximum (for
-    int64, up to 5^13); a larger modulus is refused (ValueError) rather than
-    left to wrap."""
-    if (mod - 1) ** 2 > np.iinfo(a.dtype).max:
-        raise ValueError(
-            f"modulus {mod} too large for exact {a.dtype} elimination")
+    Each update forms a - f*b or a*inv from entries below mod, so int64
+    holds it exactly while (mod - 1)^2 < 2^63, that is up to 5^13; a larger
+    modulus is refused (ValueError) rather than left to wrap."""
+    if (mod - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"modulus {mod} too large for exact int64 elimination")
     m, n = a.shape
     pivots: List[int] = []
     stuck: List[int] = []
@@ -129,7 +96,7 @@ def rref_mod(a: np.ndarray, mod: int) -> Tuple[np.ndarray, List[int]]:
 
 def rank_mod(a: np.ndarray, mod: int = 5) -> int:
     """Number of unit pivots; the rank over F5 when mod is 5."""
-    a = _count_residues(a, mod)
+    a = np.asarray(a, dtype=np.int64) % mod
     return len(_echelon(a, mod, full=False)) if a.size else 0
 
 
@@ -203,7 +170,7 @@ def diagonal_valuations(mat: np.ndarray, k_power: int) -> List[int]:
     5-divisible on the others, so their quotient by 5, known mod
     5^(K-v-1), carries the remaining divisors, each with one factor of 5
     fewer (a local Smith form by repeated elimination)."""
-    a = _count_residues(mat, 5 ** k_power)
+    a = np.asarray(mat, dtype=np.int64) % 5 ** k_power
     vals: List[int] = []
     for v in range(k_power):
         if not a.any():

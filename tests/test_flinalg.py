@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hopfext.flinalg as flinalg
 from hopfext.flinalg import (
-    count_dtype,
-    diagonal_valuations,
     inv_gf5,
     matmul_mod,
     nullspace_gf5,
@@ -126,48 +123,6 @@ def test_echelon_refuses_modulus_past_int64_bound():
     assert rref_mod(a, 5 ** 13)[1] == [0, 1]
     with pytest.raises(ValueError, match="int64"):
         rank_mod(a, 5 ** 14)
-
-
-def _divisor_planted(rng, m, n, k_power):
-    """L D R mod 5^K for random L, R and a diagonal D of powers of 5, so
-    valuations from 0 to K - 1 occur."""
-    mod = 5 ** k_power
-    r = min(m, n)
-    diag = 5 ** rng.integers(0, k_power + 1, r) % mod
-    left = rng.integers(0, mod, (m, r))
-    right = rng.integers(0, mod, (r, n))
-    return matmul_mod(left * diag, right, mod)
-
-
-@pytest.mark.parametrize("k_power", [1, 2, 3, 4, 6, 7])
-def test_count_dtype_matches_int64(k_power, monkeypatch):
-    # rank and valuations in the narrow dtype equal those with int64 forced
-    mod = 5 ** k_power
-    narrow = count_dtype(mod)
-    bound = {np.int16: 2 ** 15, np.int32: 2 ** 31, np.int64: 2 ** 63}
-    assert (mod - 1) ** 2 < bound[narrow]
-    assert narrow is np.int16 or (mod - 1) ** 2 >= 2 ** 15
-    assert narrow is not np.int64 or (mod - 1) ** 2 >= 2 ** 31
-    rng = np.random.default_rng(k_power)
-    mats = [_divisor_planted(rng, *rng.integers(1, 40, 2), k_power)
-            for _ in range(30)]
-    got = [(rank_mod(a, mod), diagonal_valuations(a, k_power)) for a in mats]
-    monkeypatch.setattr(flinalg, "count_dtype", lambda mod: np.int64)
-    want = [(rank_mod(a, mod), diagonal_valuations(a, k_power)) for a in mats]
-    assert got == want
-    assert k_power == 1 or any(len(set(vals)) > 1 for _, vals in got)
-
-
-def test_echelon_refuses_modulus_past_its_dtype():
-    # the narrow bound is enforced by the kernel, not assumed by callers
-    assert count_dtype(125) is np.int16 and count_dtype(625) is np.int32
-    assert count_dtype(5 ** 6) is np.int32 and count_dtype(5 ** 7) is np.int64
-    a = np.array([[1, 2], [3, 4]], dtype=np.int16)
-    assert flinalg._echelon(a.copy(), 125, full=False) == [0, 1]
-    with pytest.raises(ValueError, match="int16"):
-        flinalg._echelon(a.copy(), 625, full=False)
-    with pytest.raises(ValueError, match="int32"):
-        flinalg._echelon(a.astype(np.int32), 5 ** 7, full=False)
 
 
 def test_solve_inconsistent():
