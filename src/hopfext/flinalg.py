@@ -4,9 +4,9 @@ Internal helper layer.  Matrices are int64 arrays with entries reduced mod
 the modulus.  Every elimination -- rref, rank, nullspace, inverse, solve
 and the elementary-divisor valuations -- runs on one scalar echelon,
 :func:`_echelon`, whose pivots are always 5-units so every division is
-exact.  Each step updates only the rows with an entry in the pivot column
-and only the trailing columns, which keeps it cheap on the sparse
-differentials the callers build.  The ``_gf5`` names are the F5 entry
+exact.  Each step updates only the rows with an entry in the pivot column,
+from the pivot row's first nonzero column on, and reduces mod the modulus
+only when the int64 bound needs it.  The ``_gf5`` names are the F5 entry
 points of the general functions.
 """
 
@@ -16,16 +16,17 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-# Largest 5-adic precision K the int64/float64 kernels keep exact.  One
-# product of entries is below 5^(2K), so each echelon update stays below
-# 2^63 (at K = 14 one product overflows).  The transfer reduces every sum
-# as it goes: each scalar of its closed form is a residue below 5^K, and
-# each block add is c * P with c and every entry of P below 5^K, reduced
-# after the add, so no int64 sum there holds more than one product.  Its
-# delta products go through matmul_mod, whose float64 sums stay exact
-# while inner * (5^K - 1)^2 < 2^53: at K = 9 that is 2,361 terms, and the
-# largest coefficient piece the transfer reaches at t <= 400 has 1,154
-# monomials (a longer inner dimension is summed in chunks).
+# Largest 5-adic precision K the int64/float64 kernels keep exact.  The
+# echelon subtracts products of residues, each below 5^(2K), and reduces
+# before their running sum could pass 2^63 (at K = 14 one product
+# overflows).  The transfer reduces every sum as it goes: each scalar of
+# its closed form is a residue below 5^K, and each block add is c * P with
+# c and every entry of P below 5^K, reduced after the add, so no int64 sum
+# there holds more than one product.  Its delta products go through
+# matmul_mod, whose float64 sums stay exact while inner * (5^K - 1)^2 <
+# 2^53: at K = 9 that is 2,361 terms, and the largest coefficient piece the
+# transfer reaches at t <= 400 has 1,154 monomials (a longer inner
+# dimension is summed in chunks).
 K_MAX = 9
 
 
@@ -36,37 +37,37 @@ def _echelon(a: np.ndarray, mod: int, full: bool) -> List[int]:
     first row at or below the current one holding a 5-unit; a column with
     none is skipped.  The pivot row is scaled to 1 and cleared from the
     rows below it, and also from the rows above when `full` (reduced row
-    echelon form).  Over 5^K a skipped column can keep 5-divisible entries
-    below the pivot row, so a step also updates every skipped column where
-    the pivot row is nonzero; the result equals eliminating whole rows.
-
-    Each update forms a - f*b or a*inv from entries below mod, so int64
-    holds it exactly while (mod - 1)^2 < 2^63, that is up to 5^13; a larger
-    modulus is refused (ValueError) rather than left to wrap."""
-    if (mod - 1) ** 2 >= 2 ** 63:
+    echelon form), from its first nonzero column `lo` on, which covers each
+    skipped 5-divisible column it is nonzero on.  Only the pivot column and
+    row are reduced before use.  A step subtracts at most (mod - 1)^2 from
+    an entry, so all of `a` is reduced every `cap` pivots, before any entry
+    could pass -2^63 (every 6 at 5^13), and once at the end.  Past 5^13 one
+    product overflows, and the modulus is refused (ValueError)."""
+    cap = (2 ** 63 - 1 - mod) // (mod - 1) ** 2
+    if cap < 1:
         raise ValueError(f"modulus {mod} too large for exact int64 elimination")
     m, n = a.shape
     pivots: List[int] = []
-    stuck: List[int] = []
     r = 0
     for j in range(n):
         if r >= m:
             break
-        col = a[r:, j]
-        nz = np.flatnonzero(col % 5)
+        top = 0 if full else r
+        a[top:, j] = a[top:, j] % mod
+        nz = np.flatnonzero(a[r:, j] % 5)
         if nz.size == 0:
-            if col.any():
-                stuck.append(j)
             continue
+        if r and not r % cap:
+            a %= mod
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        live = [c for c in stuck if a[r, c]]
-        inv = pow(int(a[r, j]), -1, mod)
+        a[r] = a[r] % mod
+        row = a[r]
+        lo = int(np.flatnonzero(row[:j + 1])[0])
+        inv = pow(int(row[j]), -1, mod)
         if inv != 1:
-            a[r, j:] = a[r, j:] * inv % mod
-            if live:
-                a[r, live] = a[r, live] * inv % mod
+            row[lo:] = row[lo:] * inv % mod
         if full:
             rows = np.flatnonzero(a[:, j])
             rows = rows[rows != r]
@@ -74,12 +75,10 @@ def _echelon(a: np.ndarray, mod: int, full: bool) -> List[int]:
             rows = r + 1 + np.flatnonzero(a[r + 1:, j])
         if rows.size:
             f = a[rows, j][:, None]
-            a[rows, j:] = (a[rows, j:] - f * a[r, j:]) % mod
-            if live:
-                cells = np.ix_(rows, live)
-                a[cells] = (a[cells] - f * a[r, live]) % mod
+            a[rows, lo:] = a[rows, lo:] - f * row[lo:]
         pivots.append(j)
         r += 1
+    a %= mod
     return pivots
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfext.flinalg import (
+    _echelon,
     inv_gf5,
     matmul_mod,
     nullspace_gf5,
@@ -16,8 +17,9 @@ from hopfext.flinalg import (
 )
 
 
-def _rref_reference(a, mod):
-    """The whole-row scalar echelon the kernel must reproduce bit for bit."""
+def _rref_reference(a, mod, full=True):
+    """The whole-row scalar echelon the kernel must reproduce bit for bit;
+    with `full` false it clears only the rows below each pivot."""
     a = np.asarray(a, dtype=np.int64) % mod
     a = a.copy()
     m, n = a.shape
@@ -36,6 +38,8 @@ def _rref_reference(a, mod):
         a[r] = (a[r] * pow(int(a[r, j]), -1, mod)) % mod
         col = a[:, j].copy()
         col[r] = 0
+        if not full:
+            col[:r] = 0
         rows = np.nonzero(col)[0]
         if rows.size:
             a[rows] = (a[rows] - np.outer(col[rows], a[r])) % mod
@@ -165,8 +169,10 @@ def _planted(rng, m, n, mod):
     return a
 
 
-@pytest.mark.parametrize("mod", [5, 25, 625, 5 ** 9])
+@pytest.mark.parametrize("mod", [5, 25, 625, 5 ** 9, 5 ** 13])
 def test_echelon_bit_identical_to_reference(mod):
+    # at 5^13 the kernel reduces all of its matrix every 6 pivots, so the
+    # larger shapes pass through that reduction
     rng = np.random.default_rng(mod)
     shapes = [(0, 0), (0, 4), (4, 0)] + [tuple(rng.integers(1, 12, 2))
                                           for _ in range(200)]
@@ -177,11 +183,31 @@ def test_echelon_bit_identical_to_reference(mod):
         assert piv == want_piv
         assert np.array_equal(got, want)
         assert rank_mod(a, mod) == len(want_piv)
+        # the rank path: its rows below the pivots are what
+        # diagonal_valuations divides by 5 and eliminates again
+        below, below_piv = _rref_reference(a, mod, full=False)
+        got = np.asarray(a, dtype=np.int64) % mod
+        assert _echelon(got, mod, full=False) == below_piv == want_piv
+        assert np.array_equal(got[len(piv):], below[len(piv):])
         if n:
             ker = nullspace_mod(a, mod)
             free = [j for j in range(n) if j not in want_piv]
             assert np.array_equal(ker[free], np.eye(len(free), dtype=np.int64))
             assert np.array_equal(ker[want_piv], -want[:len(want_piv)][:, free] % mod)
+
+
+def test_echelon_reduces_before_int64_wraps():
+    # each of the 8 pivots subtracts (5^13 - 1)^2 from the last row's
+    # trailing entries; left unreduced they would pass -2^63 at the 7th
+    mod, p = 5 ** 13, 8
+    a = np.full((p + 1, p + 2), mod - 1, dtype=np.int64)
+    a[:p, :p] = np.eye(p, dtype=np.int64)
+    a[p, -1] = 0  # unequal trailing entries, so a wrap shows after scaling
+    for full in (True, False):
+        want, want_piv = _rref_reference(a, mod, full)
+        got = a.copy()
+        assert _echelon(got, mod, full) == want_piv == list(range(p + 1))
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("seed,m,n", [(3, 190, 260), (4, 310, 140)])
