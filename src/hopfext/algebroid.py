@@ -546,9 +546,7 @@ def push_coefficient(spec: AlgebroidSpec, word: Tuple[int, ...], pos: int,
 
 
 def quotient(spec: AlgebroidSpec, k: int) -> AlgebroidSpec:
-    """Cut down by the invariant ideal I_k = (5, a1, ..., ak)."""
-    if not 0 <= k <= P - 1:
-        raise IndexError(f"quotient level {k} outside 0..{P - 1}")
+    """Cut down by the invariant ideal I_k = (5, a1, ..., ak), 0 <= k <= 4."""
     return AlgebroidSpec(variant=spec.variant, quotient_level=k)
 
 

@@ -20,12 +20,12 @@ import numpy as np
 
 from .algebroid import AlgebroidSpec
 from .cobar import (
+    class_equal_up_to_unit,
     cobar_degree,
     cochain_basis,
     differential,
     differential_matrix_mod,
     element_to_vector,
-    is_coboundary,
     vector_to_element,
 )
 from .flinalg import nullspace_mod, rank_gf5, solve_mod
@@ -274,7 +274,8 @@ def _verify_five_adic(source: Polynomial, target: Polynomial, r: int
     The source is an integral cochain whose differential is divisible by
     5^r; the value d(source)/5^r mod 5 is compared to a unit multiple of
     the target modulo mod-5 coboundaries (the page-r identification for the
-    one page the tower needs is the E_1 one, torsion being exponent one)."""
+    one page the tower needs is the E_1 one, torsion being exponent one).
+    A target that is not a mod-5 cocycle fails the check."""
     spec_int = AlgebroidSpec("reduced", None)
     spec_f5 = AlgebroidSpec("reduced", 0)
     cobar_degree(spec_f5, target)  # ValueError unless a mod-5 cochain
@@ -283,8 +284,7 @@ def _verify_five_adic(source: Polynomial, target: Polynomial, r: int
         return False  # differential not divisible by 5^r
     # the mod-5 cochain: each coefficient reduced through the F5 ring
     value = scaled.map_coefficients(target.ring)
-    return any(is_coboundary(spec_f5, value - target.scale(w)) is not None
-               for w in UNITS)
+    return class_equal_up_to_unit(spec_f5, value, target)
 
 
 # --- report feed ------------------------------------------------------------

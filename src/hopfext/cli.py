@@ -56,6 +56,8 @@ class RunConfig:
 
 
 def _emit(config: RunConfig, payload: Dict) -> None:
+    """Write the payload, under the command's "schema" field, as JSON."""
+    payload = {"schema": f"{SCHEMA_PREFIX}/{config.command}/1", **payload}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if config.out:
         os.makedirs(config.out, exist_ok=True)
@@ -69,8 +71,7 @@ def _emit(config: RunConfig, payload: Dict) -> None:
 # --- axioms -----------------------------------------------------------------
 
 def cmd_axioms(config: RunConfig) -> int:
-    payload = {"schema": f"{SCHEMA_PREFIX}/axioms/1",
-               "t_max": config.t_max, "variants": {}, "pass": True}
+    payload = {"t_max": config.t_max, "variants": {}, "pass": True}
     for variant in ("full", "reduced"):
         spec = AlgebroidSpec(variant)
         try:
@@ -101,9 +102,9 @@ def cmd_ext(config: RunConfig) -> int:
                 dim = ext_dim(spec, s, t)
                 if dim:
                     entries.append({"s": s, "t": t, "dim": dim})
-    payload = {"schema": f"{SCHEMA_PREFIX}/ext/1", "variant": "reduced",
-               "ideal": config.ideal, "s_max": config.s_max,
-               "t_max": config.t_max, "entries": entries}
+    payload = {"variant": "reduced", "ideal": config.ideal,
+               "s_max": config.s_max, "t_max": config.t_max,
+               "entries": entries}
     _emit(config, payload)
     return 0
 
@@ -117,8 +118,7 @@ def cmd_invariants(config: RunConfig) -> int:
         count, reps = new_generators(t)
         census.append({"t": t, "count": count,
                        "leading": [str(p.sorted_terms()[0][0]) for p in reps]})
-    payload = {"schema": f"{SCHEMA_PREFIX}/invariants/1",
-               "t_max": config.t_max,
+    payload = {"t_max": config.t_max,
                "ranks": [[t, r] for t, r in ranks], "census": census}
     _emit(config, payload)
     return 0
@@ -139,8 +139,7 @@ def cmd_table1(config: RunConfig) -> int:
             rows.append({"name": name, "error": str(exc), "pass": False})
             if failed is None:
                 failed = name
-    payload = {"schema": f"{SCHEMA_PREFIX}/table1/1", "rows": rows,
-               "pass": failed is None}
+    payload = {"rows": rows, "pass": failed is None}
     if failed is not None:
         payload["first_failure"] = f"Table 1 / {failed}"
     _emit(config, payload)
@@ -152,9 +151,9 @@ def cmd_table1(config: RunConfig) -> int:
 def cmd_disc(config: RunConfig) -> int:
     disc = discriminant()
     lam, matches = disc_unit_factor()
-    _emit(config, {"schema": f"{SCHEMA_PREFIX}/disc/1", "degree": 160,
-                   "matches_table": matches, "unit_factor": str(lam),
-                   "terms": len(disc.terms), "pass": matches})
+    _emit(config, {"degree": 160, "matches_table": matches,
+                   "unit_factor": str(lam), "terms": len(disc.terms),
+                   "pass": matches})
     return 0 if matches else 1
 
 
@@ -164,7 +163,7 @@ def cmd_bockstein(config: RunConfig) -> int:
     from .bockstein import FiltrationSpec, page_dump
     dump = page_dump(FiltrationSpec(config.tower), config.page, config.s_max,
                      config.t_max)
-    _emit(config, {"schema": f"{SCHEMA_PREFIX}/bockstein/1", **dump})
+    _emit(config, dump)
     return 0
 
 
@@ -224,8 +223,7 @@ def cmd_chart(config: RunConfig) -> int:
          "label": a.label,
          "source_dim": chart.cell(*a.start), "target_dim": chart.cell(*a.end)}
         for a in chart.overlays]
-    payload = {"schema": f"{SCHEMA_PREFIX}/chart/1", "svg": svg_path,
-               "cells": len(cells), "arrows": arrow_cells}
+    payload = {"svg": svg_path, "cells": len(cells), "arrows": arrow_cells}
     _emit(config, payload)
     return 0
 
@@ -256,8 +254,7 @@ def cmd_verify(config: RunConfig) -> int:
         if "exception" in record:
             line += " " + record["exception"]
         sys.stderr.write(line + "\n")
-    payload = {"schema": f"{SCHEMA_PREFIX}/verify/1",
-               "checks": results,
+    payload = {"checks": results,
                "passed": sum(1 for r in results if r["pass"]),
                "failed": sum(1 for r in results if not r["pass"])}
     if first_failure is not None:
@@ -346,8 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a tripped consistency guard is the run's first failure, not a crash
         failure = f"{type(exc).__name__}: {exc}"
         sys.stderr.write(f"error: {failure}\n")
-        _emit(config, {"schema": f"{SCHEMA_PREFIX}/{config.command}/1",
-                       "pass": False, "first_failure": failure})
+        _emit(config, {"pass": False, "first_failure": failure})
         return 1
 
 

@@ -1,6 +1,7 @@
 """Cobar complex of an algebroid presentation: cochains, the exact
 differential, concatenation products, small-scale cohomology with
-representatives, coboundary solving, and triple Massey products.
+representatives, coboundary solving, representatives of triple Massey
+products, and comparison of classes up to a unit.
 
 An s-cochain is a Polynomial over gamma_ring(spec, s): a sum of
 coefficient * [r^{e_1}|...|r^{e_s}], every coefficient at the global left,
@@ -18,12 +19,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .coefficients import SmithDecomposition, smith_normal_form, v5
-from .flinalg import nullspace_mod, rank_mod, rref_mod, solve_mod
+from .flinalg import nullspace_mod, rref_mod, solve_mod
 from .gradedpoly import (
     Monomial,
     Polynomial,
@@ -172,8 +173,8 @@ def _image_smith(spec: AlgebroidSpec, s: int, t: int) -> SmithDecomposition:
 
 @dataclass
 class CohomologyGroup:
-    s: int
-    t: int
+    """One (s,t) piece: its free rank, the exponents of its 5-power cyclic
+    summands, and a cocycle representing each summand."""
     free_rank: int
     torsion: Tuple[int, ...] = ()
     representatives: List[Polynomial] = field(default_factory=list)
@@ -196,7 +197,7 @@ def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
         b = differential_matrix_mod(spec, s - 1, t, 5) if s > 0 else None
         ker = nullspace_mod(a, 5)
         if ker.shape[1] == 0:
-            return CohomologyGroup(s, t, 0)
+            return CohomologyGroup(0)
         if b is None or b.shape[1] == 0:
             coords = np.zeros((ker.shape[1], 0), dtype=np.int64)
         else:
@@ -206,7 +207,7 @@ def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
         _, pivots = rref_mod(coords.T, 5)
         free = sorted(set(range(ker.shape[1])) - set(pivots))
         reps = [vector_to_element(spec, s, t, ker[:, j]) for j in free]
-        return CohomologyGroup(s, t, len(free), (), reps)
+        return CohomologyGroup(len(free), (), reps)
 
     a = differential_matrix_int(spec, s, t)
     image = _image_smith(spec, s, t)
@@ -224,7 +225,7 @@ def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
     torsion = [(v5(d), j) for j, d in enumerate(image.diagonal) if v5(d) > 0]
     reps = [column(saturated, j) for _, j in torsion] + \
         [column(kernel, j) for j in range(kernel.shape[1])]
-    return CohomologyGroup(s, t, kernel.shape[1], tuple(v for v, _ in torsion), reps)
+    return CohomologyGroup(kernel.shape[1], tuple(v for v, _ in torsion), reps)
 
 
 def product(spec: AlgebroidSpec, x: Polynomial, y: Polynomial) -> Polynomial:
@@ -283,11 +284,15 @@ def is_coboundary(spec: AlgebroidSpec, z: Polynomial) -> Optional[Polynomial]:
 
 
 def triple_massey(spec: AlgebroidSpec, u: Polynomial, v: Polynomial,
-                  w: Polynomial) -> Tuple[Polynomial, int]:
-    """<u,v,w> representative and the rank of its indeterminacy.
+                  w: Polynomial) -> Polynomial:
+    """A representative xbar*w - (-1)^{s_u} u*ybar of <u,v,w>, with
+    d(xbar) = uv and d(ybar) = vw.
 
-    Needs u,v,w cocycles with uv and vw coboundaries; the representative is
-    xbar*w - (-1)^{s_u} u*ybar with d(xbar)=uv, d(ybar)=vw.
+    Needs u,v,w cocycles (else NotACocycle) with uv and vw coboundaries
+    (else BracketUndefined).  The indeterminacy u*H + H*w (May, "Matric
+    Massey products", J. Algebra 12, 1969) is not computed: a caller that
+    compares the bracket to a class does so up to a unit with
+    class_equal_up_to_unit.
     """
     for name, x in (("u", u), ("v", v), ("w", w)):
         if differential(spec, x):
@@ -296,48 +301,17 @@ def triple_massey(spec: AlgebroidSpec, u: Polynomial, v: Polynomial,
     ybar = is_coboundary(spec, product(spec, v, w))
     if xbar is None or ybar is None:
         raise BracketUndefined("a factor product is not a coboundary")
-    s_u, s_v, s_w = (cobar_degree(spec, x) for x in (u, v, w))
-    t_u, t_v, t_w = (x.degree() or 0 for x in (u, v, w))
-    rep = product(spec, xbar, w) - product(spec, u, ybar).scale((-1) ** s_u)
-    s_out, t_out = s_u + s_v + s_w - 1, t_u + t_v + t_w
-    # indeterminacy: u*H^{s_v+s_w-1} + H^{s_u+s_v-1}*w inside H^{s_out,t_out}
-    hg = cohomology(spec, s_out, t_out)
-    if not hg.representatives:
-        return rep, 0
-    left = cohomology(spec, s_v + s_w - 1, t_v + t_w)
-    right = cohomology(spec, s_u + s_v - 1, t_u + t_v)
-    cand = [product(spec, u, h) for h in left.representatives] + \
-           [product(spec, h, w) for h in right.representatives]
-    return rep, _class_rank(spec, s_out, t_out, cand)
-
-
-def _class_rank(spec: AlgebroidSpec, s: int, t: int,
-                elements: Sequence[Polynomial]) -> int:
-    """Rank of the span of the given cocycles in H^{s,t} (mod-5 reduction)."""
-    if not elements:
-        return 0
-    mod = 5
-    a = differential_matrix_mod(spec, s - 1, t, mod) if s > 0 else None
-    f5 = AlgebroidSpec(spec.variant, 0).base_ring
-    v = np.array([[f5.coeff(c) for c in element_to_vector(spec, e, t)]
-                  for e in elements], dtype=np.int64).T
-    if v.size == 0:
-        return 0
-    if a is None or a.shape[1] == 0:
-        return rank_mod(v.T, mod)
-    both = np.concatenate([a, v], axis=1)
-    return rank_mod(both.T, mod) - rank_mod(a.T, mod)
+    sign = (-1) ** cobar_degree(spec, u)
+    return product(spec, xbar, w) - product(spec, u, ybar).scale(sign)
 
 
 def class_equal_up_to_unit(spec: AlgebroidSpec, x: Polynomial, y: Polynomial) -> bool:
-    """True when x = unit * y modulo coboundaries (unit in F5)."""
-    for unit in (1, 2, 3, 4):
-        try:
-            if is_coboundary(spec, x - y.scale(unit)) is not None:
-                return True
-        except NotACocycle:
-            return False
-    return False
+    """True when x and y are cocycles and x = unit * y modulo coboundaries
+    (unit in F5); False when either is not a cocycle."""
+    if differential(spec, x) or differential(spec, y):
+        return False
+    return any(is_coboundary(spec, x - y.scale(unit)) is not None
+               for unit in (1, 2, 3, 4))
 
 
 # --- text form ------------------------------------------------------------

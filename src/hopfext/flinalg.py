@@ -93,7 +93,7 @@ def rref_mod(a: np.ndarray, mod: int) -> Tuple[np.ndarray, List[int]]:
     return a, _echelon(a, mod, full=True)
 
 
-def rank_mod(a: np.ndarray, mod: int = 5) -> int:
+def rank_mod(a: np.ndarray, mod: int) -> int:
     """Number of unit pivots; the rank over F5 when mod is 5."""
     a = np.asarray(a, dtype=np.int64) % mod
     return len(_echelon(a, mod, full=False)) if a.size else 0

@@ -249,9 +249,6 @@ class Polynomial:
     def sorted_terms(self) -> List[Tuple[Monomial, object]]:
         return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
 
-    def text(self) -> str:
-        return format_polynomial(self)
-
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"
 

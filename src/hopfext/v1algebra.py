@@ -95,7 +95,6 @@ def _is_monomial(rel: Dict[Mono, int]) -> bool:
     return len(rel) == 1 and next(iter(rel.values())) % 5 != 0
 
 
-@lru_cache(maxsize=None)
 def presented_dim(s: int, t: int, completed: bool = False) -> int:
     """Dimension of the (s, t) piece of the presented algebra.
 

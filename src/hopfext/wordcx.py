@@ -94,10 +94,10 @@ def reduced_words(n: int, s: int) -> Tuple[Word, ...]:
     return tuple(compositions(n, s, CAP))
 
 
-def word_matrix(src: Tuple[Word, ...], dst: Tuple[Word, ...], mod: int,
-                dtype=np.int64) -> np.ndarray:
+def word_matrix(src: Tuple[Word, ...], dst: Tuple[Word, ...], mod: int
+                ) -> np.ndarray:
     idx = {w: i for i, w in enumerate(dst)}
-    m = np.zeros((len(dst), len(src)), dtype=dtype)
+    m = np.zeros((len(dst), len(src)), dtype=np.int64)
     for j, w in enumerate(src):
         for k, v in word_d_entries(w).items():
             m[idx[k], j] = v % mod
@@ -242,7 +242,7 @@ def _reduced_rank(n: int, s: int) -> int:
     dst = reduced_words(n, s + 1)
     if not src or not dst:
         return 0
-    return rank_gf5(word_matrix(src, dst, 5, dtype=np.int8))
+    return rank_gf5(word_matrix(src, dst, 5))
 
 
 def reduced_word_h_dim(n: int, s: int) -> int:

@@ -8,8 +8,8 @@ import hopfext.cobar as cobar
 from hopfext.algebroid import (AlgebroidSpec, coefficient_piece, eta_L, eta_R,
                                gamma_ring, quotient)
 from hopfext.cobar import (
+    BracketUndefined,
     NotACocycle,
-    _class_rank,
     class_equal_up_to_unit,
     cochain_basis,
     cohomology,
@@ -313,30 +313,38 @@ def test_is_coboundary_refuses_a_cochain_that_is_not_5_integral():
 def test_massey_products():
     a = cb(I1, 1, "[r]")
     x1 = cb(I1, 1, "a2*[r^3] + a3*[r^2] + a4*[r]")
-    rep, indet = triple_massey(I1, x1, a, a)
     a2b = cb(I1, 2, "a2*[r^4|r] + 2*a2*[r^3|r^2] + 2*a2*[r^2|r^3] + a2*[r|r^4]")
-    # rep = unit*a2b modulo coboundaries and indeterminacy
-    matched = any(
-        _class_rank(I1, cobar.cobar_degree(I1, rep), rep.degree(),
-                    [rep - a2b.scale(u)]) == 0
-        for u in (1, 2, 3, 4))
-    assert matched
+    assert class_equal_up_to_unit(I1, triple_massey(I1, x1, a, a), a2b)
 
     a_i2 = cb(I2, 1, "[r]")
     x1_i2 = cb(I2, 1, "a3*[r^2] + a4*[r]")
     a3_i2 = cb(I2, 0, "a3")
-    rep2, indet2 = triple_massey(I2, x1_i2, a_i2, a3_i2)
     x2 = cb(I2, 1, "a4^2*[r] + 2*a3*a4*[r^2] + 3*a3^2*[r^3]")
-    ok = False
-    for u in (1, 2, 3, 4):
-        if _class_rank(I2, 1, rep2.degree(), [rep2 - x2.scale(u)]) == 0:
-            ok = True
-            break
-    assert ok
+    assert class_equal_up_to_unit(I2, triple_massey(I2, x1_i2, a_i2, a3_i2), x2)
 
     a4_ = cb(I4, 1, "[r]")
-    rep3, _ = triple_massey(I4, a4_, a4_, a4_)
+    rep3 = triple_massey(I4, a4_, a4_, a4_)
     assert is_coboundary(I4, rep3) is not None
+
+
+def test_massey_product_refuses_an_undefined_bracket():
+    a = cb(I4, 1, "[r]")
+    b = cb(I4, 2, B_TEXT)
+    a_i1 = cb(I1, 1, "[r]")
+    with pytest.raises(NotACocycle, match="v is not a cocycle"):
+        triple_massey(I1, a_i1, cb(I1, 0, "a3"), a_i1)
+    # a*b is the nonzero class of H^{3,48} mod I4
+    with pytest.raises(BracketUndefined):
+        triple_massey(I4, a, b, a)
+
+
+def test_class_equal_up_to_unit_needs_two_cocycles():
+    # a3 is not a cocycle mod I1, so no unit multiple of it is compared
+    a3 = cb(I1, 0, "a3")
+    assert not class_equal_up_to_unit(I1, a3.scale(2), a3)
+    assert not class_equal_up_to_unit(I1, a3, a3)
+    x1 = cb(I1, 1, "a2*[r^3] + a3*[r^2] + a4*[r]")
+    assert class_equal_up_to_unit(I1, x1, x1.scale(2))
 
 
 def test_cocycles_criterion():

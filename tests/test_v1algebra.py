@@ -107,17 +107,7 @@ def test_relations_are_bihomogeneous_with_unit_coefficients():
         assert all(c % 5 for c in rel.values()), rel
 
 
-@pytest.fixture
-def fresh_cache():
-    """An empty presented_dim memo, emptied again after the test, so
-    values under patched relations neither come from nor leak into it."""
-    presented_dim.cache_clear()
-    yield
-    presented_dim.cache_clear()
-
-
-def test_a_single_term_that_is_zero_mod_5_kills_nothing(monkeypatch,
-                                                        fresh_cache):
+def test_a_single_term_that_is_zero_mod_5_kills_nothing(monkeypatch):
     # 5 * a2 is the zero relation; read as a monomial it would kill a2
     monkeypatch.setattr(v1algebra, "RELATIONS",
                         RELATIONS + ({(0, 0, 0, 1, 0, 0, 0): 5},))
@@ -129,7 +119,7 @@ def test_a_single_term_that_is_zero_mod_5_kills_nothing(monkeypatch,
                     presented_dim_dense(s, t, completed), (s, t, completed)
 
 
-def test_a_term_off_the_relation_bidegree_raises(monkeypatch, fresh_cache):
+def test_a_term_off_the_relation_bidegree_raises(monkeypatch):
     # a has bidegree (1, 8) and a2 (0, 16): a + a2 is not bihomogeneous
     monkeypatch.setattr(v1algebra, "RELATIONS", RELATIONS + (
         {(1, 0, 0, 0, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 0): 1},))
@@ -140,8 +130,7 @@ def test_a_term_off_the_relation_bidegree_raises(monkeypatch, fresh_cache):
             presented_dim(1, 8, completed)
 
 
-def test_cells_below_the_polynomial_relations_need_no_rank(monkeypatch,
-                                                           fresh_cache):
+def test_cells_below_the_polynomial_relations_need_no_rank(monkeypatch):
     # the polynomial relations sit in bidegrees (1, 56) and (0, 240), so
     # below t = 56 only monomial relations have multiples
     assert {_bidegree(next(iter(rel))) for rel in RELATIONS
