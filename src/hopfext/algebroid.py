@@ -34,11 +34,10 @@ taken before the sum proves wide enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add, itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -60,27 +59,26 @@ class AxiomViolation(AssertionError):
     """A structure-map identity failed; the presentation is corrupted."""
 
 
-@dataclass(frozen=True)
-class AlgebroidSpec:
+class _AlgebroidSpec(NamedTuple):
+    variant: str = "full"
+    quotient_level: Optional[int] = None
+
+
+class AlgebroidSpec(_AlgebroidSpec):
     """Which presentation and which quotient.
 
     quotient_level None works over Z_(5); level k (0 <= k <= 4) works over
     F5 with a1..ak killed, i.e. modulo the invariant ideal I_k.
     """
+    __slots__ = ()
 
-    variant: str = "full"
-    quotient_level: Optional[int] = None
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.variant not in ("full", "reduced"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.quotient_level is not None and not 0 <= self.quotient_level <= P - 1:
             raise IndexError(f"quotient level {self.quotient_level} outside 0..{P - 1}")
-        # every memo lookup hashes the spec: hash its fields once
-        object.__setattr__(self, "_hash", hash((self.variant, self.quotient_level)))
-
-    def __hash__(self):
-        return self._hash
+        return self
 
     @property
     def num_generators(self) -> int:

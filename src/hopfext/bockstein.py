@@ -11,10 +11,9 @@ symbolic cobar complex by a lift-and-solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -46,16 +45,20 @@ class NotAPageCycle(ValueError):
     """The element admits no lift whose differential jumps r filtration steps."""
 
 
-@dataclass(frozen=True)
-class FiltrationSpec:
-    """Which filtration: k in 1..4 filters A/I_{k-1} by powers of a_k;
-    k = 0 filters the 5-local complex by powers of 5."""
-
+class _FiltrationSpec(NamedTuple):
     k: int
 
-    def __post_init__(self):
+
+class FiltrationSpec(_FiltrationSpec):
+    """Which filtration: k in 1..4 filters A/I_{k-1} by powers of a_k;
+    k = 0 filters the 5-local complex by powers of 5."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.k <= 4:
             raise IndexError(f"filtration index {self.k} outside 0..4")
+        return self
 
     @property
     def base(self) -> AlgebroidSpec:
@@ -67,8 +70,7 @@ class FiltrationSpec:
         return "5" if self.k == 0 else f"a{self.k}"
 
 
-@dataclass(frozen=True)
-class PageEntry:
+class PageEntry(NamedTuple):
     s: int
     t: int
     u: int

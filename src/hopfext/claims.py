@@ -13,8 +13,7 @@ corrected form and pins the stated one to its exact discrepancy
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 from .algebroid import (AlgebroidSpec, AxiomViolation, check_axioms, eta_R,
                         parse_gamma, quotient)
@@ -56,8 +55,7 @@ class ClaimFailed(Exception):
     """A paper statement does not hold; the message names where."""
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     tag: str
     description: str
     check: Callable[[], None]

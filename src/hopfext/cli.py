@@ -17,8 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebroid import AlgebroidSpec, AxiomViolation, check_axioms
@@ -29,8 +28,7 @@ from .invariants import (H0_T_CEILING, TABLE1_NAMES, IntegralityFailure,
 SCHEMA_PREFIX = "hopfext"
 
 
-@dataclass
-class RunConfig:
+class _RunConfig(NamedTuple):
     command: str
     ideal: Optional[int] = None
     s_max: int = 6
@@ -41,7 +39,12 @@ class RunConfig:
     tower: int = 1
     page: int = 1
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.s_max < 0 or self.t_max <= 0:
             raise ValueError("window needs s_max >= 0 and t_max > 0")
         if self.ideal is not None and not 0 <= self.ideal <= 4:
@@ -53,6 +56,7 @@ class RunConfig:
         if self.command == "invariants" and self.t_max > H0_T_CEILING:
             raise ValueError(f"invariants needs t_max <= {H0_T_CEILING}, the"
                              " largest degree whose kernels are tractable")
+        return self
 
 
 def _emit(config: RunConfig, payload: Dict) -> None:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -171,13 +170,12 @@ def _image_smith(spec: AlgebroidSpec, s: int, t: int) -> SmithDecomposition:
     return smith_normal_form(differential_matrix_int(spec, s - 1, t))
 
 
-@dataclass
-class CohomologyGroup:
+class CohomologyGroup(NamedTuple):
     """One (s,t) piece: its free rank, the exponents of its 5-power cyclic
     summands, and a cocycle representing each summand."""
     free_rank: int
-    torsion: Tuple[int, ...] = ()
-    representatives: List[Polynomial] = field(default_factory=list)
+    torsion: Tuple[int, ...]
+    representatives: List[Polynomial]
 
 
 def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
@@ -197,7 +195,7 @@ def cohomology(spec: AlgebroidSpec, s: int, t: int) -> CohomologyGroup:
         b = differential_matrix_mod(spec, s - 1, t, 5) if s > 0 else None
         ker = nullspace_mod(a, 5)
         if ker.shape[1] == 0:
-            return CohomologyGroup(0)
+            return CohomologyGroup(0, (), [])
         if b is None or b.shape[1] == 0:
             coords = np.zeros((ker.shape[1], 0), dtype=np.int64)
         else:

@@ -20,9 +20,8 @@ to 5^15.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -42,8 +41,7 @@ def v5(x) -> int:
     return v
 
 
-@dataclass
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """left_transform @ original @ right_transform is diagonal, and
     left_inverse is the inverse of left_transform; the transforms are
     read-only object arrays."""

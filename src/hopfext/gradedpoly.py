@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .coefficients import v5
 
@@ -40,16 +39,19 @@ class InhomogeneousInput(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """Graded polynomial ring: generator names, even positive degrees, and a
-    coefficient mode."""
-
+class _RingSpec(NamedTuple):
     names: Tuple[str, ...]
     degrees: Tuple[int, ...]
     mode: str = MODE_LOCAL
 
-    def __post_init__(self):
+
+class RingSpec(_RingSpec):
+    """Graded polynomial ring: generator names, even positive degrees, and a
+    coefficient mode."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.names) != len(self.degrees):
             raise ValueError("names/degrees length mismatch")
         if len(set(self.names)) != len(self.names):
@@ -58,6 +60,7 @@ class RingSpec:
             raise ValueError("generator degrees must be positive")
         if self.mode not in (MODE_LOCAL, MODE_F5):
             raise ValueError(f"unknown coefficient mode {self.mode!r}")
+        return self
 
     @property
     def modulus(self) -> Optional[int]:
@@ -82,9 +85,6 @@ class RingSpec:
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
 
 
 def _mono_sort_key(mono: Monomial) -> Tuple[int, ...]:
@@ -116,7 +116,7 @@ class Polynomial:
 
     @classmethod
     def generator(cls, ring: RingSpec, name: str) -> "Polynomial":
-        i = ring.index(name)
+        i = ring.names.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(ring.names)))
         return cls(ring, {mono: 1})
 
@@ -362,7 +362,7 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
                     i += 2
                 elif i + 2 == n and tokens[i + 1:] == ["^"]:
                     raise ValueError("dangling ^")
-                expo[ring.index(tok)] += e
+                expo[ring.names.index(tok)] += e
                 i += 1
             saw = True
         if not saw:

@@ -15,12 +15,11 @@ with the depth heuristic, and reports Hilbert data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,12 +119,16 @@ def invariant_basis(t: int) -> Tuple[Polynomial, ...]:
         return (Polynomial.constant(A_RING, 1),)
     d, cols = _derivation_matrix(t), coefficient_piece(SPEC, t)
     vecs = kernel_saturated(d)
-    # eta_R = exp(rD): its r^0 part is the identity and its r^e part is
-    # D^e / e!, so eta_R fixes v exactly when D v = 0, checked here in
-    # Python ints (the kernel entries pass 2^63 from t = 120)
-    if vecs and (d.astype(object) @ np.array(vecs, dtype=object).T).any():
-        raise InvarianceFailure(f"a kernel vector in degree {t} moves under"
-                                " the right unit")
+    # eta_R = exp(rD) (r^e part D^e / e!) fixes v exactly when D v = 0; summed
+    # over D's nonzeros in Python ints, as kernel entries pass 2^63 from t = 120
+    entries = np.column_stack(np.nonzero(d) + (d[d != 0],)).tolist()
+    for v in vecs:
+        image = [0] * d.shape[0]
+        for i, j, x in entries:
+            image[i] += x * v[j]
+        if any(image):
+            raise InvarianceFailure(f"a kernel vector in degree {t} moves"
+                                    " under the right unit")
     want = partitions_2345(t // R_DEG)
     if len(vecs) != want:
         raise AssertionError(f"the invariants in degree {t} have rank"
@@ -151,8 +154,7 @@ def hilbert_h0(t_max: int) -> List[Tuple[int, int]]:
 
 # --- named generators -------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorRecord:
+class GeneratorRecord(NamedTuple):
     name: str
     degree: int
     expression: str

@@ -11,42 +11,44 @@ text documents.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 
 class IoFailure(OSError):
     """A chart document could not be written."""
 
 
-@dataclass(frozen=True, order=True)
-class Dot:
+class Dot(NamedTuple):
     s: int
     t: int
     multiplicity: int
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
+class Arrow(NamedTuple):
     page: int
     start: Tuple[int, int]
     end: Tuple[int, int]
     label: str = ""
 
 
-@dataclass(frozen=True)
-class ChartSpec:
+class _ChartSpec(NamedTuple):
     s_max: int
     t_max: int
     dots: Tuple[Dot, ...] = ()
     overlays: Tuple[Arrow, ...] = ()
 
-    def __post_init__(self):
+
+class ChartSpec(_ChartSpec):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for d in self.dots:
             if not (0 <= d.s <= self.s_max and 0 <= d.t <= self.t_max):
                 raise ValueError(f"dot ({d.s},{d.t}) outside window")
             if d.t % 8:
                 raise ValueError("internal degrees must be multiples of 8")
+        return self
 
     def cell(self, s: int, t: int) -> int:
         """Total multiplicity drawn at (s, t)."""

@@ -49,10 +49,9 @@ most s / 2 deep at level s (block words do not recurse at all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -171,8 +170,7 @@ def _nonzero(terms: Dict[Word, int]) -> Dict[Word, int]:
     return {w: c for w, c in terms.items() if c}
 
 
-@dataclass(frozen=True)
-class Contraction:
+class Contraction(NamedTuple):
     """The Morse maps at one word of level s: h(word) at level s - 1, pi
     (word) on the critical words and iota pi (word) at level s, each as
     {word: coefficient mod the modulus}.  For a critical word, pi is the

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 
@@ -381,7 +380,7 @@ def test_disc_table_mismatch_is_a_failed_check(tmp_path, monkeypatch):
         if name != "D":
             return rec
         p = rec.polynomial
-        return dataclasses.replace(rec, polynomial=Polynomial(
+        return rec._replace(polynomial=Polynomial(
             p.ring, {m: c for m, c in p.terms.items() if m != lead}))
 
     monkeypatch.setattr(inv, "table1_expand", planted)

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,3 +200,19 @@ def test_no_unused_parameters(path):
     # than the function does
     unused = _unused_parameters(path)
     assert not unused, f"{path.name}: parameters never read: {unused}"
+
+
+def test_package_import_leaves_out_dataclasses():
+    # every CLI run is a fresh interpreter and pays the package import.
+    # With its thirteen records as dataclasses, whose decorators build
+    # their methods through exec, that import took 19 ms after numpy; as
+    # NamedTuples it takes 11 ms (benchmark medians, 2-core Xeon, Python
+    # 3.11).  numpy does not import dataclasses, so neither may the package.
+    code = ("import importlib, pkgutil, sys, numpy, hopfext\n"
+            "for info in pkgutil.iter_modules(hopfext.__path__):\n"
+            "    importlib.import_module(f'hopfext.{info.name}')\n"
+            "print('dataclasses' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]

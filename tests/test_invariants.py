@@ -79,22 +79,23 @@ def test_kernel_certificate_catches_a_moved_vector(monkeypatch):
 
 
 def test_certificate_is_exact_past_int64(monkeypatch):
-    # plant v0 + 2^64 e_j for a kernel vector v0 and a column j that D
-    # moves: D v moves by 2^64 D e_j, which an int64 product wraps back to
-    # zero, so only the exact product catches it, below 2^63 (t = 32) and
-    # past it (t = 128)
+    # plant v0 + 2^64 e_j for a kernel vector v0 (the first, then the last)
+    # and a column j that D moves: D v moves by 2^64 D e_j, which an int64
+    # product wraps back to zero, so only the exact product catches it,
+    # below 2^63 (t = 32) and past it (t = 128)
     real = inv.kernel_saturated
-    for t in (32, 128):
+    for t, k in [(32, 0), (32, -1), (128, 0), (128, -1)]:
         d = inv._derivation_matrix(t)
-        j = int(np.flatnonzero(d.any(axis=0))[0])
+        j = int(np.flatnonzero(d.any(axis=0))[k])
         shift = np.int64(2 ** 32)
         assert not (d[:, j] * shift * shift).any()
 
         def planted(mat):
-            vecs = real(mat)
-            v0 = list(vecs[0])
+            vecs = list(real(mat))
+            v0 = list(vecs[k])
             v0[j] += 2 ** 64
-            return [tuple(v0)] + vecs[1:]
+            vecs[k] = tuple(v0)
+            return vecs
 
         monkeypatch.setattr(inv, "kernel_saturated", planted)
         with pytest.raises(InvarianceFailure):
