@@ -11,7 +11,6 @@ symbolic cobar complex by a lift-and-solve.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -278,6 +277,7 @@ def _verify_five_adic(source: Polynomial, target: Polynomial, r: int
     the target modulo mod-5 coboundaries (the page-r identification for the
     one page the tower needs is the E_1 one, torsion being exponent one).
     A target that is not a mod-5 cocycle fails the check."""
+    from fractions import Fraction
     spec_int = AlgebroidSpec("reduced", None)
     spec_f5 = AlgebroidSpec("reduced", 0)
     cobar_degree(spec_f5, target)  # ValueError unless a mod-5 cochain

@@ -302,18 +302,24 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given a subcommand's name, only that subparser is
+    built, and the usage line still lists every subcommand."""
     parser = argparse.ArgumentParser(
         prog="hopfext",
         description="Exact cohomology engine for a rank-one translation"
         " Hopf algebroid at p=5")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the default metavar would list only the subparsers built
+    listed = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
     for name, (_, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-    sub.choices["invariants"].set_defaults(t_max=H0_T_CEILING)
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag in flags:
+                p.add_argument(flag, **_FLAGS[flag])
+    if "invariants" in sub.choices:
+        sub.choices["invariants"].set_defaults(t_max=H0_T_CEILING)
     return parser
 
 
@@ -328,7 +334,9 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # help, --version and an absent or unknown subcommand get the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

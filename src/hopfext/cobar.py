@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -246,6 +245,7 @@ def is_coboundary(spec: AlgebroidSpec, z: Polynomial) -> Optional[Polynomial]:
     Smith normal form, allowing division by 5-units only, so a z that is
     not 5-integral raises ValueError.
     """
+    from fractions import Fraction
     if differential(spec, z):
         raise NotACocycle("input is not a cocycle")
     s = cobar_degree(spec, z)
@@ -314,7 +314,7 @@ def class_equal_up_to_unit(spec: AlgebroidSpec, x: Polynomial, y: Polynomial) ->
 
 # --- text form ------------------------------------------------------------
 
-_BRACKET = re.compile(r"\[([^\]]*)\]")
+_BRACKET = r"\[([^\]]*)\]"
 
 
 def format_cobar(spec: AlgebroidSpec, x: Polynomial) -> str:
@@ -349,7 +349,7 @@ def parse_cobar(spec: AlgebroidSpec, s: int, text: str) -> Polynomial:
     cap = spec.max_r_power or math.inf
     acc: Dict[Monomial, object] = {}
     pos = 0
-    for m in _BRACKET.finditer(text):
+    for m in re.finditer(_BRACKET, text):
         coeff_txt = text[pos:m.start()].strip()
         pos = m.end()
         sign = 1

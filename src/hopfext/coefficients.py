@@ -2,7 +2,10 @@
 
 An element of Z_(5) is Python's own rational: an `int`, or a
 `fractions.Fraction` whose denominator is prime to 5; being 5-local is
-the test v5 >= 0 on that number, not a separate type.  Everything
+the test v5 >= 0 on that number, not a separate type.  Only the
+functions that make a Fraction import `fractions`, each inside its body:
+the module loads `decimal`, and every cold run of the CLI would pay for
+it at start-up although most never make one.  Everything
 downstream (cobar differentials, invariant kernels, torsion extraction)
 reduces to the primitives here: the 5-adic valuation `v5`, Smith normal
 form with unimodular transforms L, R and the inverse of L, and saturated
@@ -20,19 +23,22 @@ to 5^15.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 
 def v5(x) -> int:
-    """5-adic valuation of a nonzero int or Fraction: that of the numerator
-    minus that of the denominator."""
+    """5-adic valuation of a nonzero int, numpy integer or Fraction: that of
+    the numerator minus that of the denominator; TypeError on anything
+    else (a float has no exact valuation)."""
+    if type(x) is not int:
+        if not hasattr(x, "denominator"):
+            raise TypeError(f"no 5-adic valuation of a {type(x).__name__}")
+        return v5(operator.index(x.numerator)) - v5(x.denominator)
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
-    if isinstance(x, Fraction):
-        return v5(x.numerator) - v5(x.denominator)
     v = 0
     n = abs(x)
     while n % 5 == 0:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -71,6 +70,7 @@ class RingSpec(_RingSpec):
         domain; TypeError on anything else (a float is never truncated)."""
         m = self.modulus
         if type(value) is not int:
+            from fractions import Fraction
             if not isinstance(value, Fraction):
                 value = operator.index(value)
             elif value.denominator == 1:
@@ -309,15 +309,17 @@ def format_polynomial(p: Polynomial) -> str:
     return " ".join(parts)
 
 
-_TOKEN = re.compile(r"\s*([+-]|\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\(|\))")
+_TOKEN = r"\s*([+-]|\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\(|\))"
 
 
 def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
     """Parse the canonical text form (sums of coefficient*monomial terms)."""
+    from fractions import Fraction
+    token = re.compile(_TOKEN)
     pos = 0
     tokens: List[str] = []
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if not m:
             raise ValueError(f"cannot tokenize {text[pos:]!r}")
         tokens.append(m.group(1))

@@ -15,7 +15,6 @@ with the depth heuristic, and reports Hilbert data.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import itemgetter
@@ -213,6 +212,7 @@ def c_closed_formula(i: int) -> Polynomial:
 
 def c_formula_discrepancy(i: int) -> Fraction:
     """Scalar lambda with closed_formula = lambda * listed c_i (exact)."""
+    from fractions import Fraction
     listed = c_class(i).polynomial
     closed = c_closed_formula(i)
     lead_m, lead_c = listed.sorted_terms()[0]
@@ -302,6 +302,7 @@ def table1_expand(name: str) -> GeneratorRecord:
 
     Certifies 5-integrality, exact invariance, and homogeneity of the
     stated degree; raises IntegralityFailure or InvarianceFailure."""
+    from fractions import Fraction
     if name in ("c2", "c3", "c4", "c5"):
         return c_class(int(name[1]))
     for row_name, deg_idx, denom, terms in TABLE1:
@@ -364,6 +365,7 @@ def _sylvester_determinant(rows: List[List[Polynomial]]) -> Polynomial:
 def discriminant() -> Polynomial:
     """Discriminant of x^5 + a1 x^4 + ... + a5, normalized so that the
     image modulo (5, a1, a2, a3) is exactly a4^5."""
+    from fractions import Fraction
     ring = A_RING
     zero = Polynomial.zero(ring)
     one = Polynomial.constant(ring, 1)
@@ -402,6 +404,7 @@ def disc_unit_factor() -> Tuple[Fraction, bool]:
     at the discriminant's leading monomial, and matches says lambda is a
     5-unit with lambda * disc = D.  A D row without that monomial gives
     lambda = 0, a mismatch."""
+    from fractions import Fraction
     disc = discriminant()
     d_row = table1_expand("D").polynomial
     lead_m, lead_c = disc.sorted_terms()[0]

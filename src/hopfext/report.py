@@ -57,7 +57,7 @@ class ChartSpec(_ChartSpec):
 
 # --- overlay files ----------------------------------------------------------
 
-_OVERLAY = re.compile(
+_OVERLAY = (
     r"^d\s+(\d+)\s+\((\d+)\s*,\s*(\d+)\)\s*->\s*\((\d+)\s*,\s*(\d+)\)\s*(.*)$")
 
 
@@ -69,7 +69,7 @@ def parse_overlay(text: str) -> Tuple[Arrow, ...]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _OVERLAY.match(line)
+        m = re.match(_OVERLAY, line)
         if not m:
             raise ValueError(f"overlay line {lineno} is malformed: {raw!r}")
         page, s1, t1, s2, t2 = (int(m.group(i)) for i in range(1, 6))

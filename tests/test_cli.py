@@ -20,6 +20,12 @@ def _load(tmp_path, name):
         return fh.read()
 
 
+def _subparsers(parser):
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def test_usage_errors():
     assert main([]) == 2
     assert main(["ext", "--ideal", "nine"]) == 2
@@ -52,12 +58,51 @@ def test_each_command_declares_the_flags_it_reads():
         "bockstein": {"--k", "--page", "--smax", "--tmax", "--out"},
         "chart": {"--source", "--overlay", "--out"},
     }
-    (sub,) = [a for a in build_parser()._actions
-              if isinstance(a, argparse._SubParsersAction)]
     got = {name: {s for a in p._actions for s in a.option_strings} -
-           {"-h", "--help"} for name, p in sub.choices.items()}
+           {"-h", "--help"} for name, p in _subparsers(build_parser()).items()}
     assert got == want
     assert sum(map(len, got.values())) == 19
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_subcommand_help_is_that_of_the_full_parser(capsys, name):
+    # main builds only the subparser it is asked for; what it prints is
+    # the help of the same subparser in the full parser
+    assert main([name, "--help"]) == 0
+    assert capsys.readouterr().out == \
+        _subparsers(build_parser())[name].format_help()
+
+
+def test_argv_without_a_subcommand_gets_the_full_parser(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out == build_parser().format_help()
+    assert all(name in out for name in cli._COMMANDS)
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == cli.__version__
+    assert main(["bogus"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert main(["--help", "ext"]) == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--ideal", "1", "--smax", "6", "--tmax", "88"],
+    ["invariants"],
+    ["bockstein", "--k", "0", "--page", "2"],
+    ["chart", "--source", "x.json"],
+])
+def test_one_subparser_parses_as_the_full_parser(argv):
+    assert build_parser(argv[0]).parse_args(argv) == \
+        build_parser().parse_args(argv)
+    assert list(_subparsers(build_parser(argv[0]))) == [argv[0]]
+
+
+def test_usage_line_of_one_subparser_lists_every_subcommand(capsys):
+    assert main(["ext", "--bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(build_parser().format_usage())
+    assert "unrecognized arguments: --bogus" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,6 +31,22 @@ def test_v5_fraction():
         v5(Fraction(0))
 
 
+@pytest.mark.parametrize("x", [2.5, 25.0, np.float64(25.0), 0.0, "25"],
+                         ids=["2.5", "25.0", "float64", "0.0", "str"])
+def test_v5_refuses_what_has_no_exact_valuation(x):
+    # a float would be truncated or read in binary; neither is a 5-adic
+    # valuation of the number meant
+    with pytest.raises(TypeError):
+        v5(x)
+
+
+def test_v5_of_numpy_integers():
+    assert v5(np.int64(-250)) == 3
+    assert v5(np.int32(7)) == 0
+    with pytest.raises(ValueError):
+        v5(np.int64(0))
+
+
 def _det(rows):
     n = len(rows)
     if n == 0:

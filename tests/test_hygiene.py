@@ -206,13 +206,16 @@ def test_package_import_leaves_out_dataclasses():
     # every CLI run is a fresh interpreter and pays the package import.
     # With its thirteen records as dataclasses, whose decorators build
     # their methods through exec, that import took 19 ms after numpy; as
-    # NamedTuples it takes 11 ms (benchmark medians, 2-core Xeon, Python
-    # 3.11).  numpy does not import dataclasses, so neither may the package.
+    # NamedTuples 11.4-12.7 ms, and with `fractions` (which loads
+    # `decimal`) imported only where a Fraction is made, 9.1-9.9 ms
+    # (benchmark medians, 2-core Xeon, Python 3.11).  numpy loads none of
+    # these three modules, so neither may the package.
     code = ("import importlib, pkgutil, sys, numpy, hopfext\n"
             "for info in pkgutil.iter_modules(hopfext.__path__):\n"
             "    importlib.import_module(f'hopfext.{info.name}')\n"
-            "print('dataclasses' in sys.modules)")
+            "print(*(m for m in ('dataclasses', 'fractions', 'decimal')\n"
+            "        if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False"]
+    assert out.split() == []
